@@ -60,29 +60,39 @@ def cmd_plan(args) -> int:
     else:
         plan = dual_mod.solve_dual_offline(graph)
         dual_mod.save_dual_plan(plan, args.out)
+        st = plan.stats
+        print(f"note: dual solve: {st.sweeps} sweeps, {st.capped} contracts "
+              f"at the penalty/2 cap, worst residual {st.worst_residual:.3g}",
+              file=sys.stderr)
     for line in plan.diagnostics:
         print(f"note: {line}", file=sys.stderr)
     print(f"wrote {len(plan.entries)} plan entries to {args.out}", file=sys.stderr)
     return 0
 
 
-def cmd_serve(args) -> int:
-    contracts = {c.id: c for c in model.load_contracts(args.contracts)}
-    with open(args.plan, "r", encoding="utf-8") as fh:
-        first = ""
-        for line in fh:
+def _load_plan(path):
+    """Read an HWM or a dual plan file; a dual plan's records carry theta."""
+    first, lineno = "", 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
             if line.strip():
                 first = line
                 break
     if not first:
-        plan = hwm_mod.HwmPlan([])
-        plan_ids: List[str] = []
-    elif "theta" in json.loads(first):
-        plan = dual_mod.load_dual_plan(args.plan)
-        plan_ids = [e.contract_id for e in plan.entries]
-    else:
-        plan = hwm_mod.load_hwm_plan(args.plan)
-        plan_ids = [e.contract_id for e in plan.entries]
+        return hwm_mod.HwmPlan([])
+    try:
+        rec = json.loads(first)
+    except ValueError as exc:
+        raise model.GraphDataError(f"{path}:{lineno}: bad plan record: {exc}") from exc
+    if isinstance(rec, dict) and "theta" in rec:
+        return dual_mod.load_dual_plan(path)
+    return hwm_mod.load_hwm_plan(path)
+
+
+def cmd_serve(args) -> int:
+    contracts = {c.id: c for c in model.load_contracts(args.contracts)}
+    plan = _load_plan(args.plan)
+    plan_ids = [e.contract_id for e in plan.entries]
     for cid in plan_ids:
         if cid not in contracts:
             raise model.GraphDataError(

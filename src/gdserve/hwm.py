@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import kernels
 from .model import (AllocationGraph, FractionalAllocation, GraphDataError,
+                    read_plan_file, record_number,
                     validate_graph)
 
 
@@ -175,17 +176,15 @@ def save_hwm_plan(plan: HwmPlan, path) -> None:
                                  "alpha": e.alpha}) + "\n")
 
 
+def _hwm_entry(rec) -> HwmEntry:
+    supply = record_number(rec, "eligible_supply")
+    alpha = record_number(rec, "alpha")
+    if supply < 0:
+        raise ValueError(f"eligible_supply {supply} is negative")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha {alpha} is outside [0, 1]")
+    return HwmEntry(str(rec["contract_id"]), supply, alpha)
+
+
 def load_hwm_plan(path) -> HwmPlan:
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                entries.append(HwmEntry(str(rec["contract_id"]),
-                                        rec["eligible_supply"], rec["alpha"]))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise GraphDataError(f"{path}:{lineno}: bad plan record: {exc}") from exc
-    return HwmPlan(entries)
+    return HwmPlan(read_plan_file(path, _hwm_entry))

@@ -8,13 +8,15 @@ fractional supply values, so arithmetic treats supply as float throughout.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Dict, List, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
 from . import targeting as tg
 
 AttributeMap = Dict[str, str]
+T = TypeVar("T")
 Edge = Tuple[str, str]
 
 
@@ -227,6 +229,50 @@ def check_feasibility(graph: AllocationGraph, alloc: FractionalAllocation,
 # ---------------------------------------------------------------------------
 # JSON-lines file formats
 # ---------------------------------------------------------------------------
+
+def record_number(rec, key: str, default: Optional[float] = None) -> float:
+    """Field `key` of a JSON record as a finite float.
+
+    A missing field takes `default` (KeyError when there is none); a field
+    that is not a finite JSON number raises ValueError.  Loaders catch both
+    and report the file and line.
+    """
+    if not isinstance(rec, dict):
+        raise ValueError("record is not a JSON object")
+    if key not in rec:
+        if default is None:
+            raise KeyError(key)
+        return default
+    value = rec[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def read_plan_file(path, parse: Callable[[dict], T]) -> List[T]:
+    """Parse a plan file, one record per non-blank line, with `parse`.
+
+    A record that `parse` rejects (KeyError, ValueError or TypeError) or
+    that lists a contract already listed fails with the file and line.
+    """
+    entries: List[T] = []
+    seen = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                entry = parse(json.loads(line))
+                if entry.contract_id in seen:
+                    raise ValueError(f"contract {entry.contract_id!r} is listed twice")
+            except (KeyError, ValueError, TypeError) as exc:
+                raise GraphDataError(f"{path}:{lineno}: bad plan record: {exc}") from exc
+            seen.add(entry.contract_id)
+            entries.append(entry)
+    return entries
+
 
 def load_supply(path) -> List[SupplyNode]:
     """Read supply.jsonl: {"id", "attributes": {..}, "supply": int} per line."""

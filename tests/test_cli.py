@@ -45,6 +45,21 @@ class TestPlanCommand:
         assert {l["contract_id"] for l in lines} == {"males", "california", "age5"}
         assert all("theta" in l and "alpha" in l and "penalty" in l for l in lines)
 
+    def test_dual_plan_reports_solver_stats(self, tmp_path, capsys):
+        write_demo_inputs(tmp_path)
+        rc = run(["plan", "--supply", tmp_path / "supply.jsonl",
+                  "--contracts", tmp_path / "contracts.jsonl",
+                  "--algorithm", "dual", "--out", tmp_path / "dual_plan.jsonl"])
+        assert rc == 0
+        notes = [l for l in capsys.readouterr().err.splitlines()
+                 if l.startswith("note: dual solve:")]
+        assert len(notes) == 1
+        assert "sweeps" in notes[0] and "penalty/2 cap" in notes[0]
+        assert "worst residual" in notes[0]
+        for line in (tmp_path / "dual_plan.jsonl").read_text().splitlines():
+            assert set(json.loads(line)) == {"contract_id", "theta", "alpha",
+                                             "penalty"}
+
     def test_empty_contracts_file_succeeds(self, tmp_path):
         write_demo_inputs(tmp_path)
         (tmp_path / "contracts.jsonl").write_text("")
@@ -214,6 +229,64 @@ class TestServeCommand:
                      (tmp_path / "decisions.jsonl").read_text().splitlines()]
         assert len(decisions) == 50
         assert all(sum(p for _, p in d["probs"]) <= 1.0 + 1e-9 for d in decisions)
+
+
+class TestPlanFileErrors:
+    """A bad plan record stops `gdserve serve` with the plan's path:line."""
+
+    GOOD_DUAL = {"contract_id": "males", "theta": 0.25, "alpha": 0.0,
+                 "penalty": 10.0}
+    GOOD_HWM = {"contract_id": "males", "eligible_supply": 400, "alpha": 0.25}
+
+    def serve(self, tmp_path, capsys, plan_text):
+        write_demo_inputs(tmp_path)
+        (tmp_path / "plan.jsonl").write_text(plan_text)
+        write_impressions(tmp_path / "impressions.jsonl",
+                          [{"gender": "male", "age_bucket": "5"}] * 3)
+        rc = run(["serve", "--plan", tmp_path / "plan.jsonl",
+                  "--contracts", tmp_path / "contracts.jsonl",
+                  "--impressions", tmp_path / "impressions.jsonl",
+                  "--out", tmp_path / "decisions.jsonl"])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("theta", "0.5"), ("theta", 0), ("penalty", -1.0), ("penalty", None),
+        ("alpha", -3), ("alpha", 5.5), ("alpha", True)])
+    def test_bad_dual_record(self, tmp_path, capsys, key, value):
+        bad = dict(self.GOOD_DUAL, contract_id="age5", **{key: value})
+        rc, err = self.serve(tmp_path, capsys, json.dumps(self.GOOD_DUAL)
+                             + "\n" + json.dumps(bad) + "\n")
+        assert rc == 1
+        assert f"{tmp_path / 'plan.jsonl'}:2: bad plan record" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "0.5"), ("alpha", -0.1), ("alpha", 1.5),
+        ("eligible_supply", "400"), ("eligible_supply", -1)])
+    def test_bad_hwm_record(self, tmp_path, capsys, key, value):
+        bad = dict(self.GOOD_HWM, contract_id="age5", **{key: value})
+        rc, err = self.serve(tmp_path, capsys, json.dumps(self.GOOD_HWM)
+                             + "\n" + json.dumps(bad) + "\n")
+        assert rc == 1
+        assert f"{tmp_path / 'plan.jsonl'}:2: bad plan record" in err
+
+    @pytest.mark.parametrize("good", [GOOD_DUAL, GOOD_HWM])
+    def test_contract_listed_twice(self, tmp_path, capsys, good):
+        rc, err = self.serve(tmp_path, capsys, 2 * (json.dumps(good) + "\n"))
+        assert rc == 1
+        assert f"{tmp_path / 'plan.jsonl'}:2: bad plan record" in err
+        assert "listed twice" in err
+
+    def test_non_json_first_line(self, tmp_path, capsys):
+        rc, err = self.serve(tmp_path, capsys, "not json\n")
+        assert rc == 1
+        assert f"{tmp_path / 'plan.jsonl'}:1: bad plan record" in err
+
+    def test_boundary_values_are_served(self, tmp_path, capsys):
+        plan = [dict(self.GOOD_DUAL, alpha=5.0),
+                dict(self.GOOD_DUAL, contract_id="age5", alpha=0)]
+        rc, _ = self.serve(tmp_path, capsys,
+                           "".join(json.dumps(r) + "\n" for r in plan))
+        assert rc == 0
 
 
 class TestScenarioAndSimulate:

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from gdserve import dual, model
+from gdserve import dual, kernels, model
 from conftest import make_contract
 from _qp_oracle import (QpInstance, kkt_residuals, random_instance,
                         solve_reference)
@@ -191,3 +191,172 @@ class TestPlanFile:
         dual.save_dual_plan(plan, tmp_path / "dual_plan.jsonl")
         loaded = dual.load_dual_plan(tmp_path / "dual_plan.jsonl")
         assert loaded.entries == plan.entries
+
+
+def _bisection_reference(graph, tol=1e-6, max_iters=10000):
+    """The coordinate ascent with a 60-step bisection per coordinate step:
+    same sweep order, clamp and convergence test as `solve_dual_offline`,
+    with delivery evaluated through `kernels.dual_probs`."""
+    spec = dual.DualObjectiveSpec.from_graph(graph)
+    included = sorted((c for c in graph.contracts if c.id in spec.theta),
+                      key=lambda c: c.id)
+    alpha = {c.id: 0.0 for c in included}
+    views = {c.id: [] for c in included}
+    for n in graph.supply_nodes:
+        lst = [cid for cid in graph.contracts_of[n.id] if cid in alpha]
+        if lst and n.forecast_supply > 0:
+            ths = [spec.theta[cid] for cid in lst]
+            for slot, cid in enumerate(lst):
+                views[cid].append((lst, ths, float(n.forecast_supply), slot))
+
+    def delivery(cid, a):
+        return sum(s * kernels.dual_probs(
+            ths, [a if k == cid else alpha[k] for k in lst])[slot]
+            for lst, ths, s, slot in views[cid])
+
+    def worst():
+        return max([0.0] + [
+            max(0.0, c.demand - delivery(c.id, alpha[c.id])) / c.demand
+            for c in included
+            if alpha[c.id] < spec.penalty[c.id] / 2.0 - tol])
+
+    for _ in range(max_iters):
+        max_change = 0.0
+        for c in included:
+            cid, d, hi = c.id, float(c.demand), spec.penalty[c.id] / 2.0
+            if delivery(cid, 0.0) >= d:
+                new = 0.0
+            elif delivery(cid, hi) < d:
+                new = hi
+            else:
+                lo, up = 0.0, hi
+                for _ in range(60):
+                    mid = 0.5 * (lo + up)
+                    if delivery(cid, mid) < d:
+                        lo = mid
+                    else:
+                        up = mid
+                new = up
+            max_change = max(max_change, abs(new - alpha[cid]) / max(1.0, hi))
+            alpha[cid] = new
+        if max_change < tol and worst() <= tol:
+            return alpha
+    raise AssertionError("bisection reference did not converge")
+
+
+def _knot_nodes(graph, theta, alpha, cid):
+    """(s_i, [(theta_k, alpha_k) of the other contracts]) per node of cid."""
+    return [(float(graph.node_by_id[nid].forecast_supply),
+             [(theta[k], alpha[k]) for k in graph.contracts_of[nid]
+              if k != cid and k in theta])
+            for nid in graph.nodes_of[cid]
+            if graph.node_by_id[nid].forecast_supply > 0]
+
+
+def _curve(knots, a):
+    return sum(c * max(0.0, a - at) for at, c in knots)
+
+
+def _edge_cases_graph():
+    """Three identical contracts over a shared node and a node each of their
+    own start tied at alpha = 0 and converge to 0.6 together; `slack` is alone on its node with spare supply
+    (alpha = 0); `capped` wants more than its node holds (alpha = 5)."""
+    nodes = [model.SupplyNode("shared", {"seg": "shared"}, 90)]
+    contracts = []
+    for k in ("t1", "t2", "t3"):
+        nodes.append(model.SupplyNode(f"own_{k}", {"seg": k}, 30))
+        contracts.append(make_contract(k, f"seg IN {{shared, {k}}}", 50))
+    nodes += [model.SupplyNode("spare", {"seg": "spare"}, 100),
+              model.SupplyNode("small", {"seg": "small"}, 20)]
+    contracts += [make_contract("slack", "seg = spare", 10),
+                  make_contract("capped", "seg = small", 50)]
+    return model.build_graph(nodes, contracts)
+
+
+class TestExactStep:
+    """The coordinate step solves D_j(a) = d_j exactly from the knots of the
+    delivery curve; the reference is a 60-step bisection on delivery
+    recomputed through `kernels.dual_probs`."""
+
+    def test_knot_curve_matches_reconstruction(self):
+        rng = random.Random(4242)
+        for trial in range(40):
+            g = _instance_to_graph(random_instance(rng, max_nodes=12,
+                                                   max_contracts=7))
+            spec = dual.DualObjectiveSpec.from_graph(g)
+            theta = spec.theta
+            # Draw the duals from a small pool so that ties, zeros and
+            # penalty/2 caps all occur.
+            pool = [0.0, 0.3, 1.0, rng.uniform(0.0, 3.0)]
+            alpha = {cid: min(rng.choice(pool), spec.penalty[cid] / 2.0)
+                     for cid in theta}
+            for cid in theta:
+                nodes = _knot_nodes(g, theta, alpha, cid)
+                knots = dual.delivery_knots(theta[cid], nodes)
+                points = ([0.0, spec.penalty[cid] / 2.0]
+                          + [rng.uniform(0.0, 5.0) for _ in range(5)]
+                          + [a for a, _ in knots if a >= 0.0] + pool)
+                for a in points:
+                    ref = sum(s * kernels.dual_probs(
+                        [theta[cid]] + [t for t, _ in others],
+                        [a] + [al for _, al in others])[0]
+                        for s, others in nodes)
+                    assert _curve(knots, a) == pytest.approx(ref, rel=1e-9,
+                                                             abs=1e-9)
+
+    def test_knots_of_a_lone_contract(self):
+        # x = theta * (1 + a) from a = -1, flat at 1 from a = 1/theta - 1.
+        knots = dual.delivery_knots(0.5, [(100.0, [])])
+        assert knots == [(-1.0, 50.0), (1.0, -50.0)]
+
+    def test_edge_cases_match_bisection(self):
+        g = _edge_cases_graph()
+        plan = dual.solve_dual_offline(g)
+        alpha = {e.contract_id: e.alpha for e in plan.entries}
+        for k in ("t1", "t2", "t3"):
+            assert alpha[k] == pytest.approx(0.6, abs=1e-5)
+        assert alpha["slack"] == 0.0
+        assert alpha["capped"] == 5.0
+        ref = _bisection_reference(g)
+        for cid, a in alpha.items():
+            assert a == pytest.approx(ref[cid], abs=1e-9)
+
+    def test_random_instances_match_bisection(self):
+        rng = random.Random(8080)
+        for trial in range(25):
+            g = _instance_to_graph(random_instance(rng, max_nodes=12,
+                                                   max_contracts=6))
+            plan = dual.solve_dual_offline(g)
+            ref = _bisection_reference(g)
+            spec = dual.DualObjectiveSpec.from_graph(g)
+            alpha = {e.contract_id: e.alpha for e in plan.entries}
+            for cid, a in alpha.items():
+                if abs(a - ref[cid]) <= 1e-9:
+                    continue
+                # Only where D_j is flat at d_j may the two differ: every a
+                # in the flat meets the demand, the exact step returns its
+                # left end and bisection a point that rounding picks.
+                knots = dual.delivery_knots(
+                    spec.theta[cid], _knot_nodes(g, spec.theta, alpha, cid))
+                d = g.contract_by_id[cid].demand
+                assert a < ref[cid]
+                assert _curve(knots, a) == pytest.approx(d, rel=1e-9)
+                assert _curve(knots, ref[cid]) == pytest.approx(d, rel=1e-9)
+
+    def test_slack_dual_is_exactly_zero(self, tmp_path):
+        # theta = 7/25 rounds so that the scan's root lands a hair below 0;
+        # the clamp keeps the dual at 0, which the plan loader accepts.
+        plan = dual.solve_dual_offline(single_edge_graph(25, 7))
+        assert plan.entries[0].alpha == 0.0
+        dual.save_dual_plan(plan, tmp_path / "dual_plan.jsonl")
+        assert dual.load_dual_plan(tmp_path / "dual_plan.jsonl").entries == \
+            plan.entries
+
+    def test_solver_stats(self, tmp_path):
+        g = _edge_cases_graph()
+        plan = dual.solve_dual_offline(g)
+        assert plan.stats.sweeps >= 2
+        assert plan.stats.capped == 1
+        assert 0.0 <= plan.stats.worst_residual <= 1e-6
+        dual.save_dual_plan(plan, tmp_path / "dual_plan.jsonl")
+        assert dual.load_dual_plan(tmp_path / "dual_plan.jsonl").stats is None
