@@ -3,7 +3,9 @@
 
 Measures the four hot kernels on serving-shaped workloads (short candidate
 lists, many calls) plus an end-to-end serve loop, and prints per-call
-timings for whichever backends are importable.
+timings for whichever backends are importable.  Also times the
+per-impression uniform draw (`simulate._impression_uniform`), which is
+plain Python under either backend.
 
 Usage: python benchmarks/bench_kernels.py [--calls N]
 """
@@ -13,6 +15,7 @@ import random
 import time
 
 from gdserve import _kernels_py
+from gdserve.simulate import _impression_uniform
 
 BACKENDS = {"python": _kernels_py}
 try:
@@ -96,6 +99,10 @@ def main():
         if "c" in BACKENDS:
             line += f"{row['python'] / row['c']:>9.1f}x"
         print(line)
+    per_call, _ = bench("impression uniform", _impression_uniform,
+                        [(7, i) for i in range(args.calls)])
+    print(f"\n{'_impression_uniform':<{width}}{per_call * 1e6:>14.3f}"
+          "  (plain Python under any backend)")
     if "c" not in BACKENDS:
         print("\ncompiled kernels not built; showing pure-Python timings only")
 

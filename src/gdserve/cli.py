@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from . import dual as dual_mod
 from . import hwm as hwm_mod
@@ -98,23 +98,14 @@ def cmd_serve(args) -> int:
             raise model.GraphDataError(
                 f"plan contract {cid!r} is missing from {args.contracts}")
     seed = _seed_from(args)
-    eligible_cache: Dict[Tuple[Tuple[str, str], ...], List[str]] = {}
-    plan_contracts = [contracts[cid] for cid in plan_ids]
+    index = sim.EligibilityIndex([contracts[cid] for cid in plan_ids])
     written = 0
     with open(args.out, "w", encoding="utf-8") as out:
-        for index, ev in enumerate(sim.iter_impressions(args.impressions)):
-            key = tuple(sorted(ev.attributes.items()))
-            hit = eligible_cache.get(key)
-            if hit is None:
-                hit = [c.id for c in plan_contracts
-                       if tg.eligible(ev.attributes, c.targeting)]
-                eligible_cache[key] = hit
-            cands = [cid for cid in hit if contracts[cid].in_flight(ev.ts)]
-            u = sim._impression_uniform(seed, index)
-            if isinstance(plan, hwm_mod.HwmPlan):
-                decision = hwm_mod.serve_hwm(plan, cands, u, ev.id)
-            else:
-                decision = dual_mod.serve_dual(plan, cands, u, ev.id)
+        for n, ev in enumerate(sim.iter_impressions(args.impressions)):
+            ids = index.lookup(sim._attrs_key(ev.attributes), ev.attributes)
+            cands = [cid for cid in ids if contracts[cid].in_flight(ev.ts)]
+            u = sim._impression_uniform(seed, n)
+            decision = hwm_mod.serve_hwm(plan, cands, u, ev.id)
             out.write(json.dumps({
                 "impression_id": decision.impression_id,
                 "chosen": decision.chosen,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import kernels
-from .hwm import ServeDecision
+from .hwm import serve_hwm
 from .model import (AllocationGraph, FractionalAllocation, GraphDataError,
                     read_plan_file, record_number,
                     validate_graph)
@@ -372,13 +372,9 @@ def reconstructed_allocation(graph: AllocationGraph, plan: DualPlan
     return FractionalAllocation(values), under
 
 
-def serve_dual(plan: DualPlan, eligible_ids: Sequence[str], u: float,
-               impression_id: str = "") -> "ServeDecision":
-    """Draw a contract for one impression from the reconstructed fractions."""
-    probs = plan.effective_probs(eligible_ids)
-    idx = kernels.draw_index([p for _, p in probs], u)
-    chosen = probs[idx][0] if idx >= 0 else None
-    return ServeDecision(impression_id, chosen, probs, u)
+# Serving draws from the reconstructed fractions exactly as it draws from
+# HWM rates: one function serves every plan.
+serve_dual = serve_hwm
 
 
 def save_dual_plan(plan: DualPlan, path) -> None:
@@ -390,9 +386,9 @@ def save_dual_plan(plan: DualPlan, path) -> None:
 
 
 def _dual_entry(rec) -> DualEntry:
-    theta = record_number(rec, "theta")
-    alpha = record_number(rec, "alpha")
-    penalty = record_number(rec, "penalty", 10.0)
+    theta = float(record_number(rec, "theta"))
+    alpha = float(record_number(rec, "alpha"))
+    penalty = float(record_number(rec, "penalty", 10.0))
     if theta <= 0 or penalty <= 0:
         raise ValueError("theta and penalty must be positive")
     if not 0.0 <= alpha <= penalty / 2.0:

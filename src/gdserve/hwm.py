@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from . import kernels
 from .model import (AllocationGraph, FractionalAllocation, GraphDataError,
@@ -124,12 +124,21 @@ class ServeDecision:
     rng_trace: Optional[float] = None
 
 
-def serve_hwm(plan: HwmPlan, eligible_ids: Sequence[str], u: float,
+class ServingPlan(Protocol):
+    """What serving needs of a plan (`HwmPlan`, `DualPlan`, ...)."""
+
+    def effective_probs(self, contract_ids: Sequence[str]) -> List[Tuple[str, float]]:
+        """Serve-time (contract id, probability) pairs for one impression's
+        eligible contracts, in an order fixed by the plan, not by the input."""
+
+
+def serve_hwm(plan: ServingPlan, eligible_ids: Sequence[str], u: float,
               impression_id: str = "") -> ServeDecision:
-    """Pick a contract (or none) for one impression.
+    """Pick a contract (or none) for one impression under any plan.
 
     `u` is the single uniform draw in [0, 1) consumed by the decision; the
     result depends only on the plan slice for `eligible_ids` and on `u`.
+    `dual.serve_dual` is this same function.
     """
     probs = plan.effective_probs(eligible_ids)
     idx = kernels.draw_index([p for _, p in probs], u)
@@ -177,8 +186,8 @@ def save_hwm_plan(plan: HwmPlan, path) -> None:
 
 
 def _hwm_entry(rec) -> HwmEntry:
-    supply = record_number(rec, "eligible_supply")
-    alpha = record_number(rec, "alpha")
+    supply = float(record_number(rec, "eligible_supply"))
+    alpha = float(record_number(rec, "alpha"))
     if supply < 0:
         raise ValueError(f"eligible_supply {supply} is negative")
     if not 0.0 <= alpha <= 1.0:

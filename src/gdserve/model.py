@@ -231,11 +231,13 @@ def check_feasibility(graph: AllocationGraph, alloc: FractionalAllocation,
 # ---------------------------------------------------------------------------
 
 def record_number(rec, key: str, default: Optional[float] = None) -> float:
-    """Field `key` of a JSON record as a finite float.
+    """Field `key` of a JSON record, checked to be a finite number.
 
     A missing field takes `default` (KeyError when there is none); a field
-    that is not a finite JSON number raises ValueError.  Loaders catch both
-    and report the file and line.
+    that is not a finite JSON number (a boolean, a string, NaN, Infinity)
+    raises ValueError.  Loaders catch both and report the file and line.
+    An integer is returned as an int, so a count read from a file equals
+    the same count built in memory, down to how reports print it.
     """
     if not isinstance(rec, dict):
         raise ValueError("record is not a JSON object")
@@ -247,7 +249,7 @@ def record_number(rec, key: str, default: Optional[float] = None) -> float:
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not math.isfinite(value)):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
+    return value
 
 
 def read_plan_file(path, parse: Callable[[dict], T]) -> List[T]:
@@ -286,7 +288,7 @@ def load_supply(path) -> List[SupplyNode]:
                 rec = json.loads(line)
                 nodes.append(SupplyNode(str(rec["id"]),
                                         dict(rec.get("attributes", {})),
-                                        rec["supply"]))
+                                        record_number(rec, "supply")))
             except (KeyError, ValueError, TypeError) as exc:
                 raise GraphDataError(f"{path}:{lineno}: bad supply record: {exc}") from exc
     return nodes
@@ -314,11 +316,11 @@ def load_contracts(path) -> List[Contract]:
                 contracts.append(Contract(
                     id=str(rec["id"]),
                     targeting=tg.parse_targeting(rec["targeting"]),
-                    demand=rec["demand"],
+                    demand=record_number(rec, "demand"),
                     start=parse_ts(rec["start"]),
                     end=parse_ts(rec["end"]),
-                    booked_demand=rec.get("booked", 0.0),
-                    penalty=rec.get("penalty", 10.0),
+                    booked_demand=record_number(rec, "booked", 0.0),
+                    penalty=record_number(rec, "penalty", 10.0),
                 ))
             except tg.TargetingSyntaxError as exc:
                 raise GraphDataError(

@@ -9,12 +9,23 @@ multiplier, and the chosen planner runs again.  Between boundaries serving
 is stateless: each impression's decision depends only on the current plan
 and the impression itself.
 
+An impression's eligible contracts come from one `EligibilityIndex` per
+run: the graph's edges for an attribute set that is a supply node, and one
+walk of the targeting trees per other attribute set.  Each cycle narrows
+them to the plan's contracts once per attribute set.
+
 Two serving modes are supported.  In "sampled" mode every impression draws a
-contract from its effective probabilities (one uniform per impression,
-derived from the seed and the impression's stream position, so runs are
-reproducible).  In "expected" mode the fractional probabilities themselves
+contract from its effective probabilities with one uniform, a counter hash
+of the seed and the impression's stream position (`_impression_uniform`,
+SplitMix64), so runs are reproducible and any split of the stream draws the
+same numbers.  In "expected" mode the fractional probabilities themselves
 are accumulated, which removes all randomness and lets tests reproduce
-analytic delivery numbers exactly.
+analytic delivery numbers exactly.  There, `shards` cut each cycle's
+impressions into that many contiguous blocks, served one after another in
+this process; each contract's contributions are summed with `math.fsum`,
+which is exact, so the report is bit-identical for every shard count.
+That is the check that no decision depends on another impression; it does
+not run blocks in parallel.
 """
 
 from __future__ import annotations
@@ -23,8 +34,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
-from random import Random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import metrics as mx
 from . import targeting as tg
@@ -160,14 +170,60 @@ def terminal_delivery_error_bound(r: float, k: int) -> float:
 # Engine
 # ---------------------------------------------------------------------------
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15     # 2^64 / golden ratio, odd
+
+
 def _impression_uniform(seed: int, index: int) -> float:
-    # Counter-style draw: one independently seeded generator per impression,
-    # so decisions do not depend on how the stream is processed or split.
-    return Random((seed + 1) * 1_000_003 + index).random()
+    """The uniform in [0, 1) that impression `index` of a run with `seed` draws.
+
+    A pure function of (seed, index), so decisions do not depend on how the
+    stream is processed or split.  It is output number n = seed*G + index + 1
+    (mod 2^64) of SplitMix64 started from state 0 (Steele, Lea & Flood,
+    OOPSLA 2014): the counter n*G through the 64-bit finalizer, top 53 bits.
+    Seed 0 is therefore SplitMix64's reference sequence, and each seed reads
+    it from its own start, G positions after the previous seed's.  Starts of
+    seeds up to 10^6 apart are at least 9.9e12 positions apart, so their
+    streams do not overlap before that many impressions.
+    """
+    z = ((seed * _GOLDEN_GAMMA + index + 1) * _GOLDEN_GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
 
 
-def _attrs_key(attrs: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
+AttrsKey = Tuple[Tuple[str, str], ...]
+
+
+def _attrs_key(attrs: Mapping[str, str]) -> AttrsKey:
     return tuple(sorted(attrs.items()))
+
+
+class EligibilityIndex:
+    """Eligible contract ids per attribute set, built once per run.
+
+    A set that matches a supply node of `graph` takes the node's edges
+    (`graph.contracts_of`).  Any other set is evaluated against the
+    targeting of every contract in `contracts` the first time it is looked
+    up and remembered for the rest of the run.  Ids come in no particular
+    order; every plan's `effective_probs` orders its input itself.
+    """
+
+    def __init__(self, contracts: Sequence[Contract],
+                 graph: Optional[AllocationGraph] = None):
+        self._contracts = list(contracts)
+        self._ids: Dict[AttrsKey, List[str]] = {}
+        if graph is not None:
+            for n in graph.supply_nodes:
+                self._ids[_attrs_key(n.attributes)] = graph.contracts_of[n.id]
+
+    def lookup(self, key: AttrsKey, attrs: Mapping[str, str]) -> List[str]:
+        """Ids eligible for `attrs`, whose `_attrs_key` is `key`."""
+        ids = self._ids.get(key)
+        if ids is None:
+            ids = [c.id for c in self._contracts if tg.eligible(attrs, c.targeting)]
+            self._ids[key] = ids
+        return ids
 
 
 @dataclass
@@ -287,9 +343,12 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
     n_cycles = len(bounds) - 1
     cycle_hours = cfg.reopt_period_hours
 
-    # Bucket impressions by cycle and match them to supply nodes.
-    node_of_key = {_attrs_key(dict(n.attributes)): n.id for n in graph.supply_nodes}
-    buckets: List[List[Tuple[int, ImpressionEvent, Optional[str]]]] = \
+    # Bucket impressions by cycle with their attribute-set keys, and count
+    # each supply node's impressions per cycle.  Impressions of one set
+    # share one key object, so the buckets hold no per-impression key.
+    node_of_key = {_attrs_key(n.attributes): n.id for n in graph.supply_nodes}
+    keys: Dict[AttrsKey, AttrsKey] = {}
+    buckets: List[List[Tuple[int, ImpressionEvent, AttrsKey]]] = \
         [[] for _ in range(n_cycles)]
     node_counts = {n.id: [0] * n_cycles for n in graph.supply_nodes}
     skipped = 0
@@ -303,8 +362,10 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
             skipped += 1
             continue
         k = min((ev.ts - sim_start) // period, n_cycles - 1)
-        nid = node_of_key.get(_attrs_key(ev.attributes))
-        buckets[k].append((idx, ev, nid))
+        key = _attrs_key(ev.attributes)
+        key = keys.setdefault(key, key)
+        buckets[k].append((idx, ev, key))
+        nid = node_of_key.get(key)
         if nid is not None:
             node_counts[nid][k] += 1
 
@@ -321,6 +382,8 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
             return cfg.per_node_error[nid]
         return cfg.forecast_error_multiplier
 
+    index = EligibilityIndex(graph.contracts, graph)
+    contract_by_id = graph.contract_by_id
     delivered: Dict[str, float] = {c.id: 0.0 for c in graph.contracts}
     boost: Dict[str, bool] = {c.id: False for c in graph.contracts}
     rates_trace: Dict[str, List[Optional[float]]] = {c.id: [] for c in graph.contracts}
@@ -378,21 +441,18 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
 
         # Serve this cycle's impressions.
         if plan is not None and buckets[k]:
-            eligible_cache: Dict[Tuple, List[str]] = {}
+            # Per attribute set, once a cycle: the plan's eligible contracts.
+            # Plan membership matters: the dual planner drops contracts with
+            # no eligible forecast supply.
+            cycle_ids: Dict[AttrsKey, List[str]] = {}
             probs_cache: Dict[Tuple[str, ...], List[Tuple[str, float]]] = {}
-            plan_contracts = [graph.contract_by_id[c.id] for c in planning]
 
-            def eligible_ids(ev: ImpressionEvent) -> List[str]:
-                key = _attrs_key(ev.attributes)
-                hit = eligible_cache.get(key)
-                if hit is None:
-                    # Plan membership matters: the dual planner drops contracts
-                    # with no eligible forecast supply.
-                    hit = [c.id for c in plan_contracts
-                           if c.id in plan and tg.eligible(ev.attributes, c.targeting)]
-                    eligible_cache[key] = hit
-                return [cid for cid in hit
-                        if graph.contract_by_id[cid].in_flight(ev.ts)]
+            def plan_ids(key: AttrsKey, attrs) -> List[str]:
+                ids = cycle_ids.get(key)
+                if ids is None:
+                    ids = [cid for cid in index.lookup(key, attrs) if cid in plan]
+                    cycle_ids[key] = ids
+                return ids
 
             def probs_for(cands: List[str]) -> List[Tuple[str, float]]:
                 ckey = tuple(cands)
@@ -403,10 +463,11 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
                 return probs
 
             if sampled:
-                for idx, ev, _nid in buckets[k]:
+                for idx, ev, key in buckets[k]:
                     served += 1
-                    cands = [cid for cid in eligible_ids(ev)
-                             if delivered[cid] < graph.contract_by_id[cid].booked_demand]
+                    cands = [cid for cid in plan_ids(key, ev.attributes)
+                             if contract_by_id[cid].in_flight(ev.ts)
+                             and delivered[cid] < contract_by_id[cid].booked_demand]
                     if not cands:
                         continue
                     probs = probs_for(cands)
@@ -420,9 +481,10 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
                 contribs: Dict[str, List[float]] = {c.id: [] for c in planning}
                 block = max(1, math.ceil(len(buckets[k]) / cfg.shards))
                 for b in range(0, len(buckets[k]), block):
-                    for idx, ev, _nid in buckets[k][b:b + block]:
+                    for idx, ev, key in buckets[k][b:b + block]:
                         served += 1
-                        cands = eligible_ids(ev)
+                        cands = [cid for cid in plan_ids(key, ev.attributes)
+                                 if contract_by_id[cid].in_flight(ev.ts)]
                         if not cands:
                             continue
                         for cid, p in probs_for(cands):
@@ -430,7 +492,7 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
                                 contribs[cid].append(p)
                 for c in planning:
                     inc = math.fsum(contribs[c.id])
-                    booked = graph.contract_by_id[c.id].booked_demand
+                    booked = contract_by_id[c.id].booked_demand
                     delivered[c.id] = min(booked, delivered[c.id] + inc)
         elif buckets[k]:
             served += len(buckets[k])

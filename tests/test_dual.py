@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from gdserve import dual, kernels, model
+from gdserve import dual, hwm, kernels, model
 from conftest import make_contract
 from _qp_oracle import (QpInstance, kkt_residuals, random_instance,
                         solve_reference)
@@ -191,6 +191,21 @@ class TestPlanFile:
         dual.save_dual_plan(plan, tmp_path / "dual_plan.jsonl")
         loaded = dual.load_dual_plan(tmp_path / "dual_plan.jsonl")
         assert loaded.entries == plan.entries
+
+
+class TestServe:
+    def test_one_serve_function_for_every_plan(self):
+        assert dual.serve_dual is hwm.serve_hwm
+        nodes = [model.SupplyNode("a", {"x": "1"}, 100)]
+        contracts = [make_contract("c1", "x = 1", 30), make_contract("c2", "x = 1", 40)]
+        plan = dual.solve_dual_offline(model.build_graph(nodes, contracts))
+        probs = plan.effective_probs(["c2", "c1"])
+        assert [cid for cid, _ in probs] == ["c1", "c2"]
+        p1 = probs[0][1]
+        for u, chosen in ((0.0, "c1"), (p1 - 1e-9, "c1"), (p1, "c2")):
+            decision = dual.serve_dual(plan, ["c2", "c1"], u, "imp")
+            assert decision.chosen == chosen
+            assert decision.probabilities == probs
 
 
 def _bisection_reference(graph, tol=1e-6, max_iters=10000):

@@ -129,6 +129,36 @@ class TestRoundTrip:
         with pytest.raises(model.GraphDataError, match=":2"):
             model.load_contracts(path)
 
+    @pytest.mark.parametrize("value", ["true", "NaN", "Infinity", '"5"'])
+    def test_bad_supply_number_reports_line(self, tmp_path, value):
+        path = tmp_path / "supply.jsonl"
+        path.write_text('{"id": "n1", "attributes": {"x": "1"}, "supply": 5}\n'
+                        f'{{"id": "n2", "attributes": {{}}, "supply": {value}}}\n')
+        with pytest.raises(model.GraphDataError, match=f"{path}:2: bad supply record"):
+            model.load_supply(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("demand", "NaN"), ("demand", "true"), ("demand", "Infinity"),
+        ("booked", "NaN"), ("booked", "true"),
+        ("penalty", "Infinity"), ("penalty", "NaN"), ("penalty", "false")])
+    def test_bad_contract_number_reports_line(self, tmp_path, key, value):
+        fields = {"id": '"c1"', "targeting": '"x = 1"', "demand": "5",
+                  "start": '"2026-03-02T00:00:00"', "end": '"2026-03-09T00:00:00"',
+                  key: value}
+        path = tmp_path / "contracts.jsonl"
+        path.write_text("\n" + "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items())
+                        + "}\n")
+        with pytest.raises(model.GraphDataError, match=f"{path}:2: bad contract record"):
+            model.load_contracts(path)
+
+    def test_loaded_counts_keep_their_json_type(self, tmp_path):
+        path = tmp_path / "contracts.jsonl"
+        path.write_text('{"id": "c1", "targeting": "x = 1", "demand": 5, "booked": 7.5, '
+                        '"start": "2026-03-02T00:00:00", "end": "2026-03-09T00:00:00"}\n')
+        c = model.load_contracts(path)[0]
+        assert type(c.demand) is int and type(c.booked_demand) is float
+        assert c.penalty == 10.0
+
     def test_zulu_timestamps_accepted(self):
         ts = model.parse_ts("2026-03-02T00:00:00Z")
         assert ts.year == 2026

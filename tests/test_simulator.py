@@ -1,8 +1,10 @@
+import math
+from collections import Counter
 from datetime import timedelta
 
 import pytest
 
-from gdserve import model, simulate as sim
+from gdserve import hwm, model, simulate as sim, targeting as tg
 from gdserve.feedback import FeedbackConfig
 from gdserve.scenario import ScenarioSpec, generate_scenario
 from conftest import FLIGHT_START, make_contract
@@ -183,6 +185,116 @@ class TestEngineInvariants:
                 {"state": "CA"} if j % 2 else {"state": "CA", "gender": "female"}))
         report = sim.run_simulation(graph, events, daily_reopt_config(1.0))
         assert report.outcomes[0].delivered == pytest.approx(60.0, abs=1e-9)
+
+
+class TestEligibilityIndex:
+    """Candidates taken from the graph's edges, or from targeting once per
+    off-graph attribute set, equal a walk of every contract's targeting."""
+
+    def scenario(self):
+        spec = ScenarioSpec(num_contracts=10, num_attributes=3, seed=8, days=3,
+                            daily_traffic=1000)
+        graph, events = generate_scenario(spec)
+        on_graph = {sim._attrs_key(n.attributes) for n in graph.supply_nodes}
+        off_graph = {sim._attrs_key(ev.attributes) for ev in events} - on_graph
+        assert off_graph
+        return graph, events, off_graph
+
+    def test_candidates_match_targeting_reference(self):
+        graph, events, _ = self.scenario()
+        # A plan holding every other contract exercises the membership filter.
+        plan = hwm.HwmPlan([hwm.HwmEntry(c.id, 1.0, 0.5) for c in graph.contracts[::2]])
+        index = sim.EligibilityIndex(graph.contracts, graph)
+        for ev in events:
+            # The same set with its attributes inserted in reverse order.
+            reordered = dict(reversed(list(ev.attributes.items())))
+            for attrs in (ev.attributes, reordered):
+                ids = index.lookup(sim._attrs_key(attrs), attrs)
+                got = sorted(cid for cid in ids if cid in plan
+                             and graph.contract_by_id[cid].in_flight(ev.ts))
+                want = sorted(c.id for c in graph.contracts
+                              if c.id in plan and c.in_flight(ev.ts)
+                              and tg.eligible(attrs, c.targeting))
+                assert got == want, (attrs, ev.ts)
+
+    def test_targeting_walked_once_per_off_graph_set(self, monkeypatch):
+        graph, events, off_graph = self.scenario()
+        index = sim.EligibilityIndex(graph.contracts, graph)
+        walked = Counter()
+        depth = [0]
+        walk = tg.eligible
+
+        def counting(attrs, expr):
+            # Count whole-expression walks, not the recursive calls inside.
+            if depth[0] == 0:
+                walked[sim._attrs_key(attrs)] += 1
+            depth[0] += 1
+            try:
+                return walk(attrs, expr)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(tg, "eligible", counting)
+        for _ in range(2):
+            for ev in events:
+                index.lookup(sim._attrs_key(ev.attributes), ev.attributes)
+        assert walked == {key: len(graph.contracts) for key in off_graph}
+
+
+def _splitmix64(state: int):
+    """SplitMix64 (Steele, Lea & Flood, OOPSLA 2014), written out as a
+    reference: advance the state by the golden gamma, then mix it."""
+    mask = (1 << 64) - 1
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+class TestImpressionUniform:
+    u = staticmethod(sim._impression_uniform)
+
+    def test_deterministic_and_in_unit_interval(self):
+        grid = [(s, i) for s in (0, 1, 41, -3, 2 ** 70) for i in range(2000)]
+        draws = [self.u(s, i) for s, i in grid]
+        assert draws == [self.u(s, i) for s, i in grid]
+        assert all(0.0 <= x < 1.0 for x in draws)
+
+    def test_changes_with_each_argument(self):
+        assert self.u(5, 10) != self.u(6, 10)
+        assert self.u(5, 10) != self.u(5, 11)
+        assert len({self.u(s, i) for s in range(20) for i in range(500)}) == 10_000
+
+    def test_neighbouring_seeds_do_not_share_a_stream(self):
+        # A counter of (seed + 1) * 1_000_003 + index would make these equal.
+        for s in (0, 1, 29, 41):
+            for i in range(1000):
+                assert self.u(s, i + 1_000_003) != self.u(s + 1, i)
+
+    def test_is_splitmix64_from_a_seed_dependent_start(self):
+        gamma, mask = 0x9E3779B97F4A7C15, (1 << 64) - 1
+        for s in (0, 1, 41):
+            ref = _splitmix64((s * gamma * gamma) & mask)
+            for i in range(1000):
+                assert self.u(s, i) == (next(ref) >> 11) * 2.0 ** -53
+
+    def test_mean_and_variance_of_1e5_draws(self):
+        n = 100_000
+        xs = [self.u(17, i) for i in range(n)]
+        mean = math.fsum(xs) / n
+        var = math.fsum((x - mean) ** 2 for x in xs) / (n - 1)
+        # Uniform on [0, 1): variance 1/12, fourth central moment 1/80.
+        assert abs(mean - 0.5) <= 3 * math.sqrt(1 / 12 / n)
+        assert abs(var - 1 / 12) <= 3 * math.sqrt((1 / 80 - 1 / 144) / n)
+
+    def test_pinned_values(self):
+        # Seed 0, index 0 is SplitMix64's first output from state 0,
+        # 0xE220A8397B1DCDAF; a change to either value changes every
+        # sampled report and every `gdserve serve` decision.
+        assert self.u(0, 0) == 0.8833108082136426
+        assert self.u(41, 123_456) == 0.4605812701650721
 
 
 class TestScenarioGeneration:
