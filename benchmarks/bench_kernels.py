@@ -5,7 +5,10 @@ Measures the four hot kernels on serving-shaped workloads (short candidate
 lists, many calls) plus an end-to-end serve loop, and prints per-call
 timings for whichever backends are importable.  Also times the
 per-impression uniform draw (`simulate._impression_uniform`), which is
-plain Python under either backend.
+plain Python under either backend, and the per-impression serving path
+on a generated scenario: through `simulate.Server` (memoized candidates
+and plan slices, then `draw_index`) and uncached (eligible ids filtered by
+plan and flight, `effective_probs` and `draw_index` for every impression).
 
 Usage: python benchmarks/bench_kernels.py [--calls N]
 """
@@ -15,7 +18,10 @@ import random
 import time
 
 from gdserve import _kernels_py
-from gdserve.simulate import _impression_uniform
+from gdserve.hwm import generate_hwm_plan
+from gdserve.kernels import BACKEND, draw_index
+from gdserve.scenario import ScenarioSpec, generate_scenario
+from gdserve.simulate import EligibilityIndex, Server, _attrs_key, _impression_uniform
 
 BACKENDS = {"python": _kernels_py}
 try:
@@ -64,6 +70,36 @@ def serve_loop(kern, trunc, draws):
     return (time.perf_counter() - t0) / len(trunc)
 
 
+def serve_paths():
+    """Per-impression seconds of the uncached and the `Server` serving path
+    over one generated week (HWM plan), uniforms drawn beforehand."""
+    graph, events = generate_scenario(ScenarioSpec(
+        num_contracts=40, num_attributes=4, seed=3, days=7, daily_traffic=8000))
+    plan = generate_hwm_plan(graph)
+    visits = [(_attrs_key(ev.attributes), ev.attributes, ev.ts, _impression_uniform(7, n))
+              for n, ev in enumerate(events)]
+    by_id = graph.contract_by_id
+
+    def uncached():
+        index = EligibilityIndex(graph.contracts, graph)
+        for key, attrs, ts, u in visits:
+            cands = [cid for cid in index.lookup(key, attrs)
+                     if cid in plan and by_id[cid].in_flight(ts)]
+            draw_index([p for _, p in plan.effective_probs(cands)], u)
+
+    def cached():
+        server = Server(plan, EligibilityIndex(graph.contracts, graph), graph.contracts)
+        for key, attrs, ts, u in visits:
+            draw_index(server.slice(server.candidates(key, attrs, ts))[1], u)
+
+    out = {}
+    for label, loop in (("uncached", uncached), ("Server", cached)):
+        t0 = time.perf_counter()
+        loop()
+        out[label] = (time.perf_counter() - t0) / len(visits)
+    return len(visits), out
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--calls", type=int, default=200_000)
@@ -103,6 +139,11 @@ def main():
                         [(7, i) for i in range(args.calls)])
     print(f"\n{'_impression_uniform':<{width}}{per_call * 1e6:>14.3f}"
           "  (plain Python under any backend)")
+    n, paths = serve_paths()
+    print(f"\nserving path per impression ({n} generated impressions, "
+          f"{BACKEND} kernels)")
+    for label, per_imp in paths.items():
+        print(f"{label:<{width}}{per_imp * 1e6:>14.3f}")
     if "c" not in BACKENDS:
         print("\ncompiled kernels not built; showing pure-Python timings only")
 

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import dual as dual_mod
 from . import hwm as hwm_mod
@@ -98,20 +98,27 @@ def cmd_serve(args) -> int:
             raise model.GraphDataError(
                 f"plan contract {cid!r} is missing from {args.contracts}")
     seed = _seed_from(args)
-    index = sim.EligibilityIndex([contracts[cid] for cid in plan_ids])
+    planned = [contracts[cid] for cid in plan_ids]
+    server = sim.Server(plan, sim.EligibilityIndex(planned), planned)
+    # Each line is the bytes json.dumps writes for the decision dict
+    # {"impression_id", "chosen", "probs", "u"}, put together from the
+    # JSON of each plan id and of each slice's "probs", made once.
+    id_json = {cid: json.dumps(cid) for cid in plan_ids}
+    probs_json: Dict[Tuple[str, ...], str] = {}
     written = 0
     with open(args.out, "w", encoding="utf-8") as out:
         for n, ev in enumerate(sim.iter_impressions(args.impressions)):
-            ids = index.lookup(sim._attrs_key(ev.attributes), ev.attributes)
-            cands = [cid for cid in ids if contracts[cid].in_flight(ev.ts)]
+            cands = server.candidates(sim._attrs_key(ev.attributes), ev.attributes, ev.ts)
+            ids, probs = server.slice(cands)
+            text = probs_json.get(cands)
+            if text is None:
+                text = probs_json[cands] = json.dumps(
+                    [[cid, p] for cid, p in zip(ids, probs)])
             u = sim._impression_uniform(seed, n)
-            decision = hwm_mod.serve_hwm(plan, cands, u, ev.id)
-            out.write(json.dumps({
-                "impression_id": decision.impression_id,
-                "chosen": decision.chosen,
-                "probs": [[cid, p] for cid, p in decision.probabilities],
-                "u": decision.rng_trace,
-            }) + "\n")
+            sel = sim.draw_index(probs, u)
+            chosen = id_json[ids[sel]] if sel >= 0 else "null"
+            out.write(f'{{"impression_id": {json.dumps(ev.id)}, "chosen": {chosen}, '
+                      f'"probs": {text}, "u": {u!r}}}\n')
             written += 1
     print(f"wrote {written} decisions to {args.out}", file=sys.stderr)
     return 0

@@ -127,6 +127,9 @@ class ServeDecision:
 class ServingPlan(Protocol):
     """What serving needs of a plan (`HwmPlan`, `DualPlan`, ...)."""
 
+    def __contains__(self, contract_id: str) -> bool:
+        """Whether the plan serves `contract_id`."""
+
     def effective_probs(self, contract_ids: Sequence[str]) -> List[Tuple[str, float]]:
         """Serve-time (contract id, probability) pairs for one impression's
         eligible contracts, in an order fixed by the plan, not by the input."""

@@ -252,6 +252,26 @@ def record_number(rec, key: str, default: Optional[float] = None) -> float:
     return value
 
 
+def record_attributes(rec) -> AttributeMap:
+    """Field "attributes" of a JSON record, checked to map strings to strings.
+
+    A missing field is an empty map.  Anything but a JSON object whose
+    values are all strings (a list of pairs, a number value, null) raises
+    ValueError, which loaders report with the file and line: targeting
+    compares strings, so a number value would match nothing, silently.
+    JSON object keys are always strings.
+    """
+    if not isinstance(rec, dict):
+        raise ValueError("record is not a JSON object")
+    attrs = rec.get("attributes", {})
+    if not isinstance(attrs, dict):
+        raise ValueError(f"attributes must be a JSON object, got {attrs!r}")
+    for name, value in attrs.items():
+        if type(value) is not str:
+            raise ValueError(f"attribute {name!r} must be a string, got {value!r}")
+    return attrs
+
+
 def read_plan_file(path, parse: Callable[[dict], T]) -> List[T]:
     """Parse a plan file, one record per non-blank line, with `parse`.
 
@@ -286,8 +306,7 @@ def load_supply(path) -> List[SupplyNode]:
                 continue
             try:
                 rec = json.loads(line)
-                nodes.append(SupplyNode(str(rec["id"]),
-                                        dict(rec.get("attributes", {})),
+                nodes.append(SupplyNode(str(rec["id"]), record_attributes(rec),
                                         record_number(rec, "supply")))
             except (KeyError, ValueError, TypeError) as exc:
                 raise GraphDataError(f"{path}:{lineno}: bad supply record: {exc}") from exc

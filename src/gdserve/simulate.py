@@ -11,8 +11,10 @@ and the impression itself.
 
 An impression's eligible contracts come from one `EligibilityIndex` per
 run: the graph's edges for an attribute set that is a supply node, and one
-walk of the targeting trees per other attribute set.  Each cycle narrows
-them to the plan's contracts once per attribute set.
+walk of the targeting trees per other attribute set.  Each cycle serves
+through one `Server`, which remembers the candidates (eligible, planned, in
+flight) per attribute set and flight phase, and the plan's probabilities
+per candidate list; `gdserve serve` uses the same class.
 
 Two serving modes are supported.  In "sampled" mode every impression draws a
 contract from its effective probabilities with one uniform, a counter hash
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -40,9 +43,10 @@ from . import metrics as mx
 from . import targeting as tg
 from .dual import solve_dual_offline
 from .feedback import DeliveryState, FeedbackConfig, apply_feedback, linear_goal
-from .hwm import generate_hwm_plan
+from .hwm import ServingPlan, generate_hwm_plan
 from .kernels import draw_index, effective_probs
-from .model import AllocationGraph, Contract, GraphDataError, parse_ts, replan_contract
+from .model import (AllocationGraph, Contract, GraphDataError, parse_ts,
+                    record_attributes, replan_contract)
 
 
 class SimulationError(ValueError):
@@ -224,6 +228,68 @@ class EligibilityIndex:
             ids = [c.id for c in self._contracts if tg.eligible(attrs, c.targeting)]
             self._ids[key] = ids
         return ids
+
+
+Candidates = Tuple[str, ...]
+Slice = Tuple[Tuple[str, ...], List[float]]
+
+
+class Server:
+    """Serving state of one plan: candidates and plan slices, memoized.
+
+    A decision depends only on the plan's slice for the impression's
+    candidate contracts and on one uniform, so both are computed once and
+    reused.  An impression's candidates are its eligible contracts
+    (`index.lookup`) that the plan holds and that are in flight.  Those
+    depend on the attribute set and on the flight phase only: the phases
+    are the intervals between the sorted distinct start and end instants of
+    the served contracts, and no contract enters or leaves its flight
+    inside one.  So candidates are remembered per attribute set and phase,
+    and slices (`plan.effective_probs`) per candidate tuple.
+    """
+
+    def __init__(self, plan: ServingPlan, index: EligibilityIndex,
+                 contracts: Iterable[Contract]):
+        self._plan = plan
+        self._index = index
+        self._served = {c.id: c for c in contracts if c.id in plan}
+        self._instants = sorted({t for c in self._served.values()
+                                 for t in (c.start, c.end)})
+        # One list per attribute set, indexed by phase, so that one key
+        # tuple is kept per set (`gdserve serve` makes a key per impression).
+        self._candidates: Dict[AttrsKey, List[Optional[Candidates]]] = {}
+        self._slices: Dict[Candidates, Slice] = {}
+
+    def candidates(self, key: AttrsKey, attrs: Mapping[str, str],
+                   ts: datetime) -> Candidates:
+        """Ids served to `attrs` (whose `_attrs_key` is `key`) at `ts`."""
+        phase = bisect_right(self._instants, ts)
+        phases = self._candidates.get(key)
+        if phases is None:
+            phases = self._candidates[key] = [None] * (len(self._instants) + 1)
+        cands = phases[phase]
+        if cands is None:
+            served = self._served
+            cands = phases[phase] = tuple(
+                cid for cid in self._index.lookup(key, attrs)
+                if cid in served and served[cid].in_flight(ts))
+        return cands
+
+    def slice(self, cands: Candidates) -> Slice:
+        """`plan.effective_probs(cands)` as the ids in the plan's order and
+        their probabilities, the list `draw_index` takes (two sequences
+        hold less memory than the (id, probability) pairs)."""
+        sl = self._slices.get(cands)
+        if sl is None:
+            probs = self._plan.effective_probs(cands)
+            sl = self._slices[cands] = (tuple([cid for cid, _ in probs]),
+                                        [p for _, p in probs])
+        return sl
+
+    def drop(self, contract_id: str) -> None:
+        """Serve `contract_id` no more (it has met its booked demand)."""
+        del self._served[contract_id]
+        self._candidates.clear()
 
 
 @dataclass
@@ -441,40 +507,22 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
 
         # Serve this cycle's impressions.
         if plan is not None and buckets[k]:
-            # Per attribute set, once a cycle: the plan's eligible contracts.
             # Plan membership matters: the dual planner drops contracts with
             # no eligible forecast supply.
-            cycle_ids: Dict[AttrsKey, List[str]] = {}
-            probs_cache: Dict[Tuple[str, ...], List[Tuple[str, float]]] = {}
-
-            def plan_ids(key: AttrsKey, attrs) -> List[str]:
-                ids = cycle_ids.get(key)
-                if ids is None:
-                    ids = [cid for cid in index.lookup(key, attrs) if cid in plan]
-                    cycle_ids[key] = ids
-                return ids
-
-            def probs_for(cands: List[str]) -> List[Tuple[str, float]]:
-                ckey = tuple(cands)
-                probs = probs_cache.get(ckey)
-                if probs is None:
-                    probs = plan.effective_probs(cands)
-                    probs_cache[ckey] = probs
-                return probs
-
+            server = Server(plan, index, graph.contracts)
             if sampled:
                 for idx, ev, key in buckets[k]:
                     served += 1
-                    cands = [cid for cid in plan_ids(key, ev.attributes)
-                             if contract_by_id[cid].in_flight(ev.ts)
-                             and delivered[cid] < contract_by_id[cid].booked_demand]
+                    cands = server.candidates(key, ev.attributes, ev.ts)
                     if not cands:
                         continue
-                    probs = probs_for(cands)
-                    u = _impression_uniform(cfg.seed, idx)
-                    sel = draw_index([p for _, p in probs], u)
+                    ids, probs = server.slice(cands)
+                    sel = draw_index(probs, _impression_uniform(cfg.seed, idx))
                     if sel >= 0:
-                        delivered[probs[sel][0]] += 1.0
+                        cid = ids[sel]
+                        delivered[cid] += 1.0
+                        if delivered[cid] >= contract_by_id[cid].booked_demand:
+                            server.drop(cid)
             else:
                 # Sharded expected-value pass: contiguous blocks, contributions
                 # concatenated in stream order, exact summation at the merge.
@@ -483,11 +531,10 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
                 for b in range(0, len(buckets[k]), block):
                     for idx, ev, key in buckets[k][b:b + block]:
                         served += 1
-                        cands = [cid for cid in plan_ids(key, ev.attributes)
-                                 if contract_by_id[cid].in_flight(ev.ts)]
+                        cands = server.candidates(key, ev.attributes, ev.ts)
                         if not cands:
                             continue
-                        for cid, p in probs_for(cands):
+                        for cid, p in zip(*server.slice(cands)):
                             if p > 0.0:
                                 contribs[cid].append(p)
                 for c in planning:
@@ -555,7 +602,7 @@ def iter_impressions(path) -> Iterable[ImpressionEvent]:
             try:
                 rec = json.loads(line)
                 yield ImpressionEvent(str(rec["id"]), parse_ts(rec["ts"]),
-                                      dict(rec.get("attributes", {})))
+                                      record_attributes(rec))
             except (KeyError, ValueError, TypeError) as exc:
                 raise GraphDataError(f"{path}:{lineno}: bad impression: {exc}") from exc
 

@@ -4,7 +4,7 @@ from datetime import timedelta
 
 import pytest
 
-from gdserve import cli, model, simulate as sim
+from gdserve import cli, hwm, model, simulate as sim, targeting as tg
 from gdserve.scenario import demo_graph
 from conftest import FLIGHT_START
 
@@ -229,6 +229,74 @@ class TestServeCommand:
                      (tmp_path / "decisions.jsonl").read_text().splitlines()]
         assert len(decisions) == 50
         assert all(sum(p for _, p in d["probs"]) <= 1.0 + 1e-9 for d in decisions)
+
+
+class TestDecisionLines:
+    """Each `gdserve serve` line is the bytes json.dumps writes for the
+    decision dict of `hwm.serve_hwm` over the impression's eligible,
+    planned, in-flight contracts."""
+
+    EVENTS = [("plain", {"state": "CA", "age_bucket": "5"}),
+              ('quote " back \\ snow \u2603 e\u0301 \u00e9', {"gender": "male"}),
+              ("nothing eligible", {"state": "TX"}),
+              ("\u00fcber", {"gender": "male", "age_bucket": "5"})]
+
+    def reference(self, tmp_path, plan_path, seed):
+        contracts = model.load_contracts(tmp_path / "contracts.jsonl")
+        plan = cli._load_plan(plan_path)
+        lines = []
+        for n, ev in enumerate(sim.load_impressions(tmp_path / "impressions.jsonl")):
+            cands = [c.id for c in contracts if c.id in plan and c.in_flight(ev.ts)
+                     and tg.eligible(ev.attributes, c.targeting)]
+            d = hwm.serve_hwm(plan, cands, sim._impression_uniform(seed, n), ev.id)
+            lines.append(json.dumps({
+                "impression_id": d.impression_id, "chosen": d.chosen,
+                "probs": [[cid, p] for cid, p in d.probabilities],
+                "u": d.rng_trace}) + "\n")
+        return "".join(lines)
+
+    @pytest.mark.parametrize("algorithm", ["hwm", "dual"])
+    def test_lines_equal_json_dumps_of_decision(self, tmp_path, algorithm):
+        write_demo_inputs(tmp_path)
+        plan_path = tmp_path / "plan.jsonl"
+        run(["plan", "--supply", tmp_path / "supply.jsonl",
+             "--contracts", tmp_path / "contracts.jsonl",
+             "--algorithm", algorithm, "--out", plan_path])
+        with open(tmp_path / "impressions.jsonl", "w", encoding="utf-8") as fh:
+            for i in range(60):
+                imp_id, attrs = self.EVENTS[i % len(self.EVENTS)]
+                # The last visits fall after every flight: no candidates.
+                ts = FLIGHT_START + timedelta(days=1 if i < 50 else 400, minutes=i)
+                fh.write(json.dumps({"id": imp_id, "ts": ts.isoformat(),
+                                     "attributes": attrs}) + "\n")
+        rc = run(["serve", "--plan", plan_path,
+                  "--contracts", tmp_path / "contracts.jsonl",
+                  "--impressions", tmp_path / "impressions.jsonl",
+                  "--out", tmp_path / "decisions.jsonl", "--seed", 4])
+        assert rc == 0
+        got = (tmp_path / "decisions.jsonl").read_text(encoding="utf-8")
+        assert got == self.reference(tmp_path, plan_path, 4)
+        decisions = [json.loads(line) for line in got.splitlines()]
+        assert {d["impression_id"] for d in decisions} == {e[0] for e in self.EVENTS}
+        assert any(d["probs"] == [] and d["chosen"] is None for d in decisions)
+        assert any(d["chosen"] is not None for d in decisions)
+
+
+class TestBadImpressions:
+    @pytest.mark.parametrize("attrs", [{"age_bucket": 5}, [[1, "x"], ["state", "CA"]]])
+    def test_bad_attributes_fail_with_line(self, tmp_path, capsys, attrs):
+        write_demo_inputs(tmp_path)
+        run(["plan", "--supply", tmp_path / "supply.jsonl",
+             "--contracts", tmp_path / "contracts.jsonl", "--out", tmp_path / "plan.jsonl"])
+        write_impressions(tmp_path / "impressions.jsonl",
+                          [{"state": "CA"}, attrs, {"state": "CA"}])
+        rc = run(["serve", "--plan", tmp_path / "plan.jsonl",
+                  "--contracts", tmp_path / "contracts.jsonl",
+                  "--impressions", tmp_path / "impressions.jsonl",
+                  "--out", tmp_path / "decisions.jsonl"])
+        assert rc == 1
+        assert f"{tmp_path / 'impressions.jsonl'}:2: bad impression" in \
+            capsys.readouterr().err
 
 
 class TestPlanFileErrors:

@@ -1,6 +1,6 @@
 import pytest
 
-from gdserve import hwm, model
+from gdserve import hwm, model, simulate
 from conftest import make_contract
 
 
@@ -150,6 +150,26 @@ class TestRoundTrip:
                         + "}\n")
         with pytest.raises(model.GraphDataError, match=f"{path}:2: bad contract record"):
             model.load_contracts(path)
+
+    @pytest.mark.parametrize("attrs", ['{"age_bucket": 5}', '[[1, "x"]]',
+                                       '[["age_bucket", "5"]]', "null", '"x"',
+                                       '{"state": null}', '{"state": ["CA"]}'])
+    def test_bad_attributes_report_line(self, tmp_path, attrs):
+        path = tmp_path / "supply.jsonl"
+        path.write_text('{"id": "n1", "attributes": {"x": "1"}, "supply": 5}\n'
+                        f'{{"id": "n2", "attributes": {attrs}, "supply": 5}}\n')
+        with pytest.raises(model.GraphDataError, match=f"{path}:2: bad supply record"):
+            model.load_supply(path)
+        path = tmp_path / "impressions.jsonl"
+        path.write_text('{"id": "i1", "ts": "2026-03-02T00:00:00", "attributes": {}}\n'
+                        f'{{"id": "i2", "ts": "2026-03-02T00:00:00", "attributes": {attrs}}}\n')
+        with pytest.raises(model.GraphDataError, match=f"{path}:2: bad impression"):
+            simulate.load_impressions(path)
+
+    def test_missing_attributes_are_empty(self, tmp_path):
+        path = tmp_path / "supply.jsonl"
+        path.write_text('{"id": "n1", "supply": 5}\n')
+        assert model.load_supply(path)[0].attributes == {}
 
     def test_loaded_counts_keep_their_json_type(self, tmp_path):
         path = tmp_path / "contracts.jsonl"

@@ -5,6 +5,8 @@ from datetime import timedelta
 import pytest
 
 from gdserve import hwm, model, simulate as sim, targeting as tg
+from gdserve.dual import DualPlan, solve_dual_offline
+from gdserve.kernels import draw_index
 from gdserve.feedback import FeedbackConfig
 from gdserve.scenario import ScenarioSpec, generate_scenario
 from conftest import FLIGHT_START, make_contract
@@ -239,6 +241,99 @@ class TestEligibilityIndex:
             for ev in events:
                 index.lookup(sim._attrs_key(ev.attributes), ev.attributes)
         assert walked == {key: len(graph.contracts) for key in off_graph}
+
+
+class TestServer:
+    """`Server` candidates and slices equal a per-impression reference:
+    targeting, then plan membership, then flight, then `effective_probs`."""
+
+    def scenario(self):
+        spec = ScenarioSpec(num_contracts=10, num_attributes=3, seed=8, days=3,
+                            daily_traffic=1000)
+        graph, events = generate_scenario(spec)
+        # Visits placed exactly on every flight's start and end instant.
+        edges = sorted({t for c in graph.contracts for t in (c.start, c.end)})
+        visits = [sim.ImpressionEvent(f"edge{i}-{j}", t, events[i * 37 + j].attributes)
+                  for i, t in enumerate(edges) for j in range(6)]
+        on_graph = {sim._attrs_key(n.attributes) for n in graph.supply_nodes}
+        assert any(sim._attrs_key(ev.attributes) not in on_graph for ev in events)
+        # Visits out of stream order: the memo must not depend on it.
+        return graph, visits + events[::-1]
+
+    @staticmethod
+    def plans(graph):
+        hwm_plan = hwm.generate_hwm_plan(graph)
+        dual_plan = solve_dual_offline(graph)
+        # Every other entry exercises the plan membership filter.
+        return [hwm_plan, hwm.HwmPlan(hwm_plan.entries[::2]),
+                dual_plan, DualPlan(dual_plan.entries[1::2])]
+
+    @pytest.mark.parametrize("which", range(4))
+    def test_matches_per_impression_reference(self, which):
+        graph, events = self.scenario()
+        plan = self.plans(graph)[which]
+        evaluated = Counter()
+
+        class Counting:
+            def __contains__(self, cid):
+                return cid in plan
+
+            def effective_probs(self, cids):
+                evaluated[tuple(cids)] += 1
+                return plan.effective_probs(cids)
+
+        server = sim.Server(Counting(), sim.EligibilityIndex(graph.contracts, graph),
+                            graph.contracts)
+        for ev in events:
+            cands = server.candidates(sim._attrs_key(ev.attributes), ev.attributes, ev.ts)
+            want = [c.id for c in graph.contracts if tg.eligible(ev.attributes, c.targeting)
+                    and c.id in plan and c.in_flight(ev.ts)]
+            assert sorted(cands) == sorted(want), (ev.attributes, ev.ts)
+            ids, probs = server.slice(cands)
+            assert list(zip(ids, probs)) == plan.effective_probs(want)
+        assert evaluated and set(evaluated.values()) == {1}
+
+    def test_sampled_cap_mid_cycle_matches_delivered_filter(self, monkeypatch):
+        spec = ScenarioSpec(num_contracts=8, num_attributes=3, seed=5, days=3,
+                            daily_traffic=1500)
+        graph, events = generate_scenario(spec)
+        # One cycle, forecast a quarter of the truth: rates run high and
+        # contracts meet their demand part way through the cycle.
+        cfg = sim.SimulationConfig(algorithm="hwm", reopt_period_hours=72.0,
+                                   forecast_error_multiplier=0.25,
+                                   mode="sampled", seed=13)
+        plans = []
+        planner = sim.generate_hwm_plan
+
+        def capture(*args, **kw):
+            plans.append(planner(*args, **kw))
+            return plans[-1]
+
+        monkeypatch.setattr(sim, "generate_hwm_plan", capture)
+        report = sim.run_simulation(graph, events, cfg)
+        assert len(plans) == 1
+        plan = plans[0]
+
+        # The filter the server replaces: a contract that has met its booked
+        # demand is no candidate.
+        delivered = {c.id: 0.0 for c in graph.contracts}
+        capped_early = set()
+        start, end = report.cycle_bounds[0], report.cycle_bounds[-1]
+        for idx, ev in enumerate(events):
+            if not start <= ev.ts < end:
+                continue
+            eligible = [c for c in graph.contracts if c.id in plan and c.in_flight(ev.ts)
+                        and tg.eligible(ev.attributes, c.targeting)]
+            capped_early |= {c.id for c in eligible if delivered[c.id] >= c.booked_demand}
+            cands = [c.id for c in eligible if delivered[c.id] < c.booked_demand]
+            if not cands:
+                continue
+            probs = plan.effective_probs(cands)
+            sel = draw_index([p for _, p in probs], sim._impression_uniform(cfg.seed, idx))
+            if sel >= 0:
+                delivered[probs[sel][0]] += 1.0
+        assert capped_early
+        assert report.delivered_by_id() == delivered
 
 
 def _splitmix64(state: int):
