@@ -30,6 +30,7 @@ from .simulate import (ImpressionEvent, SimulationConfig, SimulationError,
                        terminal_delivery_error, terminal_delivery_error_bound,
                        write_report)
 from .scenario import ScenarioSpec, demo_graph, generate_scenario
-from .kernels import BACKEND as KERNEL_BACKEND
+
+KERNEL_BACKEND = "python"   # the kernels have one implementation, in Python
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import dual as dual_mod
 from . import hwm as hwm_mod
@@ -169,6 +169,8 @@ def _read_timeseries(path) -> List[mx.TimeseriesRow]:
                 raise model.GraphDataError(f"{path}:{lineno}: bad row")
             rows.append(mx.TimeseriesRow(model.parse_ts(parts[0]), parts[1],
                                          float(parts[2]), float(parts[3])))
+    if not rows:
+        raise model.GraphDataError(f"{path}: no rows")
     return rows
 
 
@@ -185,21 +187,8 @@ def cmd_metrics(args) -> int:
     booked = {cid: float(c.booked_demand) for cid, c in contracts.items()}
     sim_end = max(r.t for r in rows)
     finished = {cid for cid, c in contracts.items() if c.end <= sim_end}
-    fin_rows = [r for r in rows if r.contract_id in finished]
-    unfin_rows = [r for r in rows if r.contract_id not in finished]
-    result: Dict[str, Optional[float]] = {
-        "sigma75_finished": None, "sigma95_finished": None,
-        "sigma75_unfinished": None, "delivery_improvement": None}
-    if fin_rows:
-        series = mx.build_smoothness(fin_rows, booked)
-        result["sigma75_finished"] = mx.smoothness_quantile(
-            series, 75, positive_part=args.positive_part)
-        result["sigma95_finished"] = mx.smoothness_quantile(
-            series, 95, positive_part=args.positive_part)
-    if unfin_rows:
-        series = mx.build_smoothness(unfin_rows, booked)
-        result["sigma75_unfinished"] = mx.smoothness_quantile(
-            series, 75, positive_part=args.positive_part)
+    result = mx.smoothness_summary(rows, booked, finished, args.positive_part)
+    result["delivery_improvement"] = None
     if args.baseline:
         base_rows = _read_timeseries(args.baseline)
         result["delivery_improvement"] = mx.delivery_improvement(

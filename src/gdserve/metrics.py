@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 
 class MetricsError(ValueError):
@@ -85,6 +85,26 @@ def smoothness_quantile(series: SmoothnessSeries, f: float,
     if best == -math.inf:
         raise MetricsError("no contracts in flight at any sample time")
     return best
+
+
+def smoothness_summary(rows: Sequence[TimeseriesRow], booked: Dict[str, float],
+                       finished: Set[str], positive_part: bool = False,
+                       ) -> Dict[str, Optional[float]]:
+    """sigma^75 and sigma^95 over the rows of `finished` contracts and
+    sigma^75 over the others' rows; a value is None when it has no rows."""
+    out: Dict[str, Optional[float]] = {"sigma75_finished": None,
+                                       "sigma95_finished": None,
+                                       "sigma75_unfinished": None}
+    fin_rows = [r for r in rows if r.contract_id in finished]
+    unfin_rows = [r for r in rows if r.contract_id not in finished]
+    if fin_rows:
+        series = build_smoothness(fin_rows, booked)
+        out["sigma75_finished"] = smoothness_quantile(series, 75, positive_part)
+        out["sigma95_finished"] = smoothness_quantile(series, 95, positive_part)
+    if unfin_rows:
+        series = build_smoothness(unfin_rows, booked)
+        out["sigma75_unfinished"] = smoothness_quantile(series, 75, positive_part)
+    return out
 
 
 def underdelivery_fraction(booked: Dict[str, float],

@@ -46,7 +46,7 @@ from .feedback import DeliveryState, FeedbackConfig, apply_feedback, linear_goal
 from .hwm import ServingPlan, generate_hwm_plan
 from .kernels import draw_index, effective_probs
 from .model import (AllocationGraph, Contract, GraphDataError, parse_ts,
-                    record_attributes, replan_contract)
+                    record_attributes, record_number, replan_contract)
 
 
 class SimulationError(ValueError):
@@ -75,8 +75,6 @@ class SimulationConfig:
     sim_start: Optional[datetime] = None
     sim_end: Optional[datetime] = None
     baseline_comparator: bool = False
-    dual_tol: float = 1e-6
-    dual_max_iters: int = 10000
 
     def __post_init__(self):
         if self.reopt_period_hours <= 0:
@@ -304,9 +302,6 @@ class _ReplanContext:
 class _HwmController:
     name = "hwm"
 
-    def __init__(self, cfg: SimulationConfig):
-        pass
-
     def replan(self, planning_graph: AllocationGraph, ctx: _ReplanContext):
         plan = generate_hwm_plan(planning_graph, validate=False)
         rates = {e.contract_id: e.alpha for e in plan.entries}
@@ -316,13 +311,8 @@ class _HwmController:
 class _DualController:
     name = "dual"
 
-    def __init__(self, cfg: SimulationConfig):
-        self.tol = cfg.dual_tol
-        self.max_iters = cfg.dual_max_iters
-
     def replan(self, planning_graph: AllocationGraph, ctx: _ReplanContext):
-        plan = solve_dual_offline(planning_graph, tol=self.tol,
-                                  max_iters=self.max_iters, validate=False)
+        plan = solve_dual_offline(planning_graph, validate=False)
         rates = {e.contract_id: e.alpha for e in plan.entries}
         return plan, rates
 
@@ -354,7 +344,7 @@ class _BaseController:
 
     name = "base"
 
-    def __init__(self, cfg: SimulationConfig):
+    def __init__(self):
         self.rates: Dict[str, float] = {}
 
     def replan(self, planning_graph: AllocationGraph, ctx: _ReplanContext):
@@ -384,14 +374,14 @@ class _BaseController:
 def run_simulation(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
                    cfg: SimulationConfig) -> SimulationReport:
     """Simulate serving `impressions` against `graph` under `cfg`."""
-    controller = {"hwm": _HwmController, "dual": _DualController}[cfg.algorithm](cfg)
+    controller = {"hwm": _HwmController, "dual": _DualController}[cfg.algorithm]()
     return _run_engine(graph, impressions, cfg, controller)
 
 
 def baseline_pacing(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
                     cfg: SimulationConfig) -> SimulationReport:
     """Simulate the reactive comparator (no forecast; pure pacing feedback)."""
-    return _run_engine(graph, impressions, cfg, _BaseController(cfg))
+    return _run_engine(graph, impressions, cfg, _BaseController())
 
 
 def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
@@ -555,33 +545,15 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
     unallocated = served - math.fsum(delivered.values())
     booked_total = sum(o.booked for o in outcomes)
     total_under = sum(max(0.0, o.booked - o.delivered) for o in outcomes) / booked_total
-    smooth = _smoothness_summary(timeseries, graph, sim_end)
+    smooth = mx.smoothness_summary(
+        timeseries, {c.id: float(c.booked_demand) for c in graph.contracts},
+        {o.contract_id for o in outcomes if o.finished})
     return SimulationReport(
         algorithm=controller.name, mode=cfg.mode, cycle_bounds=bounds,
         outcomes=outcomes, timeseries=timeseries, rates=rates_trace,
         impressions_in_window=served, impressions_skipped=skipped,
         unallocated=unallocated, total_underdelivery_frac=total_under,
         smoothness=smooth)
-
-
-def _smoothness_summary(timeseries: List[mx.TimeseriesRow],
-                        graph: AllocationGraph,
-                        sim_end: datetime) -> Dict[str, Optional[float]]:
-    booked = {c.id: float(c.booked_demand) for c in graph.contracts}
-    finished = {c.id for c in graph.contracts if c.end <= sim_end}
-    out: Dict[str, Optional[float]] = {"sigma75_finished": None,
-                                       "sigma95_finished": None,
-                                       "sigma75_unfinished": None}
-    fin_rows = [r for r in timeseries if r.contract_id in finished]
-    unfin_rows = [r for r in timeseries if r.contract_id not in finished]
-    if fin_rows:
-        series = mx.build_smoothness(fin_rows, booked)
-        out["sigma75_finished"] = mx.smoothness_quantile(series, 75)
-        out["sigma95_finished"] = mx.smoothness_quantile(series, 95)
-    if unfin_rows:
-        series = mx.build_smoothness(unfin_rows, booked)
-        out["sigma75_unfinished"] = mx.smoothness_quantile(series, 75)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -615,32 +587,65 @@ def save_impressions(events: Sequence[ImpressionEvent], path) -> None:
 
 
 def load_config(path) -> SimulationConfig:
-    """Read the simulate config JSON (see SimulationConfig for fields)."""
+    """Read the simulate config JSON (see SimulationConfig for fields).
+
+    Numbers are read through `model.record_number`, and `seed` and `shards`
+    must be integers.  A bad field raises SimulationError as `path: field ...`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        text = fh.read()
+    try:
+        return _config_from(json.loads(text))
+    except ValueError as exc:
+        raise SimulationError(f"{path}: {exc}") from exc
+
+
+def _config_from(raw) -> SimulationConfig:
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {raw!r}")
     fb = raw.get("feedback")
     feedback = None
     if fb:
+        if not isinstance(fb, dict):
+            raise ValueError(f"feedback must be a JSON object, got {fb!r}")
         feedback = FeedbackConfig(
-            delta_hours=fb.get("delta_hours", 4.0),
-            boost_behind=fb.get("boost_behind", 1.5),
-            damp_ahead=fb.get("damp_ahead", 10.0),
-            release_within_cycles=fb.get("release_within_cycles", 2.0))
+            delta_hours=record_number(fb, "delta_hours", 4.0),
+            boost_behind=record_number(fb, "boost_behind", 1.5),
+            damp_ahead=record_number(fb, "damp_ahead", 10.0),
+            release_within_cycles=record_number(fb, "release_within_cycles", 2.0))
+    per_node = raw.get("forecast_error_per_node")
+    if per_node is not None:
+        if not isinstance(per_node, dict):
+            raise ValueError("forecast_error_per_node must be a JSON object, "
+                             f"got {per_node!r}")
+        try:
+            per_node = {nid: record_number(per_node, nid) for nid in per_node}
+        except ValueError as exc:
+            raise ValueError(f"forecast_error_per_node: {exc}") from None
     kwargs = dict(
         algorithm=raw.get("algorithm", "hwm"),
         feedback=feedback,
-        reopt_period_hours=raw.get("reopt_period_hours", 24.0),
-        forecast_error_multiplier=raw.get("forecast_error_multiplier", 1.0),
-        per_node_error=raw.get("forecast_error_per_node"),
-        seed=raw.get("seed", 0),
+        reopt_period_hours=record_number(raw, "reopt_period_hours", 24.0),
+        forecast_error_multiplier=record_number(raw, "forecast_error_multiplier", 1.0),
+        per_node_error=per_node,
+        seed=_record_int(raw, "seed", 0),
         mode=raw.get("mode", "expected"),
-        shards=raw.get("shards", 1),
+        shards=_record_int(raw, "shards", 1),
         baseline_comparator=bool(raw.get("baseline_comparator", False)))
-    if raw.get("sim_start"):
-        kwargs["sim_start"] = parse_ts(raw["sim_start"])
-    if raw.get("sim_end"):
-        kwargs["sim_end"] = parse_ts(raw["sim_end"])
+    for key in ("sim_start", "sim_end"):
+        text = raw.get(key)
+        if text:
+            if not isinstance(text, str):
+                raise ValueError(f"{key} must be an ISO-8601 string, got {text!r}")
+            kwargs[key] = parse_ts(text)
     return SimulationConfig(**kwargs)
+
+
+def _record_int(rec, key: str, default: int) -> int:
+    value = record_number(rec, key, default)
+    if not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def write_report(report: SimulationReport, report_path, timeseries_path) -> None:

@@ -452,3 +452,62 @@ class TestScenarioAndSimulate:
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"sigma75_finished", "sigma95_finished",
                             "sigma75_unfinished", "delivery_improvement"}
+
+    def test_metrics_matches_report_smoothness(self, tmp_path, capsys):
+        # sim_end cuts the 3-day scenario short, so some contracts are
+        # unfinished and all three sigma values are set.
+        scen = tmp_path / "scen"
+        run(["scenario", "--out-dir", scen, "--contracts", 6, "--attributes", 2,
+             "--days", 3, "--daily-traffic", 600, "--seed", 13,
+             "--flight-mix", "day=0.5,multi_day=0.5"])
+        cfg = {"algorithm": "hwm", "reopt_period_hours": 6, "mode": "expected",
+               "forecast_error_multiplier": 1.4, "sim_end": "2026-03-04T00:00:00"}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", tmp_path / "config.json",
+                    "--scenario", scen, "--out-dir", out]) == 0
+        capsys.readouterr()
+        assert run(["metrics", "--timeseries", out / "delivery_timeseries.csv",
+                    "--contracts", scen / "contracts.jsonl"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        report = json.loads((out / "report.json").read_text())
+        assert None not in report["smoothness"].values()
+        assert {k: doc[k] for k in report["smoothness"]} == report["smoothness"]
+
+    def test_metrics_on_empty_timeseries(self, tmp_path, capsys):
+        write_demo_inputs(tmp_path)
+        ts = tmp_path / "ts.csv"
+        ts.write_text("cycle_end_ts,contract_id,delivered_cum,linear_goal\n")
+        rc = run(["metrics", "--timeseries", ts,
+                  "--contracts", tmp_path / "contracts.jsonl"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {ts}: no rows\n"
+
+
+class TestBadConfig:
+    @pytest.fixture(scope="class")
+    def scen(self, tmp_path_factory):
+        scen = tmp_path_factory.mktemp("scen")
+        assert run(["scenario", "--out-dir", scen, "--contracts", 3,
+                    "--attributes", 2, "--days", 1, "--daily-traffic", 200,
+                    "--seed", 5]) == 0
+        return scen
+
+    @pytest.mark.parametrize("cfg, field", [
+        ({"shards": "2"}, "shards"),
+        ({"reopt_period_hours": "24"}, "reopt_period_hours"),
+        ({"seed": "x", "mode": "sampled"}, "seed"),
+        ({"seed": 1.5, "mode": "sampled"}, "seed"),
+        ({"feedback": {"delta_hours": "4"}}, "delta_hours"),
+        ([1], "config"),
+        ({"feedback": 3}, "feedback"),
+        ({"forecast_error_per_node": {"n1": "2"}}, "forecast_error_per_node:"),
+        ({"sim_start": 5}, "sim_start"),
+    ])
+    def test_bad_field_names_file_and_field(self, scen, tmp_path, capsys, cfg, field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        rc = run(["simulate", "--config", path, "--scenario", scen,
+                  "--out-dir", tmp_path / "out"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {field} ")

@@ -1,25 +1,14 @@
-"""Kernel correctness on both backends, plus exact cross-backend parity."""
+"""Kernel correctness."""
 
 import random
 
 import pytest
 
-from gdserve import _kernels_py
+from gdserve import kernels
 
-try:
-    from gdserve import _kernels_c
-    BACKENDS = [_kernels_py, _kernels_c]
-    HAVE_C = True
-except ImportError:
-    BACKENDS = [_kernels_py]
-    HAVE_C = False
-
-BACKEND_IDS = ["python", "c"][: len(BACKENDS)]
-
-
-@pytest.fixture(params=BACKENDS, ids=BACKEND_IDS)
-def kern(request):
-    return request.param
+# Every test takes the module as `kern`; the one parameter keeps the test
+# ids (`test_...[python]`) stable.
+pytestmark = pytest.mark.parametrize("kern", [kernels], ids=["python"])
 
 
 class TestSolveRate:
@@ -140,39 +129,3 @@ class TestDrawIndex:
 
     def test_empty_is_unallocated(self, kern):
         assert kern.draw_index([], 0.3) == -1
-
-
-@pytest.mark.skipif(not HAVE_C, reason="compiled kernels unavailable")
-class TestBackendParity:
-    def test_solve_rate_bit_identical(self):
-        rng = random.Random(47)
-        for _ in range(500):
-            n = rng.randint(0, 10)
-            supply = [rng.choice([0.0, rng.uniform(1, 100)]) for _ in range(n)]
-            remaining = [s * rng.uniform(0, 1) for s in supply]
-            d = rng.uniform(0, sum(remaining) + 5) if n else rng.uniform(0, 5)
-            assert _kernels_py.solve_rate(remaining, supply, d) == \
-                _kernels_c.solve_rate(remaining, supply, d)
-
-    def test_effective_probs_bit_identical(self):
-        rng = random.Random(48)
-        for _ in range(500):
-            rates = [rng.uniform(0, 1.2) for _ in range(rng.randint(0, 10))]
-            assert _kernels_py.effective_probs(rates) == \
-                _kernels_c.effective_probs(rates)
-
-    def test_dual_probs_bit_identical(self):
-        rng = random.Random(49)
-        for _ in range(500):
-            n = rng.randint(0, 8)
-            thetas = [rng.uniform(0.05, 1.5) for _ in range(n)]
-            alphas = [rng.choice([0.0, rng.uniform(0, 5)]) for _ in range(n)]
-            assert _kernels_py.dual_probs(thetas, alphas) == \
-                _kernels_c.dual_probs(thetas, alphas)
-
-    def test_draw_index_identical(self):
-        rng = random.Random(50)
-        for _ in range(500):
-            probs = [rng.uniform(0, 0.3) for _ in range(rng.randint(0, 6))]
-            u = rng.random()
-            assert _kernels_py.draw_index(probs, u) == _kernels_c.draw_index(probs, u)
