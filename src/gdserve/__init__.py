@@ -8,25 +8,25 @@ demand.  A simulator reproduces end-to-end delivery behavior.
 """
 
 from .model import (AllocationGraph, Contract, FractionalAllocation,
-                    FeasibilityReport, GraphDataError, SupplyNode,
-                    build_graph, check_feasibility, validate_graph)
+                    FeasibilityReport, GraphDataError, ServingPlan, SupplyNode,
+                    build_graph, check_feasibility, forecast_allocation,
+                    validate_graph)
 from .targeting import (TargetingSyntaxError, build_edges, eligible,
                         parse_targeting, unparse)
-from .hwm import (HwmEntry, HwmPlan, ServeDecision, expected_delivery,
-                  generate_hwm_plan, load_hwm_plan, save_hwm_plan, serve_hwm,
-                  solve_alpha)
+from .hwm import (HwmEntry, HwmPlan, generate_hwm_plan, load_hwm_plan,
+                  save_hwm_plan)
 from .dual import (DualConvergenceError, DualEntry, DualObjectiveSpec, DualPlan,
                    dual_objective, load_dual_plan, reconstruct_primal,
-                   reconstructed_allocation, save_dual_plan, serve_dual,
-                   solve_dual_offline)
+                   save_dual_plan, solve_dual_offline)
 from .feedback import (DeliveryState, FeedbackConfig, apply_feedback,
                        hours_behind, linear_goal)
 from .metrics import (MetricsError, SmoothnessSeries, TimeseriesRow,
                       build_smoothness, delivery_improvement, nearest_rank,
                       smoothness_quantile, underdelivery_fraction)
-from .simulate import (ImpressionEvent, SimulationConfig, SimulationError,
-                       SimulationReport, baseline_pacing, load_config,
-                       load_impressions, run_simulation, save_impressions,
+from .simulate import (EligibilityIndex, ImpressionEvent, Server,
+                       SimulationConfig, SimulationError, SimulationReport,
+                       baseline_pacing, load_config, load_impressions,
+                       run_simulation, save_impressions,
                        terminal_delivery_error, terminal_delivery_error_bound,
                        write_report)
 from .scenario import ScenarioSpec, demo_graph, generate_scenario

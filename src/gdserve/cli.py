@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -108,14 +109,13 @@ def cmd_serve(args) -> int:
     written = 0
     with open(args.out, "w", encoding="utf-8") as out:
         for n, ev in enumerate(sim.iter_impressions(args.impressions)):
-            cands = server.candidates(sim._attrs_key(ev.attributes), ev.attributes, ev.ts)
-            ids, probs = server.slice(cands)
-            text = probs_json.get(cands)
-            if text is None:
-                text = probs_json[cands] = json.dumps(
-                    [[cid, p] for cid, p in zip(ids, probs)])
             u = sim._impression_uniform(seed, n)
-            sel = sim.draw_index(probs, u)
+            ids, probs, sel = server.draw(sim._attrs_key(ev.attributes),
+                                          ev.attributes, ev.ts, u)
+            text = probs_json.get(ids)
+            if text is None:
+                text = probs_json[ids] = json.dumps(
+                    [[cid, p] for cid, p in zip(ids, probs)])
             chosen = id_json[ids[sel]] if sel >= 0 else "null"
             out.write(f'{{"impression_id": {json.dumps(ev.id)}, "chosen": {chosen}, '
                       f'"probs": {text}, "u": {u!r}}}\n')
@@ -126,10 +126,13 @@ def cmd_serve(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = sim.load_config(args.config)
+    overrides = {}
     if args.mode:
-        cfg.mode = args.mode
+        overrides["mode"] = args.mode
     if args.seed is not None:
-        cfg.seed = args.seed
+        overrides["seed"] = args.seed
+    # replace() runs the config's checks again on the overridden fields.
+    cfg = replace(cfg, **overrides)
     scen = Path(args.scenario)
     graph = _load_graph(scen / "supply.jsonl", scen / "contracts.jsonl")
     impressions = sim.load_impressions(scen / "impressions.jsonl")
@@ -203,8 +206,17 @@ def cmd_scenario(args) -> int:
     if args.flight_mix:
         mix = {}
         for part in args.flight_mix.split(","):
-            name, _, weight = part.partition("=")
-            mix[name.strip()] = float(weight)
+            name, sep, weight = part.partition("=")
+            name = name.strip()
+            if name in mix:
+                raise ValueError(f"--flight-mix lists class {name!r} twice")
+            try:
+                if not sep:
+                    raise ValueError
+                mix[name] = float(weight)
+            except ValueError:
+                raise ValueError(
+                    f"--flight-mix item {part!r} is not class=weight") from None
     spec = scenario_mod.ScenarioSpec(
         num_contracts=args.contracts, num_attributes=args.attributes,
         contention=args.contention, seed=_seed_from(args), days=args.days,

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import kernels
-from .hwm import serve_hwm
 from .model import (AllocationGraph, FractionalAllocation, GraphDataError,
                     read_plan_file, record_number,
                     validate_graph)
@@ -113,9 +112,6 @@ class DualPlan:
 
     def __contains__(self, contract_id: str) -> bool:
         return contract_id in self._by_id
-
-    def entry(self, contract_id: str) -> DualEntry:
-        return self._by_id[contract_id]
 
     def effective_probs(self, contract_ids: Sequence[str]) -> List[Tuple[str, float]]:
         """Serve-time probabilities: the reconstructed edge fractions."""
@@ -352,29 +348,6 @@ def solve_dual_offline(graph: AllocationGraph,
                for c in included]
     capped = sum(1 for c in included if alpha[c.id] >= cap[c.id] - tol)
     return DualPlan(entries, diagnostics, DualSolveStats(sweeps, capped, rel_w))
-
-
-def reconstructed_allocation(graph: AllocationGraph, plan: DualPlan
-                             ) -> Tuple[FractionalAllocation, Dict[str, float]]:
-    """Edge fractions and underdelivery implied by serving the forecast."""
-    values = {}
-    delivered = {c.id: 0.0 for c in graph.contracts}
-    for node in graph.supply_nodes:
-        cids = [cid for cid in graph.contracts_of[node.id] if cid in plan]
-        if not cids:
-            continue
-        for cid, x in plan.effective_probs(cids):
-            if x > 0.0:
-                values[(node.id, cid)] = x
-                delivered[cid] += node.forecast_supply * x
-    under = {c.id: max(0.0, float(c.demand) - delivered[c.id])
-             for c in graph.contracts}
-    return FractionalAllocation(values), under
-
-
-# Serving draws from the reconstructed fractions exactly as it draws from
-# HWM rates: one function serves every plan.
-serve_dual = serve_hwm
 
 
 def save_dual_plan(plan: DualPlan, path) -> None:

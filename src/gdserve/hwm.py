@@ -1,21 +1,23 @@
 """High water mark planning and stateless rate-based serving.
 
 The offline pass orders contracts by eligible supply (scarcest first) and
-computes one serving rate per contract by draining a remaining-supply vector;
-the online pass needs only those per-contract numbers, so any number of
-servers can evaluate it independently with no shared state.
+computes one serving rate per contract by draining a remaining-supply vector.
+The online pass needs only those per-contract numbers: `HwmPlan.effective_probs`
+truncates the rates of an impression's eligible contracts in plan order, so
+any number of servers can evaluate it independently with no shared state.
+Decisions are drawn by `simulate.Server.draw`, and the forecast is replayed
+through a plan by `model.forecast_allocation`; both serve every plan alike.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import kernels
-from .model import (AllocationGraph, FractionalAllocation, GraphDataError,
-                    read_plan_file, record_number,
-                    validate_graph)
+from .model import (AllocationGraph, GraphDataError, read_plan_file,
+                    record_number, validate_graph)
 
 
 @dataclass(frozen=True)
@@ -27,9 +29,11 @@ class HwmEntry:
 
 @dataclass
 class HwmPlan:
-    """Compact allocation plan: entries in allocation order (ascending
-    eligible supply, ties by contract id).  Entry index is the priority
-    position used by the serve-time truncation rule."""
+    """Compact allocation plan: one rate per contract, entries in priority
+    order.  Entry index is the position used by the serve-time truncation
+    rule.  `generate_hwm_plan` orders by allocation order (ascending
+    eligible supply, ties by contract id); the simulator's reactive pacer
+    by flight end."""
 
     entries: List[HwmEntry]
     diagnostics: List[str] = field(default_factory=list, compare=False)
@@ -38,14 +42,8 @@ class HwmPlan:
     def __post_init__(self):
         self._pos = {e.contract_id: i for i, e in enumerate(self.entries)}
 
-    def position(self, contract_id: str) -> int:
-        return self._pos[contract_id]
-
     def __contains__(self, contract_id: str) -> bool:
         return contract_id in self._pos
-
-    def alpha(self, contract_id: str) -> float:
-        return self.entries[self._pos[contract_id]].alpha
 
     def effective_probs(self, contract_ids: Sequence[str]) -> List[Tuple[str, float]]:
         """Serve-time probabilities for one impression's eligible contracts.
@@ -57,21 +55,6 @@ class HwmPlan:
         rates = [self.entries[self._pos[cid]].alpha for cid in ordered]
         effs = kernels.effective_probs(rates)
         return list(zip(ordered, effs))
-
-
-def solve_alpha(neighbors: Sequence[Tuple[float, float]], demand: float) -> float:
-    """Smallest a with sum_i min(r_i, s_i * a) = demand; 1.0 when unsolvable.
-
-    `neighbors` holds (remaining, supply) pairs with 0 <= remaining <= supply.
-    """
-    for r, s in neighbors:
-        if r < 0 or s < 0:
-            raise ValueError("remaining and supply must be non-negative")
-        if r > s * (1 + 1e-12) + 1e-9:
-            raise ValueError("remaining cannot exceed supply")
-    remaining = [r for r, _ in neighbors]
-    supply = [s for _, s in neighbors]
-    return kernels.solve_rate(remaining, supply, demand)
 
 
 def generate_hwm_plan(graph: AllocationGraph, *, validate: bool = True) -> HwmPlan:
@@ -112,68 +95,6 @@ def generate_hwm_plan(graph: AllocationGraph, *, validate: bool = True) -> HwmPl
                 remaining[nid] -= take
         entries.append(HwmEntry(contract.id, eligible_supply[contract.id], alpha))
     return HwmPlan(entries, diagnostics)
-
-
-@dataclass(frozen=True)
-class ServeDecision:
-    """Outcome of one online evaluation."""
-
-    impression_id: str
-    chosen: Optional[str]
-    probabilities: List[Tuple[str, float]]
-    rng_trace: Optional[float] = None
-
-
-class ServingPlan(Protocol):
-    """What serving needs of a plan (`HwmPlan`, `DualPlan`, ...)."""
-
-    def __contains__(self, contract_id: str) -> bool:
-        """Whether the plan serves `contract_id`."""
-
-    def effective_probs(self, contract_ids: Sequence[str]) -> List[Tuple[str, float]]:
-        """Serve-time (contract id, probability) pairs for one impression's
-        eligible contracts, in an order fixed by the plan, not by the input."""
-
-
-def serve_hwm(plan: ServingPlan, eligible_ids: Sequence[str], u: float,
-              impression_id: str = "") -> ServeDecision:
-    """Pick a contract (or none) for one impression under any plan.
-
-    `u` is the single uniform draw in [0, 1) consumed by the decision; the
-    result depends only on the plan slice for `eligible_ids` and on `u`.
-    `dual.serve_dual` is this same function.
-    """
-    probs = plan.effective_probs(eligible_ids)
-    idx = kernels.draw_index([p for _, p in probs], u)
-    chosen = probs[idx][0] if idx >= 0 else None
-    return ServeDecision(impression_id, chosen, probs, u)
-
-
-def expected_delivery(graph: AllocationGraph, plan: HwmPlan) -> Dict[str, float]:
-    """Analytic expected impressions per contract when the forecast replays.
-
-    Applies the serve-time truncation to each supply node's eligible list and
-    accumulates s_i times the effective probability; no sampling involved.
-    """
-    delivered = {c.id: 0.0 for c in graph.contracts}
-    for node in graph.supply_nodes:
-        cids = [cid for cid in graph.contracts_of[node.id] if cid in plan]
-        if not cids:
-            continue
-        for cid, p in plan.effective_probs(cids):
-            delivered[cid] += node.forecast_supply * p
-    return delivered
-
-
-def induced_allocation(graph: AllocationGraph, plan: HwmPlan) -> FractionalAllocation:
-    """Edge fractions implied by serve-time evaluation of the plan."""
-    values = {}
-    for node in graph.supply_nodes:
-        cids = [cid for cid in graph.contracts_of[node.id] if cid in plan]
-        for cid, p in plan.effective_probs(cids):
-            if p > 0.0:
-                values[(node.id, cid)] = p
-    return FractionalAllocation(values)
 
 
 def save_hwm_plan(plan: HwmPlan, path) -> None:

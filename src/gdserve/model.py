@@ -11,7 +11,8 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
+from typing import (Callable, Dict, List, Mapping, Optional, Protocol, Sequence,
+                    Tuple, TypeVar)
 
 from . import targeting as tg
 
@@ -189,6 +190,38 @@ class FractionalAllocation:
 
     def get(self, sid: str, cid: str) -> float:
         return self.values.get((sid, cid), 0.0)
+
+
+class ServingPlan(Protocol):
+    """What serving needs of a plan (`HwmPlan`, `DualPlan`)."""
+
+    def __contains__(self, contract_id: str) -> bool:
+        """Whether the plan serves `contract_id`."""
+
+    def effective_probs(self, contract_ids: Sequence[str]) -> List[Tuple[str, float]]:
+        """Serve-time (contract id, probability) pairs for one impression's
+        eligible contracts, in an order fixed by the plan, not by the input."""
+
+
+def forecast_allocation(graph: AllocationGraph, plan: ServingPlan
+                        ) -> Tuple[FractionalAllocation, Dict[str, float]]:
+    """Replay the forecast through any plan: edge fractions and delivery.
+
+    Each supply node's planned contracts take the plan's serve-time
+    probabilities; a contract's expected delivery is the sum of s_i times
+    its probability at node i.  No sampling is involved.
+    """
+    values = {}
+    delivered = {c.id: 0.0 for c in graph.contracts}
+    for node in graph.supply_nodes:
+        cids = [cid for cid in graph.contracts_of[node.id] if cid in plan]
+        if not cids:
+            continue
+        for cid, p in plan.effective_probs(cids):
+            if p > 0.0:
+                values[(node.id, cid)] = p
+                delivered[cid] += node.forecast_supply * p
+    return FractionalAllocation(values), delivered
 
 
 @dataclass

@@ -9,6 +9,7 @@ the base graph is a perfect forecast; error is injected at simulation time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from random import Random
@@ -26,6 +27,8 @@ _DIMENSIONS: List[Tuple[str, List[str]]] = [
     ("device", ["desktop", "phone", "tablet"]),
     ("site", ["home", "mail", "search", "video"]),
 ]
+
+_FLIGHT_CLASSES = ("day", "multi_day", "week")
 
 _NIGHT_FACTOR = 0.35    # midnight-8am and 10pm-midnight
 _WEEKEND_FACTOR = 0.6
@@ -52,6 +55,14 @@ class ScenarioSpec:
             raise ValueError(f"unknown contention level {self.contention!r}")
         if self.flight_mix is None:
             self.flight_mix = {"day": 0.2, "multi_day": 0.4, "week": 0.4}
+        unknown = sorted(set(self.flight_mix) - set(_FLIGHT_CLASSES))
+        if unknown:
+            raise ValueError(f"unknown flight class {', '.join(map(repr, unknown))}; "
+                             f"expected {', '.join(_FLIGHT_CLASSES)}")
+        weights = self.flight_mix.values()
+        if not all(0.0 <= w < math.inf for w in weights) or not any(weights):
+            raise ValueError("flight mix weights must be finite, non-negative "
+                             "and not all zero")
 
 
 def generate_scenario(spec: ScenarioSpec) -> Tuple[AllocationGraph, List[ImpressionEvent]]:

@@ -5,29 +5,32 @@ regenerated at fixed cycle boundaries.  At each boundary the remaining
 demand of every contract is restated from actual delivery (optionally passed
 through the feedback adjustment), the remaining-flight supply forecast is
 restated as the true remaining per-node supply times a configurable error
-multiplier, and the chosen planner runs again.  Between boundaries serving
-is stateless: each impression's decision depends only on the current plan
-and the impression itself.
+multiplier, and the chosen planner runs again: `generate_hwm_plan`,
+`solve_dual_offline`, or the forecast-free reactive pacer of
+`baseline_pacing`, whose plan is an `HwmPlan` too.  Between boundaries
+serving is stateless: each impression's decision depends only on the
+current plan and the impression itself.
 
 An impression's eligible contracts come from one `EligibilityIndex` per
 run: the graph's edges for an attribute set that is a supply node, and one
 walk of the targeting trees per other attribute set.  Each cycle serves
 through one `Server`, which remembers the candidates (eligible, planned, in
 flight) per attribute set and flight phase, and the plan's probabilities
-per candidate list; `gdserve serve` uses the same class.
+per candidate list.  `Server.draw` makes every sampled decision, here and
+in `gdserve serve`.
 
 Two serving modes are supported.  In "sampled" mode every impression draws a
-contract from its effective probabilities with one uniform, a counter hash
-of the seed and the impression's stream position (`_impression_uniform`,
-SplitMix64), so runs are reproducible and any split of the stream draws the
-same numbers.  In "expected" mode the fractional probabilities themselves
-are accumulated, which removes all randomness and lets tests reproduce
-analytic delivery numbers exactly.  There, `shards` cut each cycle's
-impressions into that many contiguous blocks, served one after another in
-this process; each contract's contributions are summed with `math.fsum`,
-which is exact, so the report is bit-identical for every shard count.
-That is the check that no decision depends on another impression; it does
-not run blocks in parallel.
+contract from its effective probabilities with one uniform (`Server.draw`),
+a counter hash of the seed and the impression's stream position
+(`_impression_uniform`, SplitMix64), so runs are reproducible and any split
+of the stream draws the same numbers.  In "expected" mode the fractional
+probabilities themselves are accumulated, which removes all randomness and
+lets tests reproduce analytic delivery numbers exactly.  There, `shards`
+cut each cycle's impressions into that many contiguous blocks, served one
+after another in this process; each contract's contributions are summed
+with `math.fsum`, which is exact, so the report is bit-identical for every
+shard count.  That is the check that no decision depends on another
+impression; it does not run blocks in parallel.
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ from . import metrics as mx
 from . import targeting as tg
 from .dual import solve_dual_offline
 from .feedback import DeliveryState, FeedbackConfig, apply_feedback, linear_goal
-from .hwm import ServingPlan, generate_hwm_plan
-from .kernels import draw_index, effective_probs
-from .model import (AllocationGraph, Contract, GraphDataError, parse_ts,
-                    record_attributes, record_number, replan_contract)
+from .hwm import HwmEntry, HwmPlan, generate_hwm_plan
+from .kernels import draw_index
+from .model import (AllocationGraph, Contract, GraphDataError, ServingPlan,
+                    parse_ts, record_attributes, record_number, replan_contract)
 
 
 class SimulationError(ValueError):
@@ -243,7 +246,8 @@ class Server:
     are the intervals between the sorted distinct start and end instants of
     the served contracts, and no contract enters or leaves its flight
     inside one.  So candidates are remembered per attribute set and phase,
-    and slices (`plan.effective_probs`) per candidate tuple.
+    and slices (`plan.effective_probs`) per candidate tuple.  `draw` makes
+    one decision from them and one uniform.
     """
 
     def __init__(self, plan: ServingPlan, index: EligibilityIndex,
@@ -284,54 +288,17 @@ class Server:
                                         [p for _, p in probs])
         return sl
 
+    def draw(self, key: AttrsKey, attrs: Mapping[str, str], ts: datetime,
+             u: float) -> Tuple[Tuple[str, ...], List[float], int]:
+        """One decision: the slice of the candidates of `attrs` at `ts`, and
+        the index in it that the uniform `u` selects (-1: unallocated)."""
+        ids, probs = self.slice(self.candidates(key, attrs, ts))
+        return ids, probs, draw_index(probs, u)
+
     def drop(self, contract_id: str) -> None:
         """Serve `contract_id` no more (it has met its booked demand)."""
         del self._served[contract_id]
         self._candidates.clear()
-
-
-@dataclass
-class _ReplanContext:
-    cycle_start: datetime
-    cycle_hours: float
-    delivered: Dict[str, float]
-    prev_cycle_traffic: Dict[str, float]   # eligible events/hour, previous cycle
-    cycle_traffic: Dict[str, float]        # eligible events/hour, this cycle
-
-
-class _HwmController:
-    name = "hwm"
-
-    def replan(self, planning_graph: AllocationGraph, ctx: _ReplanContext):
-        plan = generate_hwm_plan(planning_graph, validate=False)
-        rates = {e.contract_id: e.alpha for e in plan.entries}
-        return plan, rates
-
-
-class _DualController:
-    name = "dual"
-
-    def replan(self, planning_graph: AllocationGraph, ctx: _ReplanContext):
-        plan = solve_dual_offline(planning_graph, validate=False)
-        rates = {e.contract_id: e.alpha for e in plan.entries}
-        return plan, rates
-
-
-class _RatePlan:
-    """Serving view of the reactive controller: per-contract rates truncated
-    in a fixed priority order (soonest flight end first)."""
-
-    def __init__(self, rates: Dict[str, float], order: Dict[str, int]):
-        self.rates = rates
-        self._pos = order
-
-    def __contains__(self, contract_id: str) -> bool:
-        return contract_id in self.rates
-
-    def effective_probs(self, contract_ids: Sequence[str]) -> List[Tuple[str, float]]:
-        ordered = sorted(contract_ids, key=self._pos.__getitem__)
-        effs = effective_probs([self.rates[cid] for cid in ordered])
-        return list(zip(ordered, effs))
 
 
 _BASE_GAIN = 4.0
@@ -340,54 +307,61 @@ _BASE_GAIN = 4.0
 class _BaseController:
     """Forecast-free reactive pacer: rates start at demand over estimated
     eligible traffic and are rescaled each cycle in proportion to the gap
-    from the linear goal."""
-
-    name = "base"
+    from the linear goal.  Its plan lists the contracts in a fixed priority
+    order, soonest flight end first."""
 
     def __init__(self):
         self.rates: Dict[str, float] = {}
 
-    def replan(self, planning_graph: AllocationGraph, ctx: _ReplanContext):
-        order = {c.id: pos for pos, c in enumerate(
-            sorted(planning_graph.contracts, key=lambda c: (c.end, c.id)))}
-        rates = {}
-        for c in planning_graph.contracts:
+    def replan(self, planning_graph: AllocationGraph, cycle_start: datetime,
+               delivered: Mapping[str, float], prev_cycle_traffic: Mapping[str, float],
+               cycle_traffic: Mapping[str, float]) -> HwmPlan:
+        """Rates for this cycle; traffic is eligible events per hour in the
+        previous and in this cycle."""
+        entries = []
+        for c in sorted(planning_graph.contracts, key=lambda c: (c.end, c.id)):
             if c.id not in self.rates:
-                traffic = ctx.prev_cycle_traffic.get(c.id) or ctx.cycle_traffic.get(c.id, 0.0)
+                traffic = prev_cycle_traffic.get(c.id) or cycle_traffic.get(c.id, 0.0)
                 if traffic <= 0.0:
                     rate = 1.0
                 else:
                     rate = min(1.0, c.booked_demand / (c.flight_hours * traffic))
             else:
                 rate = self.rates[c.id]
-                gap = ((linear_goal(c, ctx.cycle_start) - ctx.delivered[c.id])
-                       / c.booked_demand)
+                gap = (linear_goal(c, cycle_start) - delivered[c.id]) / c.booked_demand
                 rate *= 1.0 + _BASE_GAIN * gap
                 if gap > 0.0:
                     rate = max(rate, 1e-3)
                 rate = min(max(rate, 0.0), 1.0)
             self.rates[c.id] = rate
-            rates[c.id] = rate
-        return _RatePlan(dict(rates), order), rates
+            entries.append(HwmEntry(c.id, planning_graph.eligible_supply(c.id), rate))
+        return HwmPlan(entries)
 
 
 def run_simulation(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
                    cfg: SimulationConfig) -> SimulationReport:
     """Simulate serving `impressions` against `graph` under `cfg`."""
-    controller = {"hwm": _HwmController, "dual": _DualController}[cfg.algorithm]()
-    return _run_engine(graph, impressions, cfg, controller)
+    return _run_engine(graph, impressions, cfg, cfg.algorithm)
 
 
 def baseline_pacing(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
                     cfg: SimulationConfig) -> SimulationReport:
     """Simulate the reactive comparator (no forecast; pure pacing feedback)."""
-    return _run_engine(graph, impressions, cfg, _BaseController())
+    return _run_engine(graph, impressions, cfg, "base")
 
 
 def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
-                cfg: SimulationConfig, controller) -> SimulationReport:
+                cfg: SimulationConfig, algorithm: str) -> SimulationReport:
+    """Run the cycles with planner `algorithm`: "hwm", "dual" or "base" (the
+    reactive pacer).  The planners and `draw_index` are module globals read
+    at each call, so a wrapper set on this module (as the benchmark's traced
+    runs set one) sees every call."""
     if not graph.contracts:
         raise SimulationError("no contracts to simulate")
+    unknown = sorted(set(cfg.per_node_error or ()) - set(graph.node_by_id))
+    if unknown:
+        raise SimulationError("forecast_error_per_node names no supply node: "
+                              + ", ".join(unknown))
     sim_start = cfg.sim_start or min(c.start for c in graph.contracts)
     sim_end = cfg.sim_end or max(c.end for c in graph.contracts)
     if sim_start >= sim_end:
@@ -446,6 +420,7 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
     timeseries: List[mx.TimeseriesRow] = []
     served = 0
     sampled = cfg.mode == "sampled"
+    pacer = _BaseController()
 
     def eligible_traffic(k: int) -> Dict[str, float]:
         # Eligible on-graph events per hour for each contract during cycle k.
@@ -487,9 +462,14 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
                      for n in graph.supply_nodes]
             edges = [(sid, cid) for sid, cid in graph.edges if cid in planning_ids]
             planning_graph = AllocationGraph(nodes, planning, edges)
-            ctx = _ReplanContext(cycle_start, cycle_hours, dict(delivered),
-                                 eligible_traffic(k - 1), eligible_traffic(k))
-            plan, cycle_rates = controller.replan(planning_graph, ctx)
+            if algorithm == "hwm":
+                plan = generate_hwm_plan(planning_graph, validate=False)
+            elif algorithm == "dual":
+                plan = solve_dual_offline(planning_graph, validate=False)
+            else:
+                plan = pacer.replan(planning_graph, cycle_start, delivered,
+                                    eligible_traffic(k - 1), eligible_traffic(k))
+            cycle_rates = {e.contract_id: e.alpha for e in plan.entries}
         else:
             cycle_rates = {}
         for c in graph.contracts:
@@ -503,11 +483,8 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
             if sampled:
                 for idx, ev, key in buckets[k]:
                     served += 1
-                    cands = server.candidates(key, ev.attributes, ev.ts)
-                    if not cands:
-                        continue
-                    ids, probs = server.slice(cands)
-                    sel = draw_index(probs, _impression_uniform(cfg.seed, idx))
+                    ids, _, sel = server.draw(key, ev.attributes, ev.ts,
+                                              _impression_uniform(cfg.seed, idx))
                     if sel >= 0:
                         cid = ids[sel]
                         delivered[cid] += 1.0
@@ -549,7 +526,7 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
         timeseries, {c.id: float(c.booked_demand) for c in graph.contracts},
         {o.contract_id for o in outcomes if o.finished})
     return SimulationReport(
-        algorithm=controller.name, mode=cfg.mode, cycle_bounds=bounds,
+        algorithm=algorithm, mode=cfg.mode, cycle_bounds=bounds,
         outcomes=outcomes, timeseries=timeseries, rates=rates_trace,
         impressions_in_window=served, impressions_skipped=skipped,
         unallocated=unallocated, total_underdelivery_frac=total_under,

@@ -7,7 +7,7 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from gdserve import model, targeting as tg
+from gdserve import kernels, model, targeting as tg
 from gdserve.scenario import demo_graph
 
 FLIGHT_START = datetime(2026, 3, 2)
@@ -22,6 +22,22 @@ def make_contract(cid, targeting_text, demand, days=7.0, offset_days=0.0, **kw):
     start, end = flight(days, offset_days)
     return model.Contract(cid, tg.parse_targeting(targeting_text), demand,
                           start, end, **kw)
+
+
+def decide(plan, eligible_ids, u):
+    """The contract one uniform `u` selects from the plan's slice for
+    `eligible_ids` (`kernels.draw_index`), or None when it selects none."""
+    probs = plan.effective_probs(eligible_ids)
+    sel = kernels.draw_index([p for _, p in probs], u)
+    return probs[sel][0] if sel >= 0 else None
+
+
+def forecast_replay(graph, plan):
+    """`model.forecast_allocation`, with each contract's underdelivery in
+    place of its delivery: the pair `dual.dual_objective` scores."""
+    alloc, delivered = model.forecast_allocation(graph, plan)
+    return alloc, {c.id: max(0.0, float(c.demand) - delivered[c.id])
+                   for c in graph.contracts}
 
 
 @pytest.fixture

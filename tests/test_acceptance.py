@@ -16,7 +16,7 @@ from gdserve.feedback import FeedbackConfig
 from gdserve.scenario import ScenarioSpec, demo_graph, generate_scenario
 from gdserve.simulate import _impression_uniform
 
-from conftest import make_contract
+from conftest import decide, forecast_replay, make_contract
 from _qp_oracle import random_instance, solve_reference
 from _scenarios import daily_reopt_config, uniform_single_contract
 from test_dual import _instance_to_graph
@@ -89,7 +89,7 @@ def test_criterion_3_truncation_rule_probabilities():
         hits = Counter()
         for i in range(n):
             u = _impression_uniform(29, i)
-            hits[hwm.serve_hwm(plan, ["males", "age5"], u, str(i)).chosen] += 1
+            hits[decide(plan, ["males", "age5"], u)] += 1
         for key, p in (("males", 0.25), ("age5", 0.625), (None, 0.125)):
             se = (p * (1 - p) / n) ** 0.5
             assert abs(hits[key] / n - p) <= 3 * se, (key, hits[key] / n)
@@ -118,7 +118,7 @@ def test_criterion_4_dual_oracle_equivalence():
             # The coordinate-ascent planner lands within 0.1% of the optimum.
             g = _instance_to_graph(inst)
             plan = dual.solve_dual_offline(g)
-            alloc, under = dual.reconstructed_allocation(g, plan)
+            alloc, under = forecast_replay(g, plan)
             value = dual.dual_objective(g, alloc, under)
             if sol.objective > 1e-9:
                 assert value <= sol.objective * 1.001, (value, sol.objective)
@@ -192,11 +192,11 @@ def test_criterion_5_hwm_feasibility_property():
             if graph is None:
                 continue
             plan = hwm.generate_hwm_plan(graph)
-            delivered = hwm.expected_delivery(graph, plan)
+            _, delivered = model.forecast_allocation(graph, plan)
             for c in graph.contracts:
                 assert delivered[c.id] >= 0.999 * c.demand, (checked, c.id)
             if all(e.alpha < 1.0 for e in plan.entries):
-                alloc = hwm.induced_allocation(graph, plan)
+                alloc, _ = model.forecast_allocation(graph, plan)
                 report = model.check_feasibility(graph, alloc, tol=1e-9)
                 assert report.feasible, checked
             checked += 1

@@ -4,7 +4,7 @@ from datetime import timedelta
 
 import pytest
 
-from gdserve import cli, hwm, model, simulate as sim, targeting as tg
+from gdserve import cli, kernels, model, simulate as sim, targeting as tg
 from gdserve.scenario import demo_graph
 from conftest import FLIGHT_START
 
@@ -233,8 +233,8 @@ class TestServeCommand:
 
 class TestDecisionLines:
     """Each `gdserve serve` line is the bytes json.dumps writes for the
-    decision dict of `hwm.serve_hwm` over the impression's eligible,
-    planned, in-flight contracts."""
+    decision dict of one draw (`kernels.draw_index`) from the plan's slice
+    for the impression's eligible, planned, in-flight contracts."""
 
     EVENTS = [("plain", {"state": "CA", "age_bucket": "5"}),
               ('quote " back \\ snow \u2603 e\u0301 \u00e9', {"gender": "male"}),
@@ -248,11 +248,12 @@ class TestDecisionLines:
         for n, ev in enumerate(sim.load_impressions(tmp_path / "impressions.jsonl")):
             cands = [c.id for c in contracts if c.id in plan and c.in_flight(ev.ts)
                      and tg.eligible(ev.attributes, c.targeting)]
-            d = hwm.serve_hwm(plan, cands, sim._impression_uniform(seed, n), ev.id)
+            u = sim._impression_uniform(seed, n)
+            probs = plan.effective_probs(cands)
+            sel = kernels.draw_index([p for _, p in probs], u)
             lines.append(json.dumps({
-                "impression_id": d.impression_id, "chosen": d.chosen,
-                "probs": [[cid, p] for cid, p in d.probabilities],
-                "u": d.rng_trace}) + "\n")
+                "impression_id": ev.id, "chosen": probs[sel][0] if sel >= 0 else None,
+                "probs": [[cid, p] for cid, p in probs], "u": u}) + "\n")
         return "".join(lines)
 
     @pytest.mark.parametrize("algorithm", ["hwm", "dual"])
@@ -511,3 +512,29 @@ class TestBadConfig:
                   "--out-dir", tmp_path / "out"])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {field} ")
+
+    def test_command_line_overrides_keep_checks(self, scen, tmp_path, capsys):
+        # --mode sampled on a two-shard config must fail as the same
+        # settings in the file do.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"shards": 2}))
+        rc = run(["simulate", "--config", path, "--scenario", scen,
+                  "--out-dir", tmp_path / "out", "--mode", "sampled"])
+        assert rc == 1
+        assert "sampled mode runs a single worker" in capsys.readouterr().err
+
+
+class TestFlightMix:
+    @pytest.mark.parametrize("mix, message", [
+        ("day=1,weird=2", "unknown flight class 'weird'"),
+        ("day", "--flight-mix item 'day' is not class=weight"),
+        ("day=0.5,week", "--flight-mix item 'week' is not class=weight"),
+        ("day=x", "--flight-mix item 'day=x' is not class=weight"),
+        ("day=0, day=1", "--flight-mix lists class 'day' twice"),
+    ])
+    def test_bad_mix_fails(self, tmp_path, capsys, mix, message):
+        rc = run(["scenario", "--out-dir", tmp_path / "scen", "--contracts", 2,
+                  "--days", 1, "--daily-traffic", 100, "--flight-mix", mix])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "scen").exists()

@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from gdserve import dual, hwm, kernels, model
-from conftest import make_contract
+from gdserve import dual, kernels, model, simulate as sim
+from conftest import FLIGHT_START, forecast_replay, make_contract
 from _qp_oracle import (QpInstance, kkt_residuals, random_instance,
                         solve_reference)
 
@@ -81,8 +81,7 @@ class TestOfflineSolver:
         # penalty, which in reconstruction units is penalty/2.
         plan = dual.solve_dual_offline(single_edge_graph(100, 150))
         assert plan.entries[0].alpha == pytest.approx(5.0)
-        alloc, under = dual.reconstructed_allocation(
-            single_edge_graph(100, 150), plan)
+        alloc, under = forecast_replay(single_edge_graph(100, 150), plan)
         assert alloc.get("a", "c1") == pytest.approx(1.0)
         assert under["c1"] == pytest.approx(50.0)
 
@@ -106,7 +105,7 @@ class TestOfflineSolver:
             dual.solve_dual_offline(g, max_iters=1)
         # The full solve converges and satisfies the exit contract.
         plan = dual.solve_dual_offline(g)
-        alloc, under = dual.reconstructed_allocation(g, plan)
+        alloc, under = forecast_replay(g, plan)
         for e in plan.entries:
             delivered = sum(alloc.get(nid, e.contract_id) * n.forecast_supply
                             for nid, n in zip(["a", "b"], nodes))
@@ -177,7 +176,7 @@ class TestOracleAgreement:
             sol = solve_reference(inst)
             g = _instance_to_graph(inst)
             plan = dual.solve_dual_offline(g)
-            alloc, under = dual.reconstructed_allocation(g, plan)
+            alloc, under = forecast_replay(g, plan)
             value = dual.dual_objective(g, alloc, under)
             if sol.objective > 1e-9:
                 assert value <= sol.objective * 1.001
@@ -195,17 +194,20 @@ class TestPlanFile:
 
 class TestServe:
     def test_one_serve_function_for_every_plan(self):
-        assert dual.serve_dual is hwm.serve_hwm
+        # `Server.draw` serves a dual plan as it serves an HWM plan.
         nodes = [model.SupplyNode("a", {"x": "1"}, 100)]
         contracts = [make_contract("c1", "x = 1", 30), make_contract("c2", "x = 1", 40)]
-        plan = dual.solve_dual_offline(model.build_graph(nodes, contracts))
+        graph = model.build_graph(nodes, contracts)
+        plan = dual.solve_dual_offline(graph)
         probs = plan.effective_probs(["c2", "c1"])
         assert [cid for cid, _ in probs] == ["c1", "c2"]
+        server = sim.Server(plan, sim.EligibilityIndex(contracts, graph), contracts)
+        attrs, ts = {"x": "1"}, FLIGHT_START
         p1 = probs[0][1]
-        for u, chosen in ((0.0, "c1"), (p1 - 1e-9, "c1"), (p1, "c2")):
-            decision = dual.serve_dual(plan, ["c2", "c1"], u, "imp")
-            assert decision.chosen == chosen
-            assert decision.probabilities == probs
+        for u, chosen in ((0.0, 0), (p1 - 1e-9, 0), (p1, 1)):
+            ids, ps, sel = server.draw(sim._attrs_key(attrs), attrs, ts, u)
+            assert sel == chosen
+            assert list(zip(ids, ps)) == probs
 
 
 def _bisection_reference(graph, tol=1e-6, max_iters=10000):

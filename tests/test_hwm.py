@@ -5,24 +5,34 @@ import pytest
 
 from gdserve import hwm, model
 from gdserve.simulate import _impression_uniform
-from conftest import make_contract
+from conftest import decide, make_contract
 
 
 class TestSolveAlpha:
+    """The rate each plan entry gets: the smallest a with
+    sum_i min(r_i, s_i * a) = demand over its remaining supply."""
+
     def test_single_node(self):
-        assert hwm.solve_alpha([(100, 100)], 50) == pytest.approx(0.5)
+        nodes = [model.SupplyNode("a", {"x": "1"}, 100)]
+        plan = hwm.generate_hwm_plan(model.build_graph(
+            nodes, [make_contract("c1", "x = 1", 50)]))
+        assert plan.entries[0].alpha == pytest.approx(0.5)
 
     def test_piecewise_case(self):
-        assert hwm.solve_alpha([(40, 100), (100, 100)], 90) == pytest.approx(0.5)
+        # c1 leaves 40 of node a; c2 solves min(40, 100a) + min(100, 100a) = 90.
+        nodes = [model.SupplyNode("a", {"seg": "both"}, 100),
+                 model.SupplyNode("b", {"seg": "solo"}, 100)]
+        contracts = [make_contract("c1", "seg = both", 60),
+                     make_contract("c2", "seg IN {both, solo}", 90)]
+        plan = hwm.generate_hwm_plan(model.build_graph(nodes, contracts))
+        assert plan.entries[1].contract_id == "c2"
+        assert plan.entries[1].alpha == pytest.approx(0.5)
 
     def test_empty_neighbors_is_no_solution(self):
-        assert hwm.solve_alpha([], 5) == 1.0
-
-    def test_rejects_negative_inputs(self):
-        with pytest.raises(ValueError):
-            hwm.solve_alpha([(-1, 10)], 5)
-        with pytest.raises(ValueError):
-            hwm.solve_alpha([(20, 10)], 5)
+        nodes = [model.SupplyNode("a", {"x": "1"}, 100)]
+        plan = hwm.generate_hwm_plan(model.build_graph(
+            nodes, [make_contract("c1", "x = 2", 5)]))
+        assert plan.entries[0].alpha == 1.0
 
 
 class TestGeneratePlan:
@@ -50,7 +60,7 @@ class TestGeneratePlan:
         # Replay consumes exactly both demands: 60 from the shared node for
         # c1, then 0.3 * (40 + 100) split across both nodes for c2... the
         # shared node gives c2 min(0.3, 1 - 0.6) = 0.3 of its supply.
-        delivered = hwm.expected_delivery(
+        _, delivered = model.forecast_allocation(
             model.build_graph(nodes, contracts), plan)
         assert delivered["c1"] == pytest.approx(60)
         assert delivered["c2"] == pytest.approx(60)
@@ -100,8 +110,7 @@ class TestServe:
     def test_rate_one_contract_always_selected(self, three_contract_graph):
         plan = hwm.generate_hwm_plan(three_contract_graph)
         for u in (0.0, 0.37, 0.999999):
-            decision = hwm.serve_hwm(plan, ["california", "age5"], u, "imp")
-            assert decision.chosen == "california"
+            assert decide(plan, ["california", "age5"], u) == "california"
 
     def test_truncated_probabilities(self, three_contract_graph):
         plan = hwm.generate_hwm_plan(three_contract_graph)
@@ -112,26 +121,25 @@ class TestServe:
 
     def test_empty_eligible_set(self, three_contract_graph):
         plan = hwm.generate_hwm_plan(three_contract_graph)
-        decision = hwm.serve_hwm(plan, [], 0.5, "imp")
-        assert decision.chosen is None
-        assert decision.probabilities == []
+        assert plan.effective_probs([]) == []
+        assert decide(plan, [], 0.5) is None
 
     def test_probabilities_bounded_by_plan_rates(self, three_contract_graph):
         plan = hwm.generate_hwm_plan(three_contract_graph)
         rng = random.Random(9)
         ids = [e.contract_id for e in plan.entries]
+        alphas = {e.contract_id: e.alpha for e in plan.entries}
         for _ in range(100):
             subset = [cid for cid in ids if rng.random() < 0.7]
             probs = plan.effective_probs(subset)
             assert sum(p for _, p in probs) <= 1.0 + 1e-12
             for cid, p in probs:
-                assert p <= plan.alpha(cid) + 1e-12
+                assert p <= alphas[cid] + 1e-12
 
     def test_deterministic_given_u(self, three_contract_graph):
         plan = hwm.generate_hwm_plan(three_contract_graph)
-        a = hwm.serve_hwm(plan, ["males", "age5"], 0.31, "imp")
-        b = hwm.serve_hwm(plan, ["males", "age5"], 0.31, "imp")
-        assert a == b
+        a = decide(plan, ["males", "age5"], 0.31)
+        assert a == decide(plan, ["age5", "males"], 0.31) == "age5"
 
     def test_split_instances_match_single_instance_frequencies(self,
                                                                three_contract_graph):
@@ -145,7 +153,7 @@ class TestServe:
             hits = Counter()
             for i in range(count):
                 u = _impression_uniform(seed, offset + i)
-                hits[hwm.serve_hwm(plan, eligible, u, str(i)).chosen] += 1
+                hits[decide(plan, eligible, u)] += 1
             return hits
 
         single = frequencies(101, n)
@@ -198,7 +206,7 @@ class TestReplayFeasibility:
             if graph is None:
                 continue
             plan = hwm.generate_hwm_plan(graph)
-            delivered = hwm.expected_delivery(graph, plan)
+            _, delivered = model.forecast_allocation(graph, plan)
             alphas = {e.contract_id: e.alpha for e in plan.entries}
             for c in graph.contracts:
                 if alphas[c.id] < 1.0:
@@ -212,7 +220,9 @@ class TestPlanFile:
         hwm.save_hwm_plan(plan, tmp_path / "hwm_plan.jsonl")
         loaded = hwm.load_hwm_plan(tmp_path / "hwm_plan.jsonl")
         assert loaded.entries == plan.entries
-        assert [loaded.position(e.contract_id) for e in plan.entries] == [0, 1, 2]
+        # The loaded plan truncates in the saved order.
+        order = [cid for cid, _ in loaded.effective_probs(["age5", "males", "california"])]
+        assert order == [e.contract_id for e in plan.entries]
 
     def test_bad_line_reports_position(self, tmp_path):
         path = tmp_path / "hwm_plan.jsonl"

@@ -75,7 +75,7 @@ class TestFeasibility:
 
     def test_plan_induced_allocation_feasible(self, three_contract_graph):
         plan = hwm.generate_hwm_plan(three_contract_graph)
-        alloc = hwm.induced_allocation(three_contract_graph, plan)
+        alloc, _ = model.forecast_allocation(three_contract_graph, plan)
         report = model.check_feasibility(three_contract_graph, alloc)
         assert report.feasible
         for slack in report.demand_slack.values():
