@@ -109,8 +109,8 @@ def cmd_serve(args) -> int:
     written = 0
     with open(args.out, "w", encoding="utf-8") as out:
         for n, ev in enumerate(sim.iter_impressions(args.impressions)):
-            u = sim._impression_uniform(seed, n)
-            ids, probs, sel = server.draw(sim._attrs_key(ev.attributes),
+            u = sim.impression_uniform(seed, n)
+            ids, probs, sel = server.draw(sim.attrs_key(ev.attributes),
                                           ev.attributes, ev.ts, u)
             text = probs_json.get(ids)
             if text is None:

@@ -11,6 +11,13 @@ multiplier, and the chosen planner runs again: `generate_hwm_plan`,
 serving is stateless: each impression's decision depends only on the
 current plan and the impression itself.
 
+The stream is read once, into a list of timestamps and one attribute-set
+id per impression, with one key and one attribute map per distinct set.
+Because the stream is sorted, each cycle is a contiguous index range, found
+by bisecting the timestamps at the cycle bounds, and a supply node's
+impressions in a cycle (from which re-plans restate the forecast) are a
+count of set ids over that range.
+
 An impression's eligible contracts come from one `EligibilityIndex` per
 run: the graph's edges for an attribute set that is a supply node, and one
 walk of the targeting trees per other attribute set.  Each cycle serves
@@ -22,22 +29,27 @@ in `gdserve serve`.
 Two serving modes are supported.  In "sampled" mode every impression draws a
 contract from its effective probabilities with one uniform (`Server.draw`),
 a counter hash of the seed and the impression's stream position
-(`_impression_uniform`, SplitMix64), so runs are reproducible and any split
+(`impression_uniform`, SplitMix64), so runs are reproducible and any split
 of the stream draws the same numbers.  In "expected" mode the fractional
 probabilities themselves are accumulated, which removes all randomness and
-lets tests reproduce analytic delivery numbers exactly.  There, `shards`
-cut each cycle's impressions into that many contiguous blocks, served one
-after another in this process; each contract's contributions are summed
-with `math.fsum`, which is exact, so the report is bit-identical for every
-shard count.  That is the check that no decision depends on another
-impression; it does not run blocks in parallel.
+lets tests reproduce analytic delivery numbers exactly.  No candidate list
+changes inside a flight phase, so each cycle's range is cut at the
+`Server`'s flight instants, and each piece adds, per attribute set, its
+count of visits times the set's slice.  The sums are exact: every
+probability is an integer number of units of 2^-1074 (`exact_units`), and
+each contract's total is divided once, which rounds as `math.fsum` of the
+per-impression probabilities would.  `shards` adds the bounds of that
+many contiguous blocks of the range to the cuts, and the report is
+bit-identical for every shard count.  That is the check that no decision
+depends on another impression; it does not run blocks in parallel.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -179,7 +191,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15     # 2^64 / golden ratio, odd
 
 
-def _impression_uniform(seed: int, index: int) -> float:
+def impression_uniform(seed: int, index: int) -> float:
     """The uniform in [0, 1) that impression `index` of a run with `seed` draws.
 
     A pure function of (seed, index), so decisions do not depend on how the
@@ -197,10 +209,26 @@ def _impression_uniform(seed: int, index: int) -> float:
     return ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
 
 
+# Every finite double is an integer multiple of 2^-1074, the least subnormal.
+_UNIT_DENOMINATOR = 1 << 1074
+
+
+def exact_units(p: float) -> int:
+    """The finite float `p` as an integer number of units of 2^-1074.
+
+    Sums of such integers are exact, and `total / _UNIT_DENOMINATOR` (int
+    true division) rounds once, to nearest, ties to even, as `math.fsum`
+    does, so a count-weighted sum gives `math.fsum` of the expanded list.
+    """
+    num, den = p.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
 AttrsKey = Tuple[Tuple[str, str], ...]
 
 
-def _attrs_key(attrs: Mapping[str, str]) -> AttrsKey:
+def attrs_key(attrs: Mapping[str, str]) -> AttrsKey:
+    """The canonical key of an attribute set: its items, sorted."""
     return tuple(sorted(attrs.items()))
 
 
@@ -220,10 +248,10 @@ class EligibilityIndex:
         self._ids: Dict[AttrsKey, List[str]] = {}
         if graph is not None:
             for n in graph.supply_nodes:
-                self._ids[_attrs_key(n.attributes)] = graph.contracts_of[n.id]
+                self._ids[attrs_key(n.attributes)] = graph.contracts_of[n.id]
 
     def lookup(self, key: AttrsKey, attrs: Mapping[str, str]) -> List[str]:
-        """Ids eligible for `attrs`, whose `_attrs_key` is `key`."""
+        """Ids eligible for `attrs`, whose `attrs_key` is `key`."""
         ids = self._ids.get(key)
         if ids is None:
             ids = [c.id for c in self._contracts if tg.eligible(attrs, c.targeting)]
@@ -247,7 +275,8 @@ class Server:
     the served contracts, and no contract enters or leaves its flight
     inside one.  So candidates are remembered per attribute set and phase,
     and slices (`plan.effective_probs`) per candidate tuple.  `draw` makes
-    one decision from them and one uniform.
+    one decision from them and one uniform.  `instants` holds those sorted
+    instants, so a caller can cut a sorted stream into phases.
     """
 
     def __init__(self, plan: ServingPlan, index: EligibilityIndex,
@@ -255,8 +284,8 @@ class Server:
         self._plan = plan
         self._index = index
         self._served = {c.id: c for c in contracts if c.id in plan}
-        self._instants = sorted({t for c in self._served.values()
-                                 for t in (c.start, c.end)})
+        self.instants = sorted({t for c in self._served.values()
+                                for t in (c.start, c.end)})
         # One list per attribute set, indexed by phase, so that one key
         # tuple is kept per set (`gdserve serve` makes a key per impression).
         self._candidates: Dict[AttrsKey, List[Optional[Candidates]]] = {}
@@ -264,11 +293,11 @@ class Server:
 
     def candidates(self, key: AttrsKey, attrs: Mapping[str, str],
                    ts: datetime) -> Candidates:
-        """Ids served to `attrs` (whose `_attrs_key` is `key`) at `ts`."""
-        phase = bisect_right(self._instants, ts)
+        """Ids served to `attrs` (whose `attrs_key` is `key`) at `ts`."""
+        phase = bisect_right(self.instants, ts)
         phases = self._candidates.get(key)
         if phases is None:
-            phases = self._candidates[key] = [None] * (len(self._instants) + 1)
+            phases = self._candidates[key] = [None] * (len(self.instants) + 1)
         cands = phases[phase]
         if cands is None:
             served = self._served
@@ -373,31 +402,50 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
     n_cycles = len(bounds) - 1
     cycle_hours = cfg.reopt_period_hours
 
-    # Bucket impressions by cycle with their attribute-set keys, and count
-    # each supply node's impressions per cycle.  Impressions of one set
-    # share one key object, so the buckets hold no per-impression key.
-    node_of_key = {_attrs_key(n.attributes): n.id for n in graph.supply_nodes}
-    keys: Dict[AttrsKey, AttrsKey] = {}
-    buckets: List[List[Tuple[int, ImpressionEvent, AttrsKey]]] = \
-        [[] for _ in range(n_cycles)]
-    node_counts = {n.id: [0] * n_cycles for n in graph.supply_nodes}
-    skipped = 0
+    # One pass over the stream: each impression's timestamp and the id of
+    # its attribute set, with one key and one attribute map per distinct
+    # set.  A set is first looked up by its items in insertion order, which
+    # spares the sort of `attrs_key` for every impression but the first of
+    # each order.
+    ts: List[datetime] = []
+    set_ids: List[int] = []
+    keys: List[AttrsKey] = []
+    attrs_of_set: List[Mapping[str, str]] = []
+    id_of_key: Dict[AttrsKey, int] = {}
+    id_of_items: Dict[Tuple[Tuple[str, str], ...], int] = {}
     prev_ts = None
-    for idx, ev in enumerate(impressions):
-        if prev_ts is not None and ev.ts < prev_ts:
+    for ev in impressions:
+        t = ev.ts
+        if prev_ts is not None and t < prev_ts:
             raise SimulationError(
-                f"impression {ev.id} at {ev.ts.isoformat()} is out of order")
-        prev_ts = ev.ts
-        if not (sim_start <= ev.ts < sim_end):
-            skipped += 1
-            continue
-        k = min((ev.ts - sim_start) // period, n_cycles - 1)
-        key = _attrs_key(ev.attributes)
-        key = keys.setdefault(key, key)
-        buckets[k].append((idx, ev, key))
-        nid = node_of_key.get(key)
-        if nid is not None:
-            node_counts[nid][k] += 1
+                f"impression {ev.id} at {t.isoformat()} is out of order")
+        prev_ts = t
+        ts.append(t)
+        items = tuple(ev.attributes.items())
+        sid = id_of_items.get(items)
+        if sid is None:
+            key = attrs_key(ev.attributes)
+            sid = id_of_key.get(key)
+            if sid is None:
+                sid = id_of_key[key] = len(keys)
+                keys.append(key)
+                attrs_of_set.append(ev.attributes)
+            id_of_items[items] = sid
+        set_ids.append(sid)
+
+    # The stream is sorted, so cycle k is the index range
+    # [starts[k], starts[k + 1]); count each supply node's impressions in it.
+    starts = [bisect_left(ts, b) for b in bounds]
+    served = starts[-1] - starts[0]
+    skipped = len(ts) - served
+    node_of_key = {attrs_key(n.attributes): n.id for n in graph.supply_nodes}
+    node_of_set = [node_of_key.get(key) for key in keys]
+    node_counts = {n.id: [0] * n_cycles for n in graph.supply_nodes}
+    for k in range(n_cycles):
+        for sid, n in Counter(set_ids[starts[k]:starts[k + 1]]).items():
+            nid = node_of_set[sid]
+            if nid is not None:
+                node_counts[nid][k] += n
 
     # Suffix sums: true remaining supply per node at each cycle start.
     remaining_actual = {nid: [0.0] * (n_cycles + 1) for nid in node_counts}
@@ -418,7 +466,6 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
     boost: Dict[str, bool] = {c.id: False for c in graph.contracts}
     rates_trace: Dict[str, List[Optional[float]]] = {c.id: [] for c in graph.contracts}
     timeseries: List[mx.TimeseriesRow] = []
-    served = 0
     sampled = cfg.mode == "sampled"
     pacer = _BaseController()
 
@@ -476,40 +523,39 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
             rates_trace[c.id].append(cycle_rates.get(c.id))
 
         # Serve this cycle's impressions.
-        if plan is not None and buckets[k]:
+        lo, hi = starts[k], starts[k + 1]
+        if plan is not None and lo < hi:
             # Plan membership matters: the dual planner drops contracts with
             # no eligible forecast supply.
             server = Server(plan, index, graph.contracts)
             if sampled:
-                for idx, ev, key in buckets[k]:
-                    served += 1
-                    ids, _, sel = server.draw(key, ev.attributes, ev.ts,
-                                              _impression_uniform(cfg.seed, idx))
+                for i in range(lo, hi):
+                    sid = set_ids[i]
+                    ids, _, sel = server.draw(keys[sid], attrs_of_set[sid], ts[i],
+                                              impression_uniform(cfg.seed, i))
                     if sel >= 0:
                         cid = ids[sel]
                         delivered[cid] += 1.0
                         if delivered[cid] >= contract_by_id[cid].booked_demand:
                             server.drop(cid)
             else:
-                # Sharded expected-value pass: contiguous blocks, contributions
-                # concatenated in stream order, exact summation at the merge.
-                contribs: Dict[str, List[float]] = {c.id: [] for c in planning}
-                block = max(1, math.ceil(len(buckets[k]) / cfg.shards))
-                for b in range(0, len(buckets[k]), block):
-                    for idx, ev, key in buckets[k][b:b + block]:
-                        served += 1
-                        cands = server.candidates(key, ev.attributes, ev.ts)
-                        if not cands:
-                            continue
+                # No candidate list changes inside a flight phase, so each
+                # phase's delivery is its count of each set times the set's
+                # slice.  The shards' block bounds split the range further.
+                block = max(1, math.ceil((hi - lo) / cfg.shards))
+                cuts = sorted({bisect_left(ts, t, lo, hi) for t in server.instants}
+                              .union(range(lo, hi, block), (hi,)))
+                acc: Dict[str, int] = {}
+                for a, b in zip(cuts, cuts[1:]):
+                    for sid, n in Counter(set_ids[a:b]).items():
+                        cands = server.candidates(keys[sid], attrs_of_set[sid], ts[a])
                         for cid, p in zip(*server.slice(cands)):
                             if p > 0.0:
-                                contribs[cid].append(p)
+                                acc[cid] = acc.get(cid, 0) + n * exact_units(p)
                 for c in planning:
-                    inc = math.fsum(contribs[c.id])
+                    inc = acc.get(c.id, 0) / _UNIT_DENOMINATOR
                     booked = contract_by_id[c.id].booked_demand
                     delivered[c.id] = min(booked, delivered[c.id] + inc)
-        elif buckets[k]:
-            served += len(buckets[k])
 
         for c in graph.contracts:
             if c.start <= cycle_end <= c.end:
@@ -566,8 +612,9 @@ def save_impressions(events: Sequence[ImpressionEvent], path) -> None:
 def load_config(path) -> SimulationConfig:
     """Read the simulate config JSON (see SimulationConfig for fields).
 
-    Numbers are read through `model.record_number`, and `seed` and `shards`
-    must be integers.  A bad field raises SimulationError as `path: field ...`.
+    Numbers are read through `model.record_number`, `seed` and `shards`
+    must be integers and `baseline_comparator` a JSON boolean.  A bad field
+    raises SimulationError as `path: field ...`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -599,6 +646,9 @@ def _config_from(raw) -> SimulationConfig:
             per_node = {nid: record_number(per_node, nid) for nid in per_node}
         except ValueError as exc:
             raise ValueError(f"forecast_error_per_node: {exc}") from None
+    comparator = raw.get("baseline_comparator", False)
+    if not isinstance(comparator, bool):
+        raise ValueError(f"baseline_comparator must be true or false, got {comparator!r}")
     kwargs = dict(
         algorithm=raw.get("algorithm", "hwm"),
         feedback=feedback,
@@ -608,7 +658,7 @@ def _config_from(raw) -> SimulationConfig:
         seed=_record_int(raw, "seed", 0),
         mode=raw.get("mode", "expected"),
         shards=_record_int(raw, "shards", 1),
-        baseline_comparator=bool(raw.get("baseline_comparator", False)))
+        baseline_comparator=comparator)
     for key in ("sim_start", "sim_end"):
         text = raw.get(key)
         if text:

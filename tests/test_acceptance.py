@@ -14,7 +14,7 @@ import pytest
 from gdserve import dual, hwm, metrics as mx, model, simulate as sim
 from gdserve.feedback import FeedbackConfig
 from gdserve.scenario import ScenarioSpec, demo_graph, generate_scenario
-from gdserve.simulate import _impression_uniform
+from gdserve.simulate import impression_uniform
 
 from conftest import decide, forecast_replay, make_contract
 from _qp_oracle import random_instance, solve_reference
@@ -88,7 +88,7 @@ def test_criterion_3_truncation_rule_probabilities():
         n = 100_000
         hits = Counter()
         for i in range(n):
-            u = _impression_uniform(29, i)
+            u = impression_uniform(29, i)
             hits[decide(plan, ["males", "age5"], u)] += 1
         for key, p in (("males", 0.25), ("age5", 0.625), (None, 0.125)):
             se = (p * (1 - p) / n) ** 0.5

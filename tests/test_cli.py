@@ -248,7 +248,7 @@ class TestDecisionLines:
         for n, ev in enumerate(sim.load_impressions(tmp_path / "impressions.jsonl")):
             cands = [c.id for c in contracts if c.id in plan and c.in_flight(ev.ts)
                      and tg.eligible(ev.attributes, c.targeting)]
-            u = sim._impression_uniform(seed, n)
+            u = sim.impression_uniform(seed, n)
             probs = plan.effective_probs(cands)
             sel = kernels.draw_index([p for _, p in probs], u)
             lines.append(json.dumps({
@@ -504,6 +504,7 @@ class TestBadConfig:
         ({"feedback": 3}, "feedback"),
         ({"forecast_error_per_node": {"n1": "2"}}, "forecast_error_per_node:"),
         ({"sim_start": 5}, "sim_start"),
+        ({"baseline_comparator": "false"}, "baseline_comparator"),
     ])
     def test_bad_field_names_file_and_field(self, scen, tmp_path, capsys, cfg, field):
         path = tmp_path / "config.json"

@@ -205,7 +205,7 @@ class TestServe:
         attrs, ts = {"x": "1"}, FLIGHT_START
         p1 = probs[0][1]
         for u, chosen in ((0.0, 0), (p1 - 1e-9, 0), (p1, 1)):
-            ids, ps, sel = server.draw(sim._attrs_key(attrs), attrs, ts, u)
+            ids, ps, sel = server.draw(sim.attrs_key(attrs), attrs, ts, u)
             assert sel == chosen
             assert list(zip(ids, ps)) == probs
 

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from gdserve import hwm, model
-from gdserve.simulate import _impression_uniform
+from gdserve.simulate import impression_uniform
 from conftest import decide, make_contract
 
 
@@ -152,7 +152,7 @@ class TestServe:
         def frequencies(seed, count, offset=0):
             hits = Counter()
             for i in range(count):
-                u = _impression_uniform(seed, offset + i)
+                u = impression_uniform(seed, offset + i)
                 hits[decide(plan, eligible, u)] += 1
             return hits
 

@@ -1,13 +1,16 @@
 import math
+import random
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
 
-from gdserve import hwm, model, simulate as sim, targeting as tg
+from gdserve import hwm, metrics as mx, model, simulate as sim, targeting as tg
 from gdserve.dual import DualPlan, solve_dual_offline
 from gdserve.kernels import draw_index
-from gdserve.feedback import FeedbackConfig
+from gdserve.feedback import DeliveryState, FeedbackConfig, apply_feedback, linear_goal
 from gdserve.scenario import ScenarioSpec, generate_scenario
 from conftest import FLIGHT_START, make_contract
 from _scenarios import daily_reopt_config, sold_out_future, uniform_single_contract
@@ -204,8 +207,8 @@ class TestEligibilityIndex:
         spec = ScenarioSpec(num_contracts=10, num_attributes=3, seed=8, days=3,
                             daily_traffic=1000)
         graph, events = generate_scenario(spec)
-        on_graph = {sim._attrs_key(n.attributes) for n in graph.supply_nodes}
-        off_graph = {sim._attrs_key(ev.attributes) for ev in events} - on_graph
+        on_graph = {sim.attrs_key(n.attributes) for n in graph.supply_nodes}
+        off_graph = {sim.attrs_key(ev.attributes) for ev in events} - on_graph
         assert off_graph
         return graph, events, off_graph
 
@@ -218,7 +221,7 @@ class TestEligibilityIndex:
             # The same set with its attributes inserted in reverse order.
             reordered = dict(reversed(list(ev.attributes.items())))
             for attrs in (ev.attributes, reordered):
-                ids = index.lookup(sim._attrs_key(attrs), attrs)
+                ids = index.lookup(sim.attrs_key(attrs), attrs)
                 got = sorted(cid for cid in ids if cid in plan
                              and graph.contract_by_id[cid].in_flight(ev.ts))
                 want = sorted(c.id for c in graph.contracts
@@ -236,7 +239,7 @@ class TestEligibilityIndex:
         def counting(attrs, expr):
             # Count whole-expression walks, not the recursive calls inside.
             if depth[0] == 0:
-                walked[sim._attrs_key(attrs)] += 1
+                walked[sim.attrs_key(attrs)] += 1
             depth[0] += 1
             try:
                 return walk(attrs, expr)
@@ -246,7 +249,7 @@ class TestEligibilityIndex:
         monkeypatch.setattr(tg, "eligible", counting)
         for _ in range(2):
             for ev in events:
-                index.lookup(sim._attrs_key(ev.attributes), ev.attributes)
+                index.lookup(sim.attrs_key(ev.attributes), ev.attributes)
         assert walked == {key: len(graph.contracts) for key in off_graph}
 
 
@@ -262,8 +265,8 @@ class TestServer:
         edges = sorted({t for c in graph.contracts for t in (c.start, c.end)})
         visits = [sim.ImpressionEvent(f"edge{i}-{j}", t, events[i * 37 + j].attributes)
                   for i, t in enumerate(edges) for j in range(6)]
-        on_graph = {sim._attrs_key(n.attributes) for n in graph.supply_nodes}
-        assert any(sim._attrs_key(ev.attributes) not in on_graph for ev in events)
+        on_graph = {sim.attrs_key(n.attributes) for n in graph.supply_nodes}
+        assert any(sim.attrs_key(ev.attributes) not in on_graph for ev in events)
         # Visits out of stream order: the memo must not depend on it.
         return graph, visits + events[::-1]
 
@@ -292,14 +295,14 @@ class TestServer:
         server = sim.Server(Counting(), sim.EligibilityIndex(graph.contracts, graph),
                             graph.contracts)
         for ev in events:
-            cands = server.candidates(sim._attrs_key(ev.attributes), ev.attributes, ev.ts)
+            cands = server.candidates(sim.attrs_key(ev.attributes), ev.attributes, ev.ts)
             want = [c.id for c in graph.contracts if tg.eligible(ev.attributes, c.targeting)
                     and c.id in plan and c.in_flight(ev.ts)]
             assert sorted(cands) == sorted(want), (ev.attributes, ev.ts)
             ids, probs = server.slice(cands)
             assert list(zip(ids, probs)) == plan.effective_probs(want)
-            u = sim._impression_uniform(which, len(evaluated))
-            assert server.draw(sim._attrs_key(ev.attributes), ev.attributes, ev.ts,
+            u = sim.impression_uniform(which, len(evaluated))
+            assert server.draw(sim.attrs_key(ev.attributes), ev.attributes, ev.ts,
                                u) == (ids, probs, draw_index(probs, u))
         assert evaluated and set(evaluated.values()) == {1}
 
@@ -339,7 +342,7 @@ class TestServer:
             if not cands:
                 continue
             probs = plan.effective_probs(cands)
-            sel = draw_index([p for _, p in probs], sim._impression_uniform(cfg.seed, idx))
+            sel = draw_index([p for _, p in probs], sim.impression_uniform(cfg.seed, idx))
             if sel >= 0:
                 delivered[probs[sel][0]] += 1.0
         assert capped_early
@@ -408,6 +411,264 @@ class TestCallTimeLookups:
         assert len(calls) == len(events) > 0
 
 
+def reference_run(graph, events, cfg, algorithm):
+    """The engine written out per impression, as a reference: each in-window
+    impression is bucketed by (ts - sim_start) // period, its candidates
+    come from every contract's targeting, sampled mode draws once per
+    impression and drops nothing but filters contracts that met their
+    booked demand, and expected mode sums each contract's per-impression
+    probabilities with `math.fsum`."""
+    assert cfg.per_node_error is None
+    sampled = cfg.mode == "sampled"
+    period = timedelta(hours=cfg.reopt_period_hours)
+    bounds = [cfg.sim_start]
+    while bounds[-1] < cfg.sim_end:
+        bounds.append(min(bounds[-1] + period, cfg.sim_end))
+    n_cycles = len(bounds) - 1
+    buckets = [[] for _ in range(n_cycles)]
+    skipped = 0
+    for idx, ev in enumerate(events):
+        if cfg.sim_start <= ev.ts < cfg.sim_end:
+            buckets[min((ev.ts - cfg.sim_start) // period, n_cycles - 1)].append((idx, ev))
+        else:
+            skipped += 1
+
+    def node_of(attrs):
+        return next((n.id for n in graph.supply_nodes if n.attributes == attrs), None)
+
+    counts = [Counter(node_of(ev.attributes) for _, ev in bucket) for bucket in buckets]
+    contracts = graph.contracts
+    instants = sorted({t for c in contracts for t in (c.start, c.end)})
+    delivered = {c.id: 0.0 for c in contracts}
+    boost = {c.id: False for c in contracts}
+    rates = {c.id: [] for c in contracts}
+    timeseries = []
+    capped_mid_phase = set()
+    pacer = sim._BaseController()
+
+    def traffic(k):
+        if not 0 <= k < n_cycles:
+            return {}
+        hours = (bounds[k + 1] - bounds[k]).total_seconds() / 3600.0
+        return {c.id: sum(counts[k][nid] for nid in graph.nodes_of[c.id]) / hours
+                for c in contracts}
+
+    for k, bucket in enumerate(buckets):
+        start, end = bounds[k], bounds[k + 1]
+        planning = []
+        for c in contracts:
+            remaining = c.booked_demand - delivered[c.id]
+            if remaining <= 0 or c.end <= start:
+                continue
+            reported = remaining
+            if cfg.feedback is not None:
+                state = DeliveryState(delivered[c.id], linear_goal(c, start),
+                                      remaining, boost[c.id])
+                reported, boost[c.id] = apply_feedback(
+                    state, c, start, cfg.feedback, cfg.reopt_period_hours)
+            planning.append(model.replan_contract(c, reported))
+        plan = None
+        if planning:
+            ids = {c.id for c in planning}
+            nodes = [replace(n, forecast_supply=float(sum(counts[j][n.id]
+                                                          for j in range(k, n_cycles)))
+                             * cfg.forecast_error_multiplier)
+                     for n in graph.supply_nodes]
+            planning_graph = model.AllocationGraph(
+                nodes, planning, [(s, c) for s, c in graph.edges if c in ids])
+            if algorithm == "hwm":
+                plan = hwm.generate_hwm_plan(planning_graph, validate=False)
+            elif algorithm == "dual":
+                plan = solve_dual_offline(planning_graph, validate=False)
+            else:
+                plan = pacer.replan(planning_graph, start, delivered,
+                                    traffic(k - 1), traffic(k))
+        alphas = {e.contract_id: e.alpha for e in plan.entries} if plan else {}
+        for c in contracts:
+            rates[c.id].append(alphas.get(c.id))
+        if plan is not None:
+            contribs = {c.id: [] for c in planning}
+            capped_at = {}
+            for idx, ev in bucket:
+                cands = []
+                for c in contracts:
+                    if not (c.id in plan and c.in_flight(ev.ts)
+                            and tg.eligible(ev.attributes, c.targeting)):
+                        continue
+                    if sampled and delivered[c.id] >= c.booked_demand:
+                        if c.id in capped_at and not any(
+                                capped_at[c.id] < t <= ev.ts for t in instants):
+                            capped_mid_phase.add(c.id)
+                        continue
+                    cands.append(c.id)
+                probs = plan.effective_probs(cands)
+                if sampled:
+                    sel = draw_index([p for _, p in probs],
+                                     sim.impression_uniform(cfg.seed, idx))
+                    if sel >= 0:
+                        cid = probs[sel][0]
+                        delivered[cid] += 1.0
+                        if delivered[cid] >= graph.contract_by_id[cid].booked_demand:
+                            capped_at[cid] = ev.ts
+                else:
+                    for cid, p in probs:
+                        if p > 0.0:
+                            contribs[cid].append(p)
+            for c in planning:
+                booked = graph.contract_by_id[c.id].booked_demand
+                delivered[c.id] = min(booked, delivered[c.id] + math.fsum(contribs[c.id]))
+        for c in contracts:
+            if c.start <= end <= c.end:
+                timeseries.append(mx.TimeseriesRow(end, c.id, delivered[c.id],
+                                                   linear_goal(c, end)))
+    in_window = sum(len(b) for b in buckets)
+    return dict(cycle_bounds=bounds, rates=rates, timeseries=timeseries,
+                delivered=delivered, in_window=in_window, skipped=skipped,
+                unallocated=in_window - math.fsum(delivered.values()),
+                buckets=buckets, capped_mid_phase=capped_mid_phase)
+
+
+class TestRangeServingMatchesReference:
+    """The engine serves each cycle as an index range of the sorted stream
+    and, in expected mode, counts visits per (attribute set, flight phase);
+    its reports equal `reference_run`'s per-impression loop, bit for bit."""
+
+    PERIOD_H = 7.0
+
+    @classmethod
+    def scenario(cls):
+        spec = ScenarioSpec(num_contracts=8, num_attributes=3, seed=5, days=3,
+                            daily_traffic=1200)
+        graph, events = generate_scenario(spec)
+        period = timedelta(hours=cls.PERIOD_H)
+        sim_start = spec.start + timedelta(hours=1)
+        # 69 h: off the 7 h grid, so the last cycle is 6 h long.
+        sim_end = spec.start + timedelta(days=3, hours=-2)
+        empty = (sim_start + 4 * period, sim_start + 5 * period)
+        grid = [sim_start + k * period for k in range(10)] + [sim_end]
+        instants = sorted({t for c in graph.contracts for t in (c.start, c.end)})
+        edges = grid + [sim_start - timedelta(minutes=5), sim_end + timedelta(minutes=5)]
+        extra = [sim.ImpressionEvent(f"edge{i}-{j}", t, events[(7 * i + j) % len(events)]
+                                     .attributes)
+                 for i, t in enumerate(edges) for j in range(3)]
+        # On each flight's start and end, visits from each of its nodes.
+        extra += [sim.ImpressionEvent(f"{c.id}-{which}-{nid}", t,
+                                      graph.node_by_id[nid].attributes)
+                  for c in graph.contracts
+                  for which, t in (("start", c.start), ("end", c.end))
+                  for nid in graph.nodes_of[c.id]]
+        stream = sorted((ev for ev in events + extra
+                         if not empty[0] <= ev.ts < empty[1]), key=lambda ev: ev.ts)
+        # Flight starts or ends strictly inside a cycle, with visits on them.
+        assert any((t - sim_start) % period and sim_start < t < sim_end
+                   and not empty[0] <= t < empty[1] for t in instants)
+        return graph, stream, sim_start, sim_end
+
+    # A forecast of 0.4 times the truth runs rates high, so contracts meet
+    # their demand part way through a cycle; at 1.25 times the truth few
+    # do, so that the cap hides no serving difference.
+    @pytest.mark.parametrize("forecast", [0.4, 1.25])
+    @pytest.mark.parametrize("mode, shards", [("sampled", 1), ("expected", 1),
+                                              ("expected", 3)])
+    @pytest.mark.parametrize("algorithm", ["hwm", "dual", "base"])
+    def test_report_equals_reference(self, algorithm, mode, shards, forecast):
+        graph, events, sim_start, sim_end = self.scenario()
+        cfg = sim.SimulationConfig(
+            algorithm="dual" if algorithm == "dual" else "hwm", mode=mode, shards=shards,
+            reopt_period_hours=self.PERIOD_H, forecast_error_multiplier=forecast,
+            seed=23, feedback=FeedbackConfig(), sim_start=sim_start, sim_end=sim_end)
+        run = sim.baseline_pacing if algorithm == "base" else sim.run_simulation
+        report = run(graph, events, cfg)
+        ref = reference_run(graph, events, cfg, algorithm)
+
+        assert [len(b) for b in ref["buckets"]].count(0) == 1
+        assert ref["skipped"] >= 6
+        assert report.cycle_bounds == ref["cycle_bounds"]
+        assert report.rates == ref["rates"]
+        assert report.timeseries == ref["timeseries"]
+        assert report.delivered_by_id() == ref["delivered"]
+        assert report.impressions_in_window == ref["in_window"]
+        assert report.impressions_skipped == ref["skipped"]
+        assert report.unallocated == ref["unallocated"]
+        if forecast < 1.0 and mode == "sampled":
+            assert ref["capped_mid_phase"]
+        elif forecast < 1.0:
+            assert any(ref["delivered"][c.id] == c.booked_demand for c in graph.contracts)
+
+
+class TestExactUnits:
+    """A count-weighted sum of `exact_units`, divided once by 2^1074, is
+    `math.fsum` of the list with each value repeated count times."""
+
+    @staticmethod
+    def weighted(terms):
+        return sum(n * sim.exact_units(p) for p, n in terms) / 2 ** 1074
+
+    @staticmethod
+    def expanded(terms):
+        return math.fsum(p for p, n in terms for _ in range(n))
+
+    @staticmethod
+    def full_mantissa(rng, lo_exp, hi_exp):
+        # 53 significant bits: a random odd-ended mantissa at a random scale.
+        mantissa = (1 << 52) | rng.getrandbits(52) | 1
+        return math.ldexp(mantissa, rng.randint(lo_exp, hi_exp) - 52)
+
+    def test_matches_fsum_bit_for_bit(self):
+        rng = random.Random(1074)
+        for trial in range(300):
+            terms = []
+            for _ in range(rng.randint(1, 40)):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    p = self.full_mantissa(rng, -30, -1)
+                elif kind == 1:
+                    p = 1.0 - self.full_mantissa(rng, -60, -20)
+                elif kind == 2:
+                    p = math.ldexp(rng.getrandbits(52) | 1, -1074)   # subnormal
+                else:
+                    p = self.full_mantissa(rng, -1000, -600)
+                terms.append((p, rng.randint(1, 1000)))
+            got, want = self.weighted(terms), self.expanded(terms)
+            assert got.hex() == want.hex(), (trial, terms)
+
+    @pytest.mark.parametrize("terms", [
+        [(1.0, 1), (2.0 ** -53, 1)],                       # tie, rounds to even
+        [(1.0 + 2.0 ** -52, 1), (2.0 ** -53, 1)],          # tie, rounds up to even
+        [(1.0, 1), (2.0 ** -53, 1), (2.0 ** -1074, 1)],    # just past the tie
+        [(0.1, 1000), (0.7, 3), (5e-324, 999)],
+        [(2.0 ** -1074, 1)],
+        [(0.0, 5)],
+    ])
+    def test_ties_and_extremes(self, terms):
+        assert self.weighted(terms).hex() == self.expanded(terms).hex()
+
+
+class TestMemory:
+    """Serving keeps a timestamp and a set id per impression and nothing
+    else per impression: the traced peak of `run_simulation` on a
+    12-contract week stays under 48 bytes per in-window impression."""
+
+    @pytest.fixture(scope="class")
+    def week(self):
+        graph, events = generate_scenario(ScenarioSpec(num_contracts=12, seed=3, days=7))
+        assert len(events) == 56_790
+        return graph, events
+
+    @pytest.mark.parametrize("mode", ["expected", "sampled"])
+    def test_peak_bytes_per_impression(self, week, mode):
+        graph, events = week
+        cfg = sim.SimulationConfig(algorithm="hwm", mode=mode, reopt_period_hours=24.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = sim.run_simulation(graph, events, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / report.impressions_in_window < 48
+
+
 def _splitmix64(state: int):
     """SplitMix64 (Steele, Lea & Flood, OOPSLA 2014), written out as a
     reference: advance the state by the golden gamma, then mix it."""
@@ -421,7 +682,7 @@ def _splitmix64(state: int):
 
 
 class TestImpressionUniform:
-    u = staticmethod(sim._impression_uniform)
+    u = staticmethod(sim.impression_uniform)
 
     def test_deterministic_and_in_unit_interval(self):
         grid = [(s, i) for s in (0, 1, 41, -3, 2 ** 70) for i in range(2000)]
