@@ -23,10 +23,10 @@ from .feedback import (DeliveryState, FeedbackConfig, apply_feedback,
 from .metrics import (MetricsError, SmoothnessSeries, TimeseriesRow,
                       build_smoothness, delivery_improvement, nearest_rank,
                       smoothness_quantile, underdelivery_fraction)
-from .simulate import (EligibilityIndex, ImpressionEvent, Server,
-                       SimulationConfig, SimulationError, SimulationReport,
-                       baseline_pacing, load_config, load_impressions,
-                       run_simulation, save_impressions,
+from .simulate import (EligibilityIndex, ImpressionEvent, ImpressionStream,
+                       Server, SimulationConfig, SimulationError,
+                       SimulationReport, baseline_pacing, load_config,
+                       load_impressions, run_simulation, save_impressions,
                        terminal_delivery_error, terminal_delivery_error_bound,
                        write_report)
 from .scenario import ScenarioSpec, demo_graph, generate_scenario

@@ -103,21 +103,25 @@ def cmd_serve(args) -> int:
     server = sim.Server(plan, sim.EligibilityIndex(planned), planned)
     # Each line is the bytes json.dumps writes for the decision dict
     # {"impression_id", "chosen", "probs", "u"}, put together from the
-    # JSON of each plan id and of each slice's "probs", made once.
+    # JSON of each plan id and of each slice's "probs", made once; an
+    # impression id is encoded by the function json.dumps uses for a str.
     id_json = {cid: json.dumps(cid) for cid in plan_ids}
     probs_json: Dict[Tuple[str, ...], str] = {}
+    encode_str = json.encoder.encode_basestring_ascii
+    # Impressions are read row by row; only their attribute sets are kept.
+    sets = sim.ImpressionStream()
+    keys, attrs = sets.keys, sets.attrs
     written = 0
     with open(args.out, "w", encoding="utf-8") as out:
-        for n, ev in enumerate(sim.iter_impressions(args.impressions)):
+        for n, (imp_id, ts, sid) in enumerate(sim.iter_impressions(args.impressions, sets)):
             u = sim.impression_uniform(seed, n)
-            ids, probs, sel = server.draw(sim.attrs_key(ev.attributes),
-                                          ev.attributes, ev.ts, u)
+            ids, probs, sel = server.draw(keys[sid], attrs[sid], ts, u)
             text = probs_json.get(ids)
             if text is None:
                 text = probs_json[ids] = json.dumps(
                     [[cid, p] for cid, p in zip(ids, probs)])
             chosen = id_json[ids[sel]] if sel >= 0 else "null"
-            out.write(f'{{"impression_id": {json.dumps(ev.id)}, "chosen": {chosen}, '
+            out.write(f'{{"impression_id": {encode_str(imp_id)}, "chosen": {chosen}, '
                       f'"probs": {text}, "u": {u!r}}}\n')
             written += 1
     print(f"wrote {written} decisions to {args.out}", file=sys.stderr)

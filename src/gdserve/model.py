@@ -29,8 +29,11 @@ def parse_ts(text: str) -> datetime:
     """Parse an ISO-8601 timestamp ('Z' suffix accepted).
 
     Zone-aware stamps are converted to UTC and returned naive, so inputs
-    with mixed conventions stay comparable.
+    with mixed conventions stay comparable.  Anything but a string (a JSON
+    number, null) raises ValueError, which loaders report with the line.
     """
+    if type(text) is not str:
+        raise ValueError(f"timestamp must be an ISO-8601 string, got {text!r}")
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
     ts = datetime.fromisoformat(text)

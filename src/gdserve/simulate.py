@@ -11,8 +11,12 @@ multiplier, and the chosen planner runs again: `generate_hwm_plan`,
 serving is stateless: each impression's decision depends only on the
 current plan and the impression itself.
 
-The stream is read once, into a list of timestamps and one attribute-set
-id per impression, with one key and one attribute map per distinct set.
+The engine reads an `ImpressionStream`: columns of ids, timestamps and one
+attribute-set id per impression, with one attribute map and one key per
+distinct set.  `load_impressions` reads a file straight into one through
+`iter_impressions`, the line reader `gdserve serve` streams from too: each
+line is decoded once and each distinct set checked and keyed once.  Any
+other sequence of `ImpressionEvent`s is turned into one by one pass.
 Because the stream is sorted, each cycle is a contiguous index range, found
 by bisecting the timestamps at the cycle bounds, and a supply node's
 impressions in a cycle (from which re-plans restate the forecast) are a
@@ -52,7 +56,11 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import islice
+from operator import gt
+from sys import intern
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from . import metrics as mx
 from . import targeting as tg
@@ -232,6 +240,61 @@ def attrs_key(attrs: Mapping[str, str]) -> AttrsKey:
     return tuple(sorted(attrs.items()))
 
 
+class ImpressionStream(Sequence[ImpressionEvent]):
+    """An impression stream held as columns, with its attribute sets interned.
+
+    Impression i is `ids[i]`, `ts[i]` and attribute set `set_ids[i]`; set s
+    has the attribute map `attrs[s]` and its `attrs_key`, `keys[s]`.  A set
+    is a distinct map in its own key order, so equal maps written in two
+    orders are two sets with equal keys, and every impression keeps the
+    order it was read in.  Indexing and iteration give `ImpressionEvent`s;
+    the events of one set share its map, which is not to be changed.
+    """
+
+    def __init__(self):
+        self.ids: List[str] = []
+        self.ts: List[datetime] = []
+        self.set_ids: List[int] = []
+        self.attrs: List[Mapping[str, str]] = []
+        self.keys: List[AttrsKey] = []
+        self._set_of_items: Dict[Tuple[Tuple[str, str], ...], int] = {}
+
+    @classmethod
+    def of(cls, events: Iterable[ImpressionEvent]) -> "ImpressionStream":
+        """`events` as a stream: a stream itself, else one built in one pass."""
+        if isinstance(events, cls):
+            return events
+        stream = cls()
+        for ev in events:
+            stream.ids.append(ev.id)
+            stream.ts.append(ev.ts)
+            stream.set_ids.append(stream.set_id(ev.attributes))
+        return stream
+
+    def set_id(self, attrs: Mapping[str, str]) -> int:
+        """The id of the set `attrs`, added if it is new."""
+        items = tuple(attrs.items())
+        sid = self._set_of_items.get(items)
+        if sid is None:
+            sid = self._set_of_items[items] = len(self.attrs)
+            self.attrs.append(attrs)
+            self.keys.append(tuple(sorted(items)))      # attrs_key(attrs)
+        return sid
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return ImpressionEvent(self.ids[i], self.ts[i], self.attrs[self.set_ids[i]])
+
+    def __iter__(self) -> Iterator[ImpressionEvent]:
+        attrs = self.attrs
+        for imp_id, t, sid in zip(self.ids, self.ts, self.set_ids):
+            yield ImpressionEvent(imp_id, t, attrs[sid])
+
+
 class EligibilityIndex:
     """Eligible contract ids per attribute set, built once per run.
 
@@ -402,36 +465,13 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
     n_cycles = len(bounds) - 1
     cycle_hours = cfg.reopt_period_hours
 
-    # One pass over the stream: each impression's timestamp and the id of
-    # its attribute set, with one key and one attribute map per distinct
-    # set.  A set is first looked up by its items in insertion order, which
-    # spares the sort of `attrs_key` for every impression but the first of
-    # each order.
-    ts: List[datetime] = []
-    set_ids: List[int] = []
-    keys: List[AttrsKey] = []
-    attrs_of_set: List[Mapping[str, str]] = []
-    id_of_key: Dict[AttrsKey, int] = {}
-    id_of_items: Dict[Tuple[Tuple[str, str], ...], int] = {}
-    prev_ts = None
-    for ev in impressions:
-        t = ev.ts
-        if prev_ts is not None and t < prev_ts:
-            raise SimulationError(
-                f"impression {ev.id} at {t.isoformat()} is out of order")
-        prev_ts = t
-        ts.append(t)
-        items = tuple(ev.attributes.items())
-        sid = id_of_items.get(items)
-        if sid is None:
-            key = attrs_key(ev.attributes)
-            sid = id_of_key.get(key)
-            if sid is None:
-                sid = id_of_key[key] = len(keys)
-                keys.append(key)
-                attrs_of_set.append(ev.attributes)
-            id_of_items[items] = sid
-        set_ids.append(sid)
+    stream = ImpressionStream.of(impressions)
+    ts, set_ids = stream.ts, stream.set_ids
+    keys, attrs_of_set = stream.keys, stream.attrs
+    if any(map(gt, ts, islice(ts, 1, None))):
+        i = next(i for i in range(1, len(ts)) if ts[i] < ts[i - 1])
+        raise SimulationError(
+            f"impression {stream.ids[i]} at {ts[i].isoformat()} is out of order")
 
     # The stream is sorted, so cycle k is the index range
     # [starts[k], starts[k + 1]); count each supply node's impressions in it.
@@ -583,23 +623,51 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
 # File formats
 # ---------------------------------------------------------------------------
 
-def load_impressions(path) -> List[ImpressionEvent]:
-    """Read impressions.jsonl: {"id", "ts", "attributes"} per line."""
-    return list(iter_impressions(path))
+def load_impressions(path) -> ImpressionStream:
+    """Read impressions.jsonl (see `iter_impressions`) into a stream."""
+    stream = ImpressionStream()
+    ids, ts, set_ids = stream.ids, stream.ts, stream.set_ids
+    for imp_id, t, sid in iter_impressions(path, stream):
+        ids.append(imp_id)
+        ts.append(t)
+        set_ids.append(sid)
+    return stream
 
 
-def iter_impressions(path) -> Iterable[ImpressionEvent]:
+_decode = json.JSONDecoder().raw_decode
+
+
+def iter_impressions(path, sets: ImpressionStream) -> Iterator[Tuple[str, datetime, int]]:
+    """Rows (id, ts, set id) of impressions.jsonl, one per non-blank line.
+
+    A line holds one JSON object {"id", "ts", "attributes"}, and nothing
+    else, as `json.loads` requires.  The set id indexes `sets.attrs` and
+    `sets.keys`: a set first seen is checked by `model.record_attributes`
+    and added to `sets`, and a later line with the same items in the same
+    order is matched to it without a check.  A bad line raises
+    GraphDataError as `path:line`.
+    """
+    known = sets._set_of_items
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-                yield ImpressionEvent(str(rec["id"]), parse_ts(rec["ts"]),
-                                      record_attributes(rec))
+                rec, end = _decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
+                try:
+                    sid = known[tuple(rec["attributes"].items())]
+                except (KeyError, TypeError, AttributeError):
+                    # A set not seen yet, or one record_attributes rejects.
+                    # Its strings are interned, so sets share names and values.
+                    sid = sets.set_id({intern(name): intern(value) for name, value
+                                       in record_attributes(rec).items()})
+                row = (str(rec["id"]), parse_ts(rec["ts"]), sid)
             except (KeyError, ValueError, TypeError) as exc:
                 raise GraphDataError(f"{path}:{lineno}: bad impression: {exc}") from exc
+            yield row
 
 
 def save_impressions(events: Sequence[ImpressionEvent], path) -> None:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -351,8 +352,10 @@ class TestServer:
 
 class TestCallTimeLookups:
     """`simulate` reads `generate_hwm_plan`, `solve_dual_offline` and
-    `draw_index` from its module globals at each call, so a wrapper set
-    there (perfbench's traced runs count calls this way) sees every call."""
+    `draw_index` from its module globals at each call, and `load_impressions`
+    and `gdserve serve` read rows through `simulate.iter_impressions`, so a
+    wrapper set there (perfbench's traced runs count calls and time the
+    parse this way) sees every call and every row."""
 
     def scenario(self):
         graph, events = generate_scenario(ScenarioSpec(
@@ -409,6 +412,144 @@ class TestCallTimeLookups:
                          "--impressions", str(tmp_path / "impressions.jsonl"),
                          "--out", str(tmp_path / "decisions.jsonl")]) == 0
         assert len(calls) == len(events) > 0
+
+    def counting_rows(self, monkeypatch):
+        rows = []
+        original = sim.iter_impressions
+
+        def wrapper(*args, **kw):
+            for row in original(*args, **kw):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(sim, "iter_impressions", wrapper)
+        return rows
+
+    def test_load_impressions_reads_rows_through_iter_impressions(
+            self, monkeypatch, tmp_path):
+        _, events = self.scenario()
+        sim.save_impressions(events, tmp_path / "impressions.jsonl")
+        rows = self.counting_rows(monkeypatch)
+        stream = sim.load_impressions(tmp_path / "impressions.jsonl")
+        assert len(rows) == len(stream) == len(events) > 0
+        assert [r[0] for r in rows] == stream.ids
+
+    def test_gdserve_serve_reads_rows_through_iter_impressions(
+            self, monkeypatch, tmp_path):
+        from gdserve import cli
+        graph, events = self.scenario()
+        model.save_supply(graph.supply_nodes, tmp_path / "supply.jsonl")
+        model.save_contracts(graph.contracts, tmp_path / "contracts.jsonl")
+        sim.save_impressions(events, tmp_path / "impressions.jsonl")
+        assert cli.main(["plan", "--supply", str(tmp_path / "supply.jsonl"),
+                         "--contracts", str(tmp_path / "contracts.jsonl"),
+                         "--out", str(tmp_path / "plan.jsonl")]) == 0
+        rows = self.counting_rows(monkeypatch)
+        assert cli.main(["serve", "--plan", str(tmp_path / "plan.jsonl"),
+                         "--contracts", str(tmp_path / "contracts.jsonl"),
+                         "--impressions", str(tmp_path / "impressions.jsonl"),
+                         "--out", str(tmp_path / "decisions.jsonl")]) == 0
+        assert len(rows) == len(events) > 0
+
+
+def reference_events(path):
+    """impressions.jsonl read one `json.loads` per non-blank line."""
+    events = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                rec = json.loads(line)
+                events.append(sim.ImpressionEvent(
+                    str(rec["id"]), model.parse_ts(rec["ts"]), rec.get("attributes", {})))
+    return events
+
+
+class TestImpressionReader:
+    """`load_impressions` gives the events a per-line `json.loads` reader
+    gives, as an `ImpressionStream` that the engine serves unchanged."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        _, events = generate_scenario(ScenarioSpec(
+            num_contracts=6, num_attributes=3, seed=4, days=2, daily_traffic=600))
+        # One set in a second key order, and an impression with no attributes.
+        ev = events[5]
+        events[7] = sim.ImpressionEvent(
+            events[7].id, events[7].ts, dict(reversed(list(ev.attributes.items()))))
+        events[9] = sim.ImpressionEvent(events[9].id, events[9].ts, {})
+        assert len(ev.attributes) > 1
+        path = tmp_path / "impressions.jsonl"
+        sim.save_impressions(events, path)
+        return path
+
+    def test_stream_equals_per_line_reference(self, path):
+        ref = reference_events(path)
+        stream = sim.load_impressions(path)
+        assert isinstance(stream, sim.ImpressionStream)
+        assert len(stream) == len(ref)
+        assert list(stream) == ref
+        for i in (0, 1, len(ref) // 2, len(ref) - 1, -1, -2, -len(ref)):
+            assert stream[i] == ref[i]
+        assert stream[3:9] == ref[3:9]
+        with pytest.raises(IndexError):
+            stream[len(ref)]
+        # Key order is kept per impression; equal maps share one key.
+        assert list(stream[7].attributes) == list(reversed(list(stream[5].attributes)))
+        assert stream.keys[stream.set_ids[7]] == stream.keys[stream.set_ids[5]]
+        assert stream[9].attributes == {}
+
+    def test_save_round_trips_bytes(self, path, tmp_path):
+        sim.save_impressions(sim.load_impressions(path), tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+    def test_each_set_checked_once(self, path, monkeypatch):
+        checked = []
+        original = sim.record_attributes
+        monkeypatch.setattr(sim, "record_attributes",
+                            lambda rec: checked.append(1) or original(rec))
+        stream = sim.load_impressions(path)
+        orders = {tuple(ev.attributes.items()) for ev in reference_events(path)}
+        assert len(checked) == len(stream.attrs) == len(orders) < len(stream)
+
+    def test_stream_and_list_simulate_alike(self, path):
+        graph, _ = generate_scenario(ScenarioSpec(
+            num_contracts=6, num_attributes=3, seed=4, days=2, daily_traffic=600))
+        stream = sim.load_impressions(path)
+        assert sim.ImpressionStream.of(stream) is stream
+        for mode in ("expected", "sampled"):
+            cfg = sim.SimulationConfig(reopt_period_hours=6.0, mode=mode, seed=3)
+            assert sim.run_simulation(graph, stream, cfg) == \
+                sim.run_simulation(graph, list(stream), cfg)
+
+    GOOD = '{"id": "i1", "ts": "2026-03-02T00:00:00", "attributes": {"a": "1"}}'
+
+    @pytest.mark.parametrize("text, line", [
+        # A set equal in hash and items to a checked one except for a type.
+        (GOOD + '\n{"id": "i2", "ts": "2026-03-02T00:00:01", "attributes": {"a": 1}}\n', 2),
+        (GOOD + "\n" + GOOD + " " + GOOD + "\n", 2),
+        (GOOD + '\n["i2", "2026-03-02T00:00:01", {"a": "1"}]\n', 2),
+        (GOOD + '\n"i2"\n', 2),
+        # One record over two lines, which json.loads rejects line by line.
+        (GOOD + '\n{"id": "i2", "ts": "2026-03-02T00:00:01",\n"attributes": {"a": "1"}}\n', 2),
+        (GOOD + '\n{"id": "i2", "ts": 5, "attributes": {"a": "1"}}\n', 2),
+        (GOOD + '\n\n{"id": "i3", "attributes": {"a": "1"}}\n', 3),
+    ])
+    def test_bad_line_fails_with_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "impressions.jsonl"
+        path.write_text(text)
+        with pytest.raises(model.GraphDataError, match=f"{path}:{line}: bad impression"):
+            sim.load_impressions(path)
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_out_of_order_stream_names_impression(self, tmp_path, loaded):
+        graph, events = uniform_single_contract(days=2, per_day=10, demand=5)
+        events[6], events[7] = events[7], events[6]
+        if loaded:
+            sim.save_impressions(events, tmp_path / "impressions.jsonl")
+            events = sim.load_impressions(tmp_path / "impressions.jsonl")
+        with pytest.raises(sim.SimulationError,
+                           match=f"impression {events[7].id} at .* is out of order"):
+            sim.run_simulation(graph, events, daily_reopt_config(1.0))
 
 
 def reference_run(graph, events, cfg, algorithm):
@@ -667,6 +808,23 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert (peak - before) / report.impressions_in_window < 48
+
+    def test_loaded_bytes_per_impression(self, week, tmp_path):
+        """`load_impressions` keeps an id, a timestamp and a set id per
+        impression: under 192 retained bytes each (a parsed dict and an
+        event per line held about 620)."""
+        _, events = week
+        path = tmp_path / "impressions.jsonl"
+        sim.save_impressions(events, path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stream = sim.load_impressions(path)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == len(events)
+        assert retained / len(stream) < 192
 
 
 def _splitmix64(state: int):
