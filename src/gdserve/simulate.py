@@ -15,20 +15,23 @@ The engine reads an `ImpressionStream`: columns of ids, timestamps and one
 attribute-set id per impression, with one attribute map and one key per
 distinct set.  `load_impressions` reads a file straight into one through
 `iter_impressions`, the line reader `gdserve serve` streams from too: each
-line is decoded once and each distinct set checked and keyed once.  Any
-other sequence of `ImpressionEvent`s is turned into one by one pass.
-Because the stream is sorted, each cycle is a contiguous index range, found
-by bisecting the timestamps at the cycle bounds, and a supply node's
-impressions in a cycle (from which re-plans restate the forecast) are a
-count of set ids over that range.
+distinct set is checked and keyed once.  The reader parses speculatively
+(as Mison does, Li et al., VLDB 2017): a line in the layout
+`save_impressions` writes whose attributes text it has seen takes that
+text's set with no JSON decode, and any other line is decoded in full, with
+the same rows as a result.  Any other sequence of `ImpressionEvent`s is
+turned into a stream by one pass.  Because the stream is sorted, each cycle
+is a contiguous index range, found by bisecting the timestamps at the cycle
+bounds, and a supply node's impressions in a cycle (from which re-plans
+restate the forecast) are a count of set ids over that range.
 
 An impression's eligible contracts come from one `EligibilityIndex` per
 run: the graph's edges for an attribute set that is a supply node, and one
 walk of the targeting trees per other attribute set.  Each cycle serves
 through one `Server`, which remembers the candidates (eligible, planned, in
 flight) per attribute set and flight phase, and the plan's probabilities
-per candidate list.  `Server.draw` makes every sampled decision, here and
-in `gdserve serve`.
+per candidate list, one entry per distinct list.  `Server.draw` makes
+every sampled decision, here and in `gdserve serve`.
 
 Two serving modes are supported.  In "sampled" mode every impression draws a
 contract from its effective probabilities with one uniform (`Server.draw`),
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -349,42 +353,50 @@ class Server:
         self._served = {c.id: c for c in contracts if c.id in plan}
         self.instants = sorted({t for c in self._served.values()
                                 for t in (c.start, c.end)})
-        # One list per attribute set, indexed by phase, so that one key
-        # tuple is kept per set (`gdserve serve` makes a key per impression).
-        self._candidates: Dict[AttrsKey, List[Optional[Candidates]]] = {}
-        self._slices: Dict[Candidates, Slice] = {}
+        # One entry (candidates, slice) per distinct candidate tuple.  Each
+        # attribute set has one list of entries, indexed by phase, so equal
+        # candidates in two slots are one tuple, found in one lookup.
+        self._slices: Dict[Candidates, Tuple[Candidates, Slice]] = {}
+        self._candidates: Dict[AttrsKey, List[Optional[Tuple[Candidates, Slice]]]] = {}
 
-    def candidates(self, key: AttrsKey, attrs: Mapping[str, str],
-                   ts: datetime) -> Candidates:
-        """Ids served to `attrs` (whose `attrs_key` is `key`) at `ts`."""
+    def _entry(self, key: AttrsKey, attrs: Mapping[str, str],
+               ts: datetime) -> Tuple[Candidates, Slice]:
         phase = bisect_right(self.instants, ts)
         phases = self._candidates.get(key)
         if phases is None:
             phases = self._candidates[key] = [None] * (len(self.instants) + 1)
-        cands = phases[phase]
-        if cands is None:
+        entry = phases[phase]
+        if entry is None:
             served = self._served
-            cands = phases[phase] = tuple(
+            entry = phases[phase] = self._slice_entry(tuple(
                 cid for cid in self._index.lookup(key, attrs)
-                if cid in served and served[cid].in_flight(ts))
-        return cands
+                if cid in served and served[cid].in_flight(ts)))
+        return entry
+
+    def _slice_entry(self, cands: Candidates) -> Tuple[Candidates, Slice]:
+        entry = self._slices.get(cands)
+        if entry is None:
+            probs = self._plan.effective_probs(cands)
+            entry = self._slices[cands] = (cands, (tuple([cid for cid, _ in probs]),
+                                                   [p for _, p in probs]))
+        return entry
+
+    def candidates(self, key: AttrsKey, attrs: Mapping[str, str],
+                   ts: datetime) -> Candidates:
+        """Ids served to `attrs` (whose `attrs_key` is `key`) at `ts`."""
+        return self._entry(key, attrs, ts)[0]
 
     def slice(self, cands: Candidates) -> Slice:
         """`plan.effective_probs(cands)` as the ids in the plan's order and
         their probabilities, the list `draw_index` takes (two sequences
         hold less memory than the (id, probability) pairs)."""
-        sl = self._slices.get(cands)
-        if sl is None:
-            probs = self._plan.effective_probs(cands)
-            sl = self._slices[cands] = (tuple([cid for cid, _ in probs]),
-                                        [p for _, p in probs])
-        return sl
+        return self._slice_entry(cands)[1]
 
     def draw(self, key: AttrsKey, attrs: Mapping[str, str], ts: datetime,
              u: float) -> Tuple[Tuple[str, ...], List[float], int]:
         """One decision: the slice of the candidates of `attrs` at `ts`, and
         the index in it that the uniform `u` selects (-1: unallocated)."""
-        ids, probs = self.slice(self.candidates(key, attrs, ts))
+        ids, probs = self._entry(key, attrs, ts)[1]
         return ids, probs, draw_index(probs, u)
 
     def drop(self, contract_id: str) -> None:
@@ -450,6 +462,11 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
     runs set one) sees every call."""
     if not graph.contracts:
         raise SimulationError("no contracts to simulate")
+    for kind, items, by_id in (("contract", graph.contracts, graph.contract_by_id),
+                               ("supply node", graph.supply_nodes, graph.node_by_id)):
+        if len(by_id) != len(items):
+            dups = sorted(i for i, n in Counter(x.id for x in items).items() if n > 1)
+            raise SimulationError(f"duplicate {kind} ids: " + ", ".join(dups))
     unknown = sorted(set(cfg.per_node_error or ()) - set(graph.node_by_id))
     if unknown:
         raise SimulationError("forecast_error_per_node names no supply node: "
@@ -636,6 +653,13 @@ def load_impressions(path) -> ImpressionStream:
 
 _decode = json.JSONDecoder().raw_decode
 
+# The line `save_impressions` writes: a JSON string with no quote, backslash
+# or control character for the id and the timestamp, and an attributes
+# text that closes no brace before its last character.
+_PLAIN_STR = r'"([^"\\\x00-\x1f]*)"'
+_CANONICAL_LINE = re.compile(r'\{"id": ' + _PLAIN_STR + r', "ts": ' + _PLAIN_STR
+                             + r', "attributes": (\{[^}]*\})\}')
+
 
 def iter_impressions(path, sets: ImpressionStream) -> Iterator[Tuple[str, datetime, int]]:
     """Rows (id, ts, set id) of impressions.jsonl, one per non-blank line.
@@ -646,25 +670,49 @@ def iter_impressions(path, sets: ImpressionStream) -> Iterator[Tuple[str, dateti
     and added to `sets`, and a later line with the same items in the same
     order is matched to it without a check.  A bad line raises
     GraphDataError as `path:line`.
+
+    The JSON decoder runs once per distinct attributes text of the lines in
+    the layout `save_impressions` writes, `{"id": "<s>", "ts": "<s>",
+    "attributes": {...}}`, where each <s> holds no `"`, `\\` or control
+    character and the attributes text no `}` but its last character.  One
+    regex checks a line against that layout; if its attributes text was
+    decoded before in this call, the row is its id text, `parse_ts` of its
+    ts text and the set id remembered for that text.  Any other line, and
+    the first line of each text, is decoded in full, as above.  This is
+    exact.  In such a line each <s> decodes to itself.  The attributes
+    value must end at a `}`, and the only two left are the text's last
+    character and the line's: ending at the line's leaves the outer object
+    open.  So if one such line decodes, the value is the attributes text
+    alone, no key follows it, and every such line with the same text
+    decodes, to the same set, with id and ts as read.
     """
     known = sets._set_of_items
+    set_of_text: Dict[str, int] = {}
+    canonical = _CANONICAL_LINE.fullmatch
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec, end = _decode(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-                try:
-                    sid = known[tuple(rec["attributes"].items())]
-                except (KeyError, TypeError, AttributeError):
-                    # A set not seen yet, or one record_attributes rejects.
-                    # Its strings are interned, so sets share names and values.
-                    sid = sets.set_id({intern(name): intern(value) for name, value
-                                       in record_attributes(rec).items()})
-                row = (str(rec["id"]), parse_ts(rec["ts"]), sid)
+                m = canonical(line)
+                sid = None if m is None else set_of_text.get(m[3])
+                if sid is not None:
+                    row = (m[1], parse_ts(m[2]), sid)
+                else:
+                    rec, end = _decode(line)
+                    if end != len(line):
+                        raise json.JSONDecodeError("Extra data", line, end)
+                    try:
+                        sid = known[tuple(rec["attributes"].items())]
+                    except (KeyError, TypeError, AttributeError):
+                        # A set not seen yet, or one record_attributes rejects.
+                        # Its strings are interned, so sets share names and values.
+                        sid = sets.set_id({intern(name): intern(value) for name, value
+                                           in record_attributes(rec).items()})
+                    row = (str(rec["id"]), parse_ts(rec["ts"]), sid)
+                    if m is not None:
+                        set_of_text[m[3]] = sid
             except (KeyError, ValueError, TypeError) as exc:
                 raise GraphDataError(f"{path}:{lineno}: bad impression: {exc}") from exc
             yield row

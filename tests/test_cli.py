@@ -514,6 +514,26 @@ class TestBadConfig:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {field} ")
 
+    @pytest.mark.parametrize("name, message", [
+        ("contracts.jsonl", "duplicate contract ids: c000"),
+        ("supply.jsonl", "duplicate supply node ids: n0000"),
+    ])
+    def test_duplicate_ids_rejected(self, scen, tmp_path, capsys, name, message):
+        # The first record of one input file appended a second time.
+        copy = tmp_path / "scen"
+        copy.mkdir()
+        for f in ("supply.jsonl", "contracts.jsonl", "impressions.jsonl"):
+            (copy / f).write_bytes((scen / f).read_bytes())
+        with open(copy / name, "a", encoding="utf-8") as fh:
+            fh.write((scen / name).read_text().splitlines()[0] + "\n")
+        path = tmp_path / "config.json"
+        path.write_text("{}")
+        rc = run(["simulate", "--config", path, "--scenario", copy,
+                  "--out-dir", tmp_path / "out"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_command_line_overrides_keep_checks(self, scen, tmp_path, capsys):
         # --mode sampled on a two-shard config must fail as the same
         # settings in the file do.

@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 import random
@@ -349,6 +350,29 @@ class TestServer:
         assert capped_early
         assert report.delivered_by_id() == delivered
 
+    def test_equal_candidates_are_one_tuple(self):
+        graph, events = generate_scenario(ScenarioSpec(
+            num_contracts=10, num_attributes=3, seed=8, days=7, daily_traffic=1000))
+        plan = hwm.generate_hwm_plan(graph)
+        slices = []
+
+        class Counting:
+            def __contains__(self, cid):
+                return cid in plan
+
+            def effective_probs(self, cids):
+                slices.append(tuple(cids))
+                return plan.effective_probs(cids)
+
+        server = sim.Server(Counting(), sim.EligibilityIndex(graph.contracts, graph),
+                            graph.contracts)
+        visits = [(sim.attrs_key(ev.attributes), ev.attributes, ev.ts) for ev in events]
+        for i, visit in enumerate(visits):
+            server.draw(*visit, sim.impression_uniform(0, i))
+        held = [server.candidates(*visit) for visit in visits]
+        slots = {(key, bisect.bisect_right(server.instants, ts)) for key, _, ts in visits}
+        assert len({id(c) for c in held}) == len(set(held)) == len(slices) < len(slots)
+
 
 class TestCallTimeLookups:
     """`simulate` reads `generate_hwm_plan`, `solve_dual_offline` and
@@ -521,9 +545,64 @@ class TestImpressionReader:
             assert sim.run_simulation(graph, stream, cfg) == \
                 sim.run_simulation(graph, list(stream), cfg)
 
+    def test_one_decode_per_attributes_text(self, path, monkeypatch):
+        decoded = []
+        original = sim._decode
+        monkeypatch.setattr(sim, "_decode",
+                            lambda line: decoded.append(line) or original(line))
+        stream = sim.load_impressions(path)
+        lines = path.read_text().splitlines()
+        texts = {line[line.index('"attributes": ') + 14:-1] for line in lines}
+        assert len(decoded) == len(texts) < len(lines) == len(stream)
+
+    LINES = [
+        # A raw non-ASCII id, then escapes in ids with a known attributes text.
+        '{"id": "ïd-é", "ts": "2026-03-02T00:00:00", "attributes": {"a": "1"}}',
+        r'{"id": "q\"b", "ts": "2026-03-02T00:00:01", "attributes": {"a": "1"}}',
+        r'{"id": "b\\s\u00e9\n", "ts": "2026-03-02T00:00:01", "attributes": {"a": "1"}}',
+        # Braces inside attribute values.
+        '{"id": "b1", "ts": "2026-03-02T00:00:02", "attributes": {"a": "{x}"}}',
+        '{"id": "b2", "ts": "2026-03-02T00:00:03", "attributes": {"a": "x}"}}',
+        '{"id": "b3", "ts": "2026-03-02T00:00:04", "attributes": {"a": "{"}}',
+        # An extra top-level key, and a second "id" after the attributes.
+        '{"id": "k1", "ts": "2026-03-02T00:00:05", "attributes": {"a": "1"}, "x": {"b": "2"}}',
+        '{"id": "k2", "ts": "2026-03-02T00:00:06", "attributes": {"a": "1"}, "id": "k3"}',
+        '{"id": "k4", "ts": "2026-03-02T00:00:07", "attributes": {"a": "1"}, "id": {"b": "2"}}',
+        '{"id": "k5", "ts": "2026-03-02T00:00:07", "attributes": {"a": "1"}, "id": {"b": "2"}}',
+        # Reordered keys, compact separators, trailing whitespace.
+        '{"ts": "2026-03-02T00:00:08", "id": "r1", "attributes": {"a": "1"}}',
+        '{"attributes": {"a": "1"}, "id": "r2", "ts": "2026-03-02T00:00:09"}',
+        '{"id":"r3","ts":"2026-03-02T00:00:10","attributes":{"a":"1"}}',
+        '{"id": "r4", "ts": "2026-03-02T00:00:11", "attributes": {"a": "1"}}  \t',
+        # Zone suffixes, and a numeric id.
+        '{"id": "z1", "ts": "2026-03-02T00:00:12Z", "attributes": {"a": "1"}}',
+        '{"id": "z2", "ts": "2026-03-02T02:00:13+02:00", "attributes": {"a": "1"}}',
+        '{"id": 17, "ts": "2026-03-02T00:00:14", "attributes": {"a": "1"}}',
+        # A text first seen off the layout, then on it ...
+        '{"id":"s1","ts":"2026-03-02T00:00:15","attributes": {"b": "2", "c": "3"}}',
+        '{"id": "s2", "ts": "2026-03-02T00:00:16", "attributes": {"b": "2", "c": "3"}}',
+        '{"id": "s3", "ts": "2026-03-02T00:00:17", "attributes": {"b": "2", "c": "3"}}',
+        # ... and one first seen on it, then off it, then on it again.
+        '{"id": "t1", "ts": "2026-03-02T00:00:18", "attributes": {"c": "3", "b": "2"}}',
+        '{"ts": "2026-03-02T00:00:19", "id": "t2", "attributes": {"c": "3", "b": "2"}}',
+        '{"id": "t3", "ts": "2026-03-02T00:00:20", "attributes": {"c": "3", "b": "2"}}',
+        '{"id": "t4", "ts": "2026-03-02T00:00:21", "attributes": {}}',
+        '{"id": "t5", "ts": "2026-03-02T00:00:22", "attributes": {}}',
+    ]
+
+    def test_mixed_layouts_equal_per_line_reference(self, tmp_path):
+        path = tmp_path / "impressions.jsonl"
+        path.write_text("\n".join(self.LINES) + "\n", encoding="utf-8")
+        ref = reference_events(path)
+        stream = sim.load_impressions(path)
+        assert list(stream) == ref
+        # One set per distinct map in its own key order.
+        orders = [tuple(ev.attributes.items()) for ev in ref]
+        assert len(set(zip(orders, stream.set_ids))) == len(set(orders)) == len(stream.attrs)
+
     GOOD = '{"id": "i1", "ts": "2026-03-02T00:00:00", "attributes": {"a": "1"}}'
 
-    @pytest.mark.parametrize("text, line", [
+    BAD_LINES = [
         # A set equal in hash and items to a checked one except for a type.
         (GOOD + '\n{"id": "i2", "ts": "2026-03-02T00:00:01", "attributes": {"a": 1}}\n', 2),
         (GOOD + "\n" + GOOD + " " + GOOD + "\n", 2),
@@ -533,11 +612,30 @@ class TestImpressionReader:
         (GOOD + '\n{"id": "i2", "ts": "2026-03-02T00:00:01",\n"attributes": {"a": "1"}}\n', 2),
         (GOOD + '\n{"id": "i2", "ts": 5, "attributes": {"a": "1"}}\n', 2),
         (GOOD + '\n\n{"id": "i3", "attributes": {"a": "1"}}\n', 3),
-    ])
+    ]
+
+    @pytest.mark.parametrize("text, line", BAD_LINES)
     def test_bad_line_fails_with_path_and_line(self, tmp_path, text, line):
         path = tmp_path / "impressions.jsonl"
         path.write_text(text)
         with pytest.raises(model.GraphDataError, match=f"{path}:{line}: bad impression"):
+            sim.load_impressions(path)
+
+    @pytest.mark.parametrize("text, line", BAD_LINES + [
+        # Lines in the layout, with a known attributes text, that json.loads
+        # or parse_ts rejects.
+        (GOOD + '\n{"id": "i2", "ts": "yesterday", "attributes": {"a": "1"}}\n', 2),
+        (GOOD + '\n{"id": "i\t2", "ts": "2026-03-02T00:00:01", "attributes": {"a": "1"}}\n', 2),
+        (GOOD + '\n{"id": "i2", "ts": "2026-03-02T00:00:01", "attributes": {"a": "1"}}}\n', 2),
+        (GOOD + '\n{"id": "i2", "ts": "2026-03-02T00:00:01", "attributes": {"a": "1"}} x\n', 2),
+    ])
+    def test_bad_line_fails_after_its_attributes_text(self, tmp_path, text, line):
+        # A line in the layout with the attributes text {"a": "1"} comes
+        # first, so that text is known when the bad line is read.
+        path = tmp_path / "impressions.jsonl"
+        path.write_text(self.GOOD.replace('"i1"', '"i0"') + "\n" + text)
+        with pytest.raises(model.GraphDataError,
+                           match=f"{path}:{line + 1}: bad impression"):
             sim.load_impressions(path)
 
     @pytest.mark.parametrize("loaded", [False, True])
