@@ -62,8 +62,9 @@ def cmd_plan(args) -> int:
         plan = dual_mod.solve_dual_offline(graph)
         dual_mod.save_dual_plan(plan, args.out)
         st = plan.stats
-        print(f"note: dual solve: {st.sweeps} sweeps, {st.capped} contracts "
-              f"at the penalty/2 cap, worst residual {st.worst_residual:.3g}",
+        print(f"note: dual solve: {st.sweeps} sweeps, {st.steps} coordinate "
+              f"steps, {st.capped} contracts at the penalty/2 cap, worst "
+              f"residual {st.worst_residual:.3g}",
               file=sys.stderr)
     for line in plan.diagnostics:
         print(f"note: {line}", file=sys.stderr)
@@ -76,7 +77,7 @@ def _load_plan(path):
     first, lineno = "", 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            if line.strip():
+            if line.strip(model.JSON_WHITESPACE):
                 first = line
                 break
     if not first:

@@ -29,6 +29,16 @@ S is the theta-sum of the other contracts still active, and is flat at 1
 once j is alone.  Each coordinate step therefore collects the knots of
 D_j and solves D_j(a) = d_j exactly by one breakpoint scan, as SHALE's
 first stage does (Bharadwaj et al., KDD 2012).
+
+The step is non-decreasing in every other dual: raising alpha_k raises the
+node level that `kernels.dual_probs` solves for, which lowers every x_ij,
+so D_j can only fall and its crossing of d_j can only move right.  Started
+from alpha = 0, which lies below the fixed point, cyclic coordinate ascent
+on this monotone map therefore never lowers a dual (Bertsekas & Tsitsiklis,
+Parallel and Distributed Computation, 1989).  A dual that reaches its cap
+penalty_j/2 would be set to the cap again at every later step, so the solve
+skips its knot walk.  The argument needs the cold start: from duals above
+the fixed point a warm-started solve would move duals down.
 """
 
 from __future__ import annotations
@@ -89,6 +99,7 @@ class DualSolveStats:
     """How an offline solve ended (not part of the plan file)."""
 
     sweeps: int             # coordinate sweeps run
+    steps: int              # coordinate steps computed (capped duals skipped)
     capped: int             # contracts whose dual sits at penalty/2
     worst_residual: float   # largest relative shortfall of an uncapped contract
 
@@ -262,8 +273,19 @@ def solve_dual_offline(graph: AllocationGraph,
     return every contract either delivers at least d_j * (1 - tol) in
     reconstruction or sits at the cap (its underdelivery is priced at the
     penalty); otherwise DualConvergenceError is raised with the worst
-    violator.  The plan's `stats` record the sweeps run, the contracts at
-    the cap and the final worst residual.
+    violator.  The plan's `stats` record the sweeps run, the coordinate
+    steps computed, the contracts at the cap and the final worst residual.
+
+    The solve starts from alpha = 0 and skips the step of a contract whose
+    dual already sits at its cap.  The skip is exact: with the other duals
+    fixed the step returns the smallest a in [0, penalty_j/2] with
+    D_j(a) >= d_j; raising any other dual lowers every x_ij, so the step is
+    non-decreasing in the other duals; from alpha = 0, below the fixed
+    point, induction over the steps shows that no dual ever decreases.  A
+    capped dual would be set to the cap again with a recorded change of 0,
+    so the sweep count, `max_change` and `worst_violation` (which already
+    skips capped contracts) are those of the unskipped solve.  A start
+    above the fixed point would break the induction.
     """
     if validate:
         violations = validate_graph(graph)
@@ -322,10 +344,14 @@ def solve_dual_offline(graph: AllocationGraph,
         return cid_w, rel_w
 
     converged = False
+    steps = 0
     for sweeps in range(1, max_iters + 1):
         max_change = 0.0
         for c in included:
             cid, hi = c.id, cap[c.id]
+            if alpha[cid] >= hi:
+                continue
+            steps += 1
             knots = delivery_knots(theta[cid], [
                 (s, [(t, alpha[k]) for k, t in others]) for s, others in rivals[cid]])
             new = _first_crossing(knots, float(c.demand), hi)
@@ -347,7 +373,7 @@ def solve_dual_offline(graph: AllocationGraph,
     entries = [DualEntry(c.id, theta[c.id], alpha[c.id], spec.penalty[c.id])
                for c in included]
     capped = sum(1 for c in included if alpha[c.id] >= cap[c.id] - tol)
-    return DualPlan(entries, diagnostics, DualSolveStats(sweeps, capped, rel_w))
+    return DualPlan(entries, diagnostics, DualSolveStats(sweeps, steps, capped, rel_w))
 
 
 def save_dual_plan(plan: DualPlan, path) -> None:

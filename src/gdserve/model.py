@@ -20,6 +20,10 @@ AttributeMap = Dict[str, str]
 T = TypeVar("T")
 Edge = Tuple[str, str]
 
+# The characters JSON counts as whitespace; `str.strip()` with no argument
+# would also remove others (U+00A0, U+000C, ...) that `json.loads` rejects.
+JSON_WHITESPACE = " \t\n\r"
+
 
 class GraphDataError(ValueError):
     """Malformed graph input (bad reference, bad file line, ...)."""
@@ -318,7 +322,7 @@ def read_plan_file(path, parse: Callable[[dict], T]) -> List[T]:
     seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+            line = line.strip(JSON_WHITESPACE)
             if not line:
                 continue
             try:
@@ -337,7 +341,7 @@ def load_supply(path) -> List[SupplyNode]:
     nodes = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+            line = line.strip(JSON_WHITESPACE)
             if not line:
                 continue
             try:
@@ -363,7 +367,7 @@ def load_contracts(path) -> List[Contract]:
     contracts = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+            line = line.strip(JSON_WHITESPACE)
             if not line:
                 continue
             try:
@@ -408,7 +412,7 @@ def load_edges(path) -> List[Edge]:
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+            line = line.strip(JSON_WHITESPACE)
             if not line:
                 continue
             try:

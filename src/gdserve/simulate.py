@@ -72,8 +72,9 @@ from .dual import solve_dual_offline
 from .feedback import DeliveryState, FeedbackConfig, apply_feedback, linear_goal
 from .hwm import HwmEntry, HwmPlan, generate_hwm_plan
 from .kernels import draw_index
-from .model import (AllocationGraph, Contract, GraphDataError, ServingPlan,
-                    parse_ts, record_attributes, record_number, replan_contract)
+from .model import (JSON_WHITESPACE, AllocationGraph, Contract, GraphDataError,
+                    ServingPlan, parse_ts, record_attributes, record_number,
+                    replan_contract)
 
 
 class SimulationError(ValueError):
@@ -691,7 +692,7 @@ def iter_impressions(path, sets: ImpressionStream) -> Iterator[Tuple[str, dateti
     canonical = _CANONICAL_LINE.fullmatch
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+            line = line.strip(JSON_WHITESPACE)
             if not line:
                 continue
             try:

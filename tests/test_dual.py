@@ -210,14 +210,17 @@ class TestServe:
             assert list(zip(ids, ps)) == probs
 
 
-def _bisection_reference(graph, tol=1e-6, max_iters=10000):
-    """The coordinate ascent with a 60-step bisection per coordinate step:
-    same sweep order, clamp and convergence test as `solve_dual_offline`,
-    with delivery evaluated through `kernels.dual_probs`."""
+def _reference_ascent(graph, step, tol=1e-6, max_iters=10000):
+    """Cold-started cyclic coordinate ascent with no skip: same sweep order,
+    clamp and convergence test as `solve_dual_offline`, with delivery
+    evaluated through `kernels.dual_probs`.  `step(cid, d, hi, delivery,
+    alpha)` returns one contract's new dual.  Returns the duals, the sweep
+    count and each contract's sequence of duals, starting at 0."""
     spec = dual.DualObjectiveSpec.from_graph(graph)
     included = sorted((c for c in graph.contracts if c.id in spec.theta),
                       key=lambda c: c.id)
     alpha = {c.id: 0.0 for c in included}
+    history = {cid: [0.0] for cid in alpha}
     views = {c.id: [] for c in included}
     for n in graph.supply_nodes:
         lst = [cid for cid in graph.contracts_of[n.id] if cid in alpha]
@@ -237,28 +240,48 @@ def _bisection_reference(graph, tol=1e-6, max_iters=10000):
             for c in included
             if alpha[c.id] < spec.penalty[c.id] / 2.0 - tol])
 
-    for _ in range(max_iters):
+    for sweeps in range(1, max_iters + 1):
         max_change = 0.0
         for c in included:
-            cid, d, hi = c.id, float(c.demand), spec.penalty[c.id] / 2.0
-            if delivery(cid, 0.0) >= d:
-                new = 0.0
-            elif delivery(cid, hi) < d:
-                new = hi
-            else:
-                lo, up = 0.0, hi
-                for _ in range(60):
-                    mid = 0.5 * (lo + up)
-                    if delivery(cid, mid) < d:
-                        lo = mid
-                    else:
-                        up = mid
-                new = up
+            cid, hi = c.id, spec.penalty[c.id] / 2.0
+            new = step(cid, float(c.demand), hi, delivery, alpha)
             max_change = max(max_change, abs(new - alpha[cid]) / max(1.0, hi))
             alpha[cid] = new
+            history[cid].append(new)
         if max_change < tol and worst() <= tol:
-            return alpha
-    raise AssertionError("bisection reference did not converge")
+            return alpha, sweeps, history
+    raise AssertionError("reference ascent did not converge")
+
+
+def _bisection_reference(graph, tol=1e-6, max_iters=10000):
+    """The coordinate ascent with a 60-step bisection per coordinate step."""
+    def step(cid, d, hi, delivery, alpha):
+        if delivery(cid, 0.0) >= d:
+            return 0.0
+        if delivery(cid, hi) < d:
+            return hi
+        lo, up = 0.0, hi
+        for _ in range(60):
+            mid = 0.5 * (lo + up)
+            if delivery(cid, mid) < d:
+                lo = mid
+            else:
+                up = mid
+        return up
+
+    return _reference_ascent(graph, step, tol, max_iters)[0]
+
+
+def _knot_reference(graph, tol=1e-6, max_iters=10000):
+    """The exact coordinate step (`delivery_knots`, `_first_crossing`) at
+    every contract in every sweep, capped or not."""
+    theta = dual.DualObjectiveSpec.from_graph(graph).theta
+
+    def step(cid, d, hi, delivery, alpha):
+        knots = dual.delivery_knots(theta[cid], _knot_nodes(graph, theta, alpha, cid))
+        return dual._first_crossing(knots, d, hi)
+
+    return _reference_ascent(graph, step, tol, max_iters)
 
 
 def _knot_nodes(graph, theta, alpha, cid):
@@ -377,3 +400,33 @@ class TestExactStep:
         assert 0.0 <= plan.stats.worst_residual <= 1e-6
         dual.save_dual_plan(plan, tmp_path / "dual_plan.jsonl")
         assert dual.load_dual_plan(tmp_path / "dual_plan.jsonl").stats is None
+
+
+class TestCappedSkip:
+    """A cold-started ascent never lowers a dual, so the solve skips the step
+    of a contract already at penalty/2; the reference steps every contract."""
+
+    def test_skip_matches_unskipped_ascent(self):
+        rng = random.Random(6061)
+        capped = 0
+        for trial in range(30):
+            g = _instance_to_graph(random_instance(rng, max_nodes=12,
+                                                   max_contracts=7))
+            plan = dual.solve_dual_offline(g)
+            ref, sweeps, history = _knot_reference(g)
+            assert {e.contract_id: e.alpha for e in plan.entries} == ref
+            assert plan.stats.sweeps == sweeps
+            for seq in history.values():
+                assert all(a <= b for a, b in zip(seq, seq[1:]))
+            capped += sum(1 for e in plan.entries if e.alpha == e.penalty / 2)
+        assert capped > 0
+
+    def test_capped_contract_takes_no_knot_walk(self, monkeypatch):
+        calls = []
+        knots = dual.delivery_knots
+        monkeypatch.setattr(dual, "delivery_knots",
+                            lambda *a: calls.append(a) or knots(*a))
+        plan = dual.solve_dual_offline(_edge_cases_graph())
+        assert plan.stats.capped == 1
+        assert len(calls) == plan.stats.steps
+        assert plan.stats.steps < plan.stats.sweeps * len(plan.entries)

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from gdserve import hwm, model, simulate
+from gdserve import cli, dual, hwm, model, simulate
 from conftest import make_contract
 
 
@@ -165,6 +167,40 @@ class TestRoundTrip:
                         f'{{"id": "i2", "ts": "2026-03-02T00:00:00", "attributes": {attrs}}}\n')
         with pytest.raises(model.GraphDataError, match=f"{path}:2: bad impression"):
             simulate.load_impressions(path)
+
+    @pytest.mark.parametrize("tail", ["\u00a0", "\x0c"])
+    @pytest.mark.parametrize("name, record, read", [
+        ("supply", '{"id": "n1", "attributes": {"x": "1"}, "supply": 5}',
+         model.load_supply),
+        ("contracts", '{"id": "c1", "targeting": "x = 1", "demand": 5, '
+         '"start": "2026-03-02T00:00:00", "end": "2026-03-09T00:00:00"}',
+         model.load_contracts),
+        ("edges", '{"supply_id": "n1", "contract_id": "c1"}', model.load_edges),
+        ("impressions", '{"id": "i1", "ts": "2026-03-02T00:00:00", '
+         '"attributes": {"x": "1"}}', simulate.load_impressions),
+        ("hwm_plan", '{"contract_id": "c1", "eligible_supply": 5, "alpha": 0.5}',
+         hwm.load_hwm_plan),
+        ("dual_plan", '{"contract_id": "c1", "theta": 0.5, "alpha": 0.0, '
+         '"penalty": 10.0}', dual.load_dual_plan),
+        ("plan", '{"contract_id": "c1", "theta": 0.5, "alpha": 0.0, '
+         '"penalty": 10.0}', cli._load_plan),
+    ])
+    def test_only_json_whitespace_is_stripped(self, tmp_path, name, record,
+                                              read, tail):
+        # json.loads rejects U+00A0 and U+000C around a value, and so must
+        # every reader, on a record line and on an otherwise blank line.
+        path = tmp_path / f"{name}.jsonl"
+        with pytest.raises(ValueError, match="Extra data"):
+            json.loads(record + tail)
+        path.write_text(f"\n{record}{tail}\n", encoding="utf-8")
+        with pytest.raises(model.GraphDataError, match=f"{path}:2: "):
+            read(path)
+        path.write_text(f" \t\r\n{tail}\n{record}\n", encoding="utf-8")
+        with pytest.raises(model.GraphDataError, match=f"{path}:2: "):
+            read(path)
+        path.write_text(f" \t\r\n{record} \t\r\n", encoding="utf-8")
+        loaded = read(path)
+        assert len(getattr(loaded, "entries", loaded)) == 1
 
     def test_missing_attributes_are_empty(self, tmp_path):
         path = tmp_path / "supply.jsonl"
