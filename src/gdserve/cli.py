@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -161,7 +162,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_timeseries(path) -> List[mx.TimeseriesRow]:
+def _read_timeseries(path, contract_ids) -> List[mx.TimeseriesRow]:
+    """Read a delivery timeseries; a bad row fails with the file and line."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -172,11 +174,17 @@ def _read_timeseries(path) -> List[mx.TimeseriesRow]:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise model.GraphDataError(f"{path}:{lineno}: bad row")
-            rows.append(mx.TimeseriesRow(model.parse_ts(parts[0]), parts[1],
-                                         float(parts[2]), float(parts[3])))
+            try:
+                ts, cid, delivered, goal = line.split(",")
+                row = mx.TimeseriesRow(model.parse_ts(ts), cid, float(delivered),
+                                       float(goal))
+                if cid not in contract_ids:
+                    raise ValueError(f"unknown contract {cid!r}")
+                if not (math.isfinite(row.delivered) and math.isfinite(row.linear_goal)):
+                    raise ValueError("delivered_cum and linear_goal must be finite")
+                rows.append(row)
+            except ValueError as exc:
+                raise model.GraphDataError(f"{path}:{lineno}: bad row: {exc}") from exc
     if not rows:
         raise model.GraphDataError(f"{path}: no rows")
     return rows
@@ -191,14 +199,14 @@ def _final_delivery(rows: List[mx.TimeseriesRow]) -> Dict[str, float]:
 
 def cmd_metrics(args) -> int:
     contracts = {c.id: c for c in model.load_contracts(args.contracts)}
-    rows = _read_timeseries(args.timeseries)
+    rows = _read_timeseries(args.timeseries, contracts)
     booked = {cid: float(c.booked_demand) for cid, c in contracts.items()}
     sim_end = max(r.t for r in rows)
     finished = {cid for cid, c in contracts.items() if c.end <= sim_end}
     result = mx.smoothness_summary(rows, booked, finished, args.positive_part)
     result["delivery_improvement"] = None
     if args.baseline:
-        base_rows = _read_timeseries(args.baseline)
+        base_rows = _read_timeseries(args.baseline, contracts)
         result["delivery_improvement"] = mx.delivery_improvement(
             booked, _final_delivery(rows), booked, _final_delivery(base_rows))
     json.dump(result, sys.stdout, indent=2, sort_keys=True)

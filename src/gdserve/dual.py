@@ -49,8 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import kernels
 from .model import (AllocationGraph, FractionalAllocation, GraphDataError,
-                    read_plan_file, record_number,
-                    validate_graph)
+                    read_plan_file, record_number)
 
 
 class DualConvergenceError(RuntimeError):
@@ -68,11 +67,6 @@ class DualObjectiveSpec:
 
     theta: Dict[str, float]
     penalty: Dict[str, float]
-
-    def __post_init__(self):
-        for cid, p in self.penalty.items():
-            if p <= 0:
-                raise GraphDataError(f"contract {cid}: penalty must be positive")
 
     @classmethod
     def from_graph(cls, graph: AllocationGraph) -> "DualObjectiveSpec":
@@ -134,14 +128,13 @@ class DualPlan:
 
 def dual_objective(graph: AllocationGraph, alloc: FractionalAllocation,
                    underdelivery: Dict[str, float],
-                   spec: Optional[DualObjectiveSpec] = None,
                    tol: float = 1e-9) -> float:
     """Evaluate the relaxed objective for a feasible (x, u) pair.
 
     Raises GraphDataError when u_j < 0, an edge fraction is negative, or a
     relaxed demand constraint is violated beyond `tol`.
     """
-    spec = spec or DualObjectiveSpec.from_graph(graph)
+    spec = DualObjectiveSpec.from_graph(graph)
     for (sid, cid), x in alloc.values.items():
         if x < -tol:
             raise GraphDataError(f"edge ({sid!r}, {cid!r}): negative allocation {x}")
@@ -259,10 +252,8 @@ def _first_crossing(knots: Sequence[Tuple[float, float]], demand: float,
     return min(max(root, 0.0), hi)
 
 
-def solve_dual_offline(graph: AllocationGraph,
-                       spec: Optional[DualObjectiveSpec] = None,
-                       tol: float = 1e-6, max_iters: int = 10000, *,
-                       validate: bool = True) -> DualPlan:
+def solve_dual_offline(graph: AllocationGraph, tol: float = 1e-6,
+                       max_iters: int = 10000) -> DualPlan:
     """Compute per-contract dual values by cyclic coordinate ascent.
 
     For each contract in turn the dual is set to the smallest value at which
@@ -286,12 +277,10 @@ def solve_dual_offline(graph: AllocationGraph,
     so the sweep count, `max_change` and `worst_violation` (which already
     skips capped contracts) are those of the unskipped solve.  A start
     above the fixed point would break the induction.
+
+    The graph's edges are taken as given (see `model.AllocationGraph`).
     """
-    if validate:
-        violations = validate_graph(graph)
-        if violations:
-            raise GraphDataError("invalid graph: " + "; ".join(violations))
-    spec = spec or DualObjectiveSpec.from_graph(graph)
+    spec = DualObjectiveSpec.from_graph(graph)
     diagnostics = []
     included = []
     for c in graph.contracts:

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from . import kernels
-from .model import (AllocationGraph, GraphDataError, read_plan_file,
-                    record_number, validate_graph)
+from .model import AllocationGraph, read_plan_file, record_number
 
 
 @dataclass(frozen=True)
@@ -57,18 +56,15 @@ class HwmPlan:
         return list(zip(ordered, effs))
 
 
-def generate_hwm_plan(graph: AllocationGraph, *, validate: bool = True) -> HwmPlan:
+def generate_hwm_plan(graph: AllocationGraph) -> HwmPlan:
     """Run the offline pass over a forecast graph.
 
     Contracts are processed in allocation order; each gets the rate that
     exactly absorbs its demand from the remaining supply of its neighbor
     nodes (rate 1 when the demand cannot be met), and the consumed supply is
-    deducted before the next contract is handled.
+    deducted before the next contract is handled.  The graph's edges are
+    taken as given (see `model.AllocationGraph`).
     """
-    if validate:
-        violations = validate_graph(graph)
-        if violations:
-            raise GraphDataError("invalid graph: " + "; ".join(violations))
     eligible_supply = {c.id: graph.eligible_supply(c.id) for c in graph.contracts}
     order = sorted(graph.contracts, key=lambda c: (eligible_supply[c.id], c.id))
     remaining = {n.id: float(n.forecast_supply) for n in graph.supply_nodes}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import (Callable, Dict, List, Mapping, Optional, Protocol, Sequence,
@@ -99,6 +100,9 @@ class Contract:
 class AllocationGraph:
     """The bipartite forecast graph: supply nodes, contracts, eligibility edges.
 
+    Duplicate supply-node or contract ids raise GraphDataError.  The edges
+    are taken as given, by the planners too; `validate_graph` checks them.
+
     Treat as immutable once built; it can then be shared freely across
     serving threads.  Re-optimization works on fresh copies (see
     replan_contract), never by mutating a live graph.
@@ -115,6 +119,11 @@ class AllocationGraph:
     def __post_init__(self):
         self.node_by_id = {n.id: n for n in self.supply_nodes}
         self.contract_by_id = {c.id: c for c in self.contracts}
+        for kind, items, by_id in (("contract", self.contracts, self.contract_by_id),
+                                   ("supply node", self.supply_nodes, self.node_by_id)):
+            if len(by_id) != len(items):
+                dups = sorted(i for i, n in Counter(x.id for x in items).items() if n > 1)
+                raise GraphDataError(f"duplicate {kind} ids: " + ", ".join(dups))
         self.contracts_of = {n.id: [] for n in self.supply_nodes}
         self.nodes_of = {c.id: [] for c in self.contracts}
         for sid, cid in self.edges:
@@ -137,29 +146,14 @@ def build_graph(supply_nodes: List[SupplyNode],
 
 
 def validate_graph(graph: AllocationGraph) -> List[str]:
-    """Check all graph invariants; returns one message per violation.
+    """Check a graph's edges against targeting; one message per violation.
 
-    Violations are data, not errors: an empty list means the graph is valid.
+    The edges must be exactly the targeting relation: no duplicate, unknown
+    or ineligible edge and no eligible pair missing.  `build_graph`'s edges
+    are by construction, so only hand-made ones (`gdserve plan --edges`)
+    need this.  An empty list means the edges are valid.
     """
     violations: List[str] = []
-    seen_nodes = set()
-    for node in graph.supply_nodes:
-        if node.id in seen_nodes:
-            violations.append(f"duplicate supply node id {node.id!r}")
-        seen_nodes.add(node.id)
-        if node.forecast_supply < 0:
-            violations.append(f"supply node {node.id!r}: negative supply")
-    seen_contracts = set()
-    for c in graph.contracts:
-        if c.id in seen_contracts:
-            violations.append(f"duplicate contract id {c.id!r}")
-        seen_contracts.add(c.id)
-        if c.demand <= 0:
-            violations.append(f"contract {c.id!r}: non-positive demand")
-        if c.start >= c.end:
-            violations.append(f"contract {c.id!r}: start not before end")
-        if c.booked_demand < c.demand:
-            violations.append(f"contract {c.id!r}: booked demand below demand")
     edge_set = set()
     for sid, cid in graph.edges:
         if (sid, cid) in edge_set:
@@ -177,7 +171,7 @@ def validate_graph(graph: AllocationGraph) -> List[str]:
             violations.append(
                 f"edge ({sid!r}, {cid!r}): node does not satisfy contract targeting")
     # Eligible pairs must all be present: the edge set is exactly the
-    # targeting relation, whether derived or supplied by hand.
+    # targeting relation.
     for node in graph.supply_nodes:
         for contract in graph.contracts:
             if (node.id, contract.id) in edge_set:
@@ -363,7 +357,11 @@ def save_supply(nodes: List[SupplyNode], path) -> None:
 
 
 def load_contracts(path) -> List[Contract]:
-    """Read contracts.jsonl: {"id", "targeting", "demand", "start", "end"[, "penalty", "booked"]}."""
+    """Read contracts.jsonl: {"id", "targeting", "demand", "start", "end"[, "penalty", "booked"]}.
+
+    "booked" (default: the demand) may not be below the demand.  `Contract`
+    allows it, since feedback plans with a demand above the booked total.
+    """
     contracts = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -372,7 +370,7 @@ def load_contracts(path) -> List[Contract]:
                 continue
             try:
                 rec = json.loads(line)
-                contracts.append(Contract(
+                contract = Contract(
                     id=str(rec["id"]),
                     targeting=tg.parse_targeting(rec["targeting"]),
                     demand=record_number(rec, "demand"),
@@ -380,7 +378,11 @@ def load_contracts(path) -> List[Contract]:
                     end=parse_ts(rec["end"]),
                     booked_demand=record_number(rec, "booked", 0.0),
                     penalty=record_number(rec, "penalty", 10.0),
-                ))
+                )
+                if contract.booked_demand < contract.demand:
+                    raise ValueError(f"booked {contract.booked_demand} is below "
+                                     f"demand {contract.demand}")
+                contracts.append(contract)
             except tg.TargetingSyntaxError as exc:
                 raise GraphDataError(
                     f"{path}:{lineno}: bad targeting expression: {exc}") from exc

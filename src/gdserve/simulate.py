@@ -463,11 +463,6 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
     runs set one) sees every call."""
     if not graph.contracts:
         raise SimulationError("no contracts to simulate")
-    for kind, items, by_id in (("contract", graph.contracts, graph.contract_by_id),
-                               ("supply node", graph.supply_nodes, graph.node_by_id)):
-        if len(by_id) != len(items):
-            dups = sorted(i for i, n in Counter(x.id for x in items).items() if n > 1)
-            raise SimulationError(f"duplicate {kind} ids: " + ", ".join(dups))
     unknown = sorted(set(cfg.per_node_error or ()) - set(graph.node_by_id))
     if unknown:
         raise SimulationError("forecast_error_per_node names no supply node: "
@@ -568,9 +563,9 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
             edges = [(sid, cid) for sid, cid in graph.edges if cid in planning_ids]
             planning_graph = AllocationGraph(nodes, planning, edges)
             if algorithm == "hwm":
-                plan = generate_hwm_plan(planning_graph, validate=False)
+                plan = generate_hwm_plan(planning_graph)
             elif algorithm == "dual":
-                plan = solve_dual_offline(planning_graph, validate=False)
+                plan = solve_dual_offline(planning_graph)
             else:
                 plan = pacer.replan(planning_graph, cycle_start, delivered,
                                     eligible_traffic(k - 1), eligible_traffic(k))

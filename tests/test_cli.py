@@ -89,9 +89,7 @@ class TestPlanCommand:
 
     def test_consistent_edge_override_accepted(self, tmp_path):
         g = write_demo_inputs(tmp_path)
-        with open(tmp_path / "edges.jsonl", "w") as fh:
-            for sid, cid in g.edges:
-                fh.write(json.dumps({"supply_id": sid, "contract_id": cid}) + "\n")
+        write_edges(tmp_path / "edges.jsonl", g.edges)
         rc = run(["plan", "--supply", tmp_path / "supply.jsonl",
                   "--contracts", tmp_path / "contracts.jsonl",
                   "--edges", tmp_path / "edges.jsonl",
@@ -108,6 +106,52 @@ class TestPlanCommand:
                   "--out", tmp_path / "plan.jsonl"])
         assert rc == 1
         assert "inconsistent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", ["hwm", "dual"])
+    def test_edge_override_missing_an_eligible_edge_rejected(self, tmp_path, capsys,
+                                                              algorithm):
+        g = write_demo_inputs(tmp_path)
+        write_edges(tmp_path / "edges.jsonl", g.edges[1:])
+        rc = run(["plan", "--supply", tmp_path / "supply.jsonl",
+                  "--contracts", tmp_path / "contracts.jsonl",
+                  "--edges", tmp_path / "edges.jsonl", "--algorithm", algorithm,
+                  "--out", tmp_path / "plan.jsonl"])
+        assert rc == 1
+        sid, cid = g.edges[0]
+        assert f"missing edge ({sid!r}, {cid!r})" in capsys.readouterr().err
+        assert not (tmp_path / "plan.jsonl").exists()
+
+    @pytest.mark.parametrize("algorithm", ["hwm", "dual"])
+    @pytest.mark.parametrize("with_edges", [False, True])
+    def test_one_targeting_walk_per_plan(self, tmp_path, monkeypatch, algorithm,
+                                         with_edges):
+        # Derived edges are walked once, by build_graph; an --edges file is
+        # checked once, by validate_graph.  The planners walk nothing.
+        g = write_demo_inputs(tmp_path)
+        argv = ["plan", "--supply", tmp_path / "supply.jsonl",
+                "--contracts", tmp_path / "contracts.jsonl",
+                "--algorithm", algorithm, "--out", tmp_path / "plan.jsonl"]
+        if with_edges:
+            write_edges(tmp_path / "edges.jsonl", g.edges)
+            argv += ["--edges", tmp_path / "edges.jsonl"]
+        calls = Counter()
+        inner = tg.eligible
+
+        def counted(attrs, expr):
+            calls["eligible"] += 1
+            return inner(attrs, expr)
+
+        monkeypatch.setattr(tg, "eligible", counted)
+        assert run(argv) == 0
+        # The demo contracts target one attribute each, so the walk makes
+        # exactly one call per (node, contract) pair.
+        assert calls["eligible"] == len(g.supply_nodes) * len(g.contracts)
+
+
+def write_edges(path, edges):
+    with open(path, "w") as fh:
+        for sid, cid in edges:
+            fh.write(json.dumps({"supply_id": sid, "contract_id": cid}) + "\n")
 
 
 def write_impressions(path, attr_maps, spacing_s=60):
@@ -484,6 +528,36 @@ class TestScenarioAndSimulate:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {ts}: no rows\n"
 
+    @pytest.mark.parametrize("row, message", [
+        ("2026-03-03T00:00:00,ghost,1.0,1.0", "unknown contract 'ghost'"),
+        ("2026-03-03T00:00:00,males,abc,1.0", "could not convert string to float"),
+        ("2026-03-03T00:00:00,males,1.0,", "could not convert string to float"),
+        ("Monday,males,1.0,1.0", "Invalid isoformat string"),
+        ("2026-03-03T00:00:00,males,nan,1.0", "must be finite"),
+        ("2026-03-03T00:00:00,males,1.0,-inf", "must be finite"),
+        ("2026-03-03T00:00:00,males,1.0", "expected 4, got 3"),
+        ("2026-03-03T00:00:00,males,1.0,1.0,1.0", "expected 4"),
+    ])
+    def test_metrics_bad_row_fails_with_path_and_line(self, tmp_path, capsys, row,
+                                                      message):
+        write_demo_inputs(tmp_path)
+        ts = tmp_path / "ts.csv"
+        ts.write_text("cycle_end_ts,contract_id,delivered_cum,linear_goal\n"
+                      f"2026-03-02T12:00:00,males,1.0,1.0\n{row}\n")
+        rc = run(["metrics", "--timeseries", ts,
+                  "--contracts", tmp_path / "contracts.jsonl"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ts}:3: bad row: ")
+        assert message in err
+
+
+def copy_scenario(scen, dest):
+    dest.mkdir()
+    for f in ("supply.jsonl", "contracts.jsonl", "impressions.jsonl"):
+        (dest / f).write_bytes((scen / f).read_bytes())
+    return dest
+
 
 class TestBadConfig:
     @pytest.fixture(scope="class")
@@ -520,10 +594,7 @@ class TestBadConfig:
     ])
     def test_duplicate_ids_rejected(self, scen, tmp_path, capsys, name, message):
         # The first record of one input file appended a second time.
-        copy = tmp_path / "scen"
-        copy.mkdir()
-        for f in ("supply.jsonl", "contracts.jsonl", "impressions.jsonl"):
-            (copy / f).write_bytes((scen / f).read_bytes())
+        copy = copy_scenario(scen, tmp_path / "scen")
         with open(copy / name, "a", encoding="utf-8") as fh:
             fh.write((scen / name).read_text().splitlines()[0] + "\n")
         path = tmp_path / "config.json"
@@ -533,6 +604,25 @@ class TestBadConfig:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "plan"])
+    def test_booked_below_demand_rejected(self, scen, tmp_path, capsys, command):
+        copy = copy_scenario(scen, tmp_path / "scen")
+        lines = (scen / "contracts.jsonl").read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "booked": -5})
+        (copy / "contracts.jsonl").write_text("\n".join(lines) + "\n")
+        if command == "simulate":
+            (tmp_path / "config.json").write_text("{}")
+            argv = ["simulate", "--config", tmp_path / "config.json",
+                    "--scenario", copy, "--out-dir", tmp_path / "out"]
+        else:
+            argv = ["plan", "--supply", copy / "supply.jsonl",
+                    "--contracts", copy / "contracts.jsonl",
+                    "--out", tmp_path / "plan.jsonl"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {copy / 'contracts.jsonl'}:1: bad contract record: ")
+        assert "booked -5 is below demand" in err
 
     def test_command_line_overrides_keep_checks(self, scen, tmp_path, capsys):
         # --mode sampled on a two-shard config must fail as the same

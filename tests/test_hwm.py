@@ -98,13 +98,6 @@ class TestGeneratePlan:
         assert plan.entries[0].alpha == 1.0
         assert any("below demand" in line for line in plan.diagnostics)
 
-    def test_invalid_graph_rejected(self):
-        nodes = [model.SupplyNode("a", {"x": "1"}, 100)]
-        contracts = [make_contract("c1", "x = 1", 10)]
-        bad = model.AllocationGraph(nodes, contracts, [])
-        with pytest.raises(model.GraphDataError, match="missing edge"):
-            hwm.generate_hwm_plan(bad)
-
 
 class TestServe:
     def test_rate_one_contract_always_selected(self, three_contract_graph):

@@ -13,6 +13,18 @@ def two_node_graph():
     return model.build_graph(nodes, contracts)
 
 
+class TestAllocationGraph:
+    def test_duplicate_ids(self):
+        nodes = [model.SupplyNode("a", {"x": "1"}, 1),
+                 model.SupplyNode("a", {"x": "2"}, 1)]
+        with pytest.raises(model.GraphDataError, match="duplicate supply node ids: a"):
+            model.AllocationGraph(nodes, [], [])
+        contracts = [make_contract("c1", "x = 1", 5), make_contract("c2", "x = 2", 5),
+                     make_contract("c1", "x = 2", 5)]
+        with pytest.raises(model.GraphDataError, match="duplicate contract ids: c1$"):
+            model.AllocationGraph(nodes[:1], contracts, [])
+
+
 class TestValidateGraph:
     def test_well_formed_graph(self):
         assert model.validate_graph(two_node_graph()) == []
@@ -43,12 +55,6 @@ class TestValidateGraph:
         bad = model.AllocationGraph(g.supply_nodes, g.contracts, [])
         violations = model.validate_graph(bad)
         assert any(v.startswith("missing edge") for v in violations)
-
-    def test_duplicate_ids(self):
-        nodes = [model.SupplyNode("a", {"x": "1"}, 1),
-                 model.SupplyNode("a", {"x": "2"}, 1)]
-        g = model.AllocationGraph(nodes, [], [])
-        assert any("duplicate supply node" in v for v in model.validate_graph(g))
 
     def test_idempotent_and_side_effect_free(self):
         g = two_node_graph()

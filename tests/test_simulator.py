@@ -716,9 +716,9 @@ def reference_run(graph, events, cfg, algorithm):
             planning_graph = model.AllocationGraph(
                 nodes, planning, [(s, c) for s, c in graph.edges if c in ids])
             if algorithm == "hwm":
-                plan = hwm.generate_hwm_plan(planning_graph, validate=False)
+                plan = hwm.generate_hwm_plan(planning_graph)
             elif algorithm == "dual":
-                plan = solve_dual_offline(planning_graph, validate=False)
+                plan = solve_dual_offline(planning_graph)
             else:
                 plan = pacer.replan(planning_graph, start, delivered,
                                     traffic(k - 1), traffic(k))
