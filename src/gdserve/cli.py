@@ -11,6 +11,16 @@ scenario  generate a synthetic scenario directory
 Data files are JSON lines (plans, decisions, supply, contracts, impressions)
 except the per-cycle delivery timeseries, which is CSV.  Diagnostics go to
 stderr; data goes to files or stdout.  Exit status is 0 iff no errors.
+
+`serve --workers N` acts out the paper's claim that compact plans are
+stateless, so that servers need no central coordination.  The impression
+file is cut into N byte ranges at line ends (`simulate.split_impressions`,
+which also gives each range's first line number and first row); the first
+range is served in this process and every other one in a forked child, all
+from the same plan, into part files that are appended in order.  Row n of
+the file draws `impression_uniform(seed, n)` in whichever process serves
+it, so the decisions file is byte-identical for every N, and so are the
+error and the partial file a bad line leaves.
 """
 
 from __future__ import annotations
@@ -19,7 +29,11 @@ import argparse
 import json
 import math
 import os
+import pickle
+import shutil
+import signal
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -92,7 +106,21 @@ def _load_plan(path):
     return hwm_mod.load_hwm_plan(path)
 
 
+def _serve_workers(requested) -> int:
+    """The number of processes `gdserve serve` uses: `--workers`, by default
+    the CPUs this process may run on, and 1 where `os.fork` is missing."""
+    cpus = os.cpu_count() or 1
+    if requested is not None and not 1 <= requested <= cpus:
+        raise ValueError(f"--workers must be between 1 and {cpus}, got {requested}")
+    if not hasattr(os, "fork"):
+        return 1
+    if requested is None:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else cpus
+    return requested
+
+
 def cmd_serve(args) -> int:
+    workers = _serve_workers(args.workers)
     contracts = {c.id: c for c in model.load_contracts(args.contracts)}
     plan = _load_plan(args.plan)
     plan_ids = [e.contract_id for e in plan.entries]
@@ -110,24 +138,110 @@ def cmd_serve(args) -> int:
     id_json = {cid: json.dumps(cid) for cid in plan_ids}
     probs_json: Dict[Tuple[str, ...], str] = {}
     encode_str = json.encoder.encode_basestring_ascii
-    # Impressions are read row by row; only their attribute sets are kept.
-    sets = sim.ImpressionStream()
-    keys, attrs = sets.keys, sets.attrs
-    written = 0
-    with open(args.out, "w", encoding="utf-8") as out:
-        for n, (imp_id, ts, sid) in enumerate(sim.iter_impressions(args.impressions, sets)):
-            u = sim.impression_uniform(seed, n)
-            ids, probs, sel = server.draw(keys[sid], attrs[sid], ts, u)
-            text = probs_json.get(ids)
-            if text is None:
-                text = probs_json[ids] = json.dumps(
-                    [[cid, p] for cid, p in zip(ids, probs)])
-            chosen = id_json[ids[sel]] if sel >= 0 else "null"
-            out.write(f'{{"impression_id": {encode_str(imp_id)}, "chosen": {chosen}, '
-                      f'"probs": {text}, "u": {u!r}}}\n')
-            written += 1
+
+    def serve(rng: sim.ImpressionRange, path) -> int:
+        """Write the decisions of the rows of `rng` to `path`; returns their
+        number.  Impressions are read row by row; only their attribute sets
+        are kept.  Row n of the file draws `impression_uniform(seed, n)`."""
+        sets = sim.ImpressionStream()
+        keys, attrs = sets.keys, sets.attrs
+        rows = sim.iter_impressions(args.impressions, sets, rng.start, rng.first_line,
+                                    rng.lines)
+        written = 0
+        with open(path, "w", encoding="utf-8") as out:
+            for n, (imp_id, ts, sid) in enumerate(rows, rng.first_row):
+                u = sim.impression_uniform(seed, n)
+                ids, probs, sel = server.draw(keys[sid], attrs[sid], ts, u)
+                text = probs_json.get(ids)
+                if text is None:
+                    text = probs_json[ids] = json.dumps(
+                        [[cid, p] for cid, p in zip(ids, probs)])
+                chosen = id_json[ids[sel]] if sel >= 0 else "null"
+                out.write(f'{{"impression_id": {encode_str(imp_id)}, "chosen": {chosen}, '
+                          f'"probs": {text}, "u": {u!r}}}\n')
+                written += 1
+        return written
+
+    ranges = sim.split_impressions(args.impressions, workers)
+    written = _serve_ranges(serve, ranges, args.out)
     print(f"wrote {written} decisions to {args.out}", file=sys.stderr)
     return 0
+
+
+_COPY_BLOCK = 1 << 16
+
+
+def _serve_ranges(serve, ranges: List[sim.ImpressionRange], out_path) -> int:
+    """`serve` every range, the first here into `out_path` and each other in
+    a forked child into a part file beside it; returns the rows served.
+
+    The parts are appended to `out_path` in order, so it holds what one
+    process serving the whole file writes.  If a range fails, the file
+    holds the ranges before it and the part of it served before the error,
+    and its error is raised: the first one in file order.  No child and no
+    part file outlives the call.
+    """
+    out_dir = os.path.dirname(os.path.abspath(out_path))
+    parts: List[str] = []
+    children = []           # (pid, the read end of its result pipe, its part file)
+    try:
+        for rng in ranges[1:]:
+            fd, part = tempfile.mkstemp(prefix=".gdserve-part-", dir=out_dir)
+            os.close(fd)
+            parts.append(part)
+            read_end, write_end = os.pipe()
+            pipe = os.fdopen(read_end, "rb")
+            try:
+                pid = os.fork()
+            except BaseException:
+                pipe.close()
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _serve_child(serve, rng, part, write_end)
+            os.close(write_end)
+            children.append((pid, pipe, part))
+        written = serve(ranges[0], out_path)
+        with open(out_path, "ab") as out:
+            while children:
+                pid, pipe, part = children[0]
+                data = pipe.read()
+                pipe.close()
+                _, status = os.waitpid(pid, 0)
+                children.pop(0)
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, out, _COPY_BLOCK)
+                result = pickle.loads(data) if data else ChildProcessError(
+                    f"serve worker {pid} ended with wait status {status}")
+                if isinstance(result, BaseException):
+                    raise result
+                written += result
+        return written
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in parts:
+            os.unlink(part)
+
+
+def _serve_child(serve, rng: sim.ImpressionRange, part: str, write_end: int):
+    """The body of a forked serve worker: serve `rng` into `part`, send the
+    row count or the error back through `write_end`, and exit."""
+    status = 1
+    try:
+        try:
+            result = serve(rng, part)
+            status = 0
+        except BaseException as exc:        # sent to the parent, which raises it
+            result = exc
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+    finally:
+        # Never return into the caller's code; an error left unsent (one
+        # that does not pickle) shows as a worker with no result.
+        os._exit(status)
 
 
 def cmd_simulate(args) -> int:
@@ -266,6 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--impressions", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
+    p.add_argument("--workers", type=int,
+                   help="processes serving byte ranges of --impressions "
+                        "(default: the CPUs this process may use; 1 without os.fork)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("simulate", help="run an end-to-end delivery simulation")

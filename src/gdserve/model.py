@@ -65,7 +65,8 @@ class Contract:
     """A guaranteed-delivery demand node with targeting and a flight window.
 
     `demand` is the currently reported remaining demand used for planning;
-    `booked_demand` is the originally sold total, retained for metrics.
+    `booked_demand` is the originally sold total, retained for metrics (the
+    demand when not given).
     `penalty` is the per-impression underdelivery price used by the
     dual-based planner.
     """
@@ -75,11 +76,11 @@ class Contract:
     demand: float
     start: datetime
     end: datetime
-    booked_demand: float = 0.0
+    booked_demand: Optional[float] = None
     penalty: float = 10.0
 
     def __post_init__(self):
-        if self.booked_demand == 0.0:
+        if self.booked_demand is None:
             object.__setattr__(self, "booked_demand", self.demand)
         if self.demand <= 0:
             raise GraphDataError(f"contract {self.id}: demand must be positive")
@@ -376,7 +377,8 @@ def load_contracts(path) -> List[Contract]:
                     demand=record_number(rec, "demand"),
                     start=parse_ts(rec["start"]),
                     end=parse_ts(rec["end"]),
-                    booked_demand=record_number(rec, "booked", 0.0),
+                    booked_demand=(record_number(rec, "booked") if "booked" in rec
+                                   else None),
                     penalty=record_number(rec, "penalty", 10.0),
                 )
                 if contract.booked_demand < contract.demand:

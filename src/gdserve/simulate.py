@@ -49,12 +49,15 @@ per-impression probabilities would.  `shards` adds the bounds of that
 many contiguous blocks of the range to the cuts, and the report is
 bit-identical for every shard count.  That is the check that no decision
 depends on another impression; it does not run blocks in parallel.
+`gdserve serve --workers` does, over the byte ranges of `split_impressions`.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -63,8 +66,8 @@ from datetime import datetime, timedelta
 from itertools import islice
 from operator import gt
 from sys import intern
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from . import metrics as mx
 from . import targeting as tg
@@ -657,15 +660,24 @@ _CANONICAL_LINE = re.compile(r'\{"id": ' + _PLAIN_STR + r', "ts": ' + _PLAIN_STR
                              + r', "attributes": (\{[^}]*\})\}')
 
 
-def iter_impressions(path, sets: ImpressionStream) -> Iterator[Tuple[str, datetime, int]]:
+def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: int = 1,
+                     lines: Optional[int] = None) -> Iterator[Tuple[str, datetime, int]]:
     """Rows (id, ts, set id) of impressions.jsonl, one per non-blank line.
 
     A line holds one JSON object {"id", "ts", "attributes"}, and nothing
-    else, as `json.loads` requires.  The set id indexes `sets.attrs` and
+    else, as `json.loads` requires.  Lines end at `\n`, `\r\n` or a lone
+    `\r` (universal newlines), and a line that is empty after stripping
+    JSON whitespace is skipped.  The set id indexes `sets.attrs` and
     `sets.keys`: a set first seen is checked by `model.record_attributes`
     and added to `sets`, and a later line with the same items in the same
     order is matched to it without a check.  A bad line raises
     GraphDataError as `path:line`.
+
+    By default the whole file is read.  A byte range of it is read from
+    `start`, which must be 0 or just after a `\n`, for `lines` lines (to
+    the end when None), numbering the first one `first_line`; the ranges
+    of `split_impressions` give their rows, and each line its number in
+    the whole file.
 
     The JSON decoder runs once per distinct attributes text of the lines in
     the layout `save_impressions` writes, `{"id": "<s>", "ts": "<s>",
@@ -685,8 +697,10 @@ def iter_impressions(path, sets: ImpressionStream) -> Iterator[Tuple[str, dateti
     known = sets._set_of_items
     set_of_text: Dict[str, int] = {}
     canonical = _CANONICAL_LINE.fullmatch
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        fh = io.TextIOWrapper(raw, encoding="utf-8")
+        for lineno, line in enumerate(islice(fh, lines), first_line):
             line = line.strip(JSON_WHITESPACE)
             if not line:
                 continue
@@ -712,6 +726,92 @@ def iter_impressions(path, sets: ImpressionStream) -> Iterator[Tuple[str, dateti
             except (KeyError, ValueError, TypeError) as exc:
                 raise GraphDataError(f"{path}:{lineno}: bad impression: {exc}") from exc
             yield row
+
+
+class ImpressionRange(NamedTuple):
+    """A byte range of an impressions file: `lines` lines from byte `start`
+    (to the end of the file when None), the first of them line `first_line`
+    of the file and its first row, if any, row `first_row`."""
+
+    start: int
+    first_line: int
+    first_row: int
+    lines: Optional[int]
+
+
+_BLOCK = 1 << 16            # the read size of `split_impressions`
+_FILLED_LINE = re.compile(rb"[^ \t\r\n][^\r\n]*[\r\n]")
+
+
+def split_impressions(path, parts: int) -> List[ImpressionRange]:
+    """`path` cut into at most `parts` ranges of about equal size, in order.
+
+    Each range but the last ends just after a `\n`; none is empty, except
+    the one range of an empty file.  Reading each range r with
+    `iter_impressions(path, sets, r.start, r.first_line, r.lines)`, in
+    order, gives the rows of the whole file, with its line numbers; row i of
+    range r is row `r.first_row + i` of the file.  The lines and
+    rows of every range but the last are counted as `iter_impressions`
+    reads them, in one pass that reads `_BLOCK` bytes at a time.
+    """
+    with open(path, "rb") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        starts = [0]
+        for k in range(1, parts):
+            start = _line_end(fh, max(size * k // parts, starts[-1]))
+            if start >= size:
+                break
+            starts.append(start)
+        fh.seek(0)
+        ranges, line, row = [], 1, 0
+        for start, end in zip(starts, starts[1:]):
+            lines, rows = _count_lines(fh, end - start)
+            ranges.append(ImpressionRange(start, line, row, lines))
+            line, row = line + lines, row + rows
+        ranges.append(ImpressionRange(starts[-1], line, row, None))
+    return ranges
+
+
+def _line_end(fh, pos: int) -> int:
+    """The offset just after the first `\n` at or after `pos` (the size of
+    the file if there is none)."""
+    fh.seek(pos)
+    while True:
+        block = fh.read(_BLOCK)
+        at = block.find(b"\n")
+        if at >= 0 or not block:
+            return pos + at + 1 if at >= 0 else pos
+        pos += len(block)
+
+
+def _count_lines(fh, size: int) -> Tuple[int, int]:
+    """The lines and the rows (lines with a byte other than JSON whitespace)
+    in the next `size` bytes of `fh`, which end with a `\n`.
+
+    Each block is cut after its last `\n`, and the rest is read again with
+    the next one, so a block holds whole lines; only a line longer than
+    `_BLOCK` makes a block longer.
+    """
+    lines = rows = 0
+    while size:
+        block = fh.read(min(_BLOCK, size))
+        while b"\n" not in block:
+            more = fh.read(min(_BLOCK, size - len(block)))
+            if not more:
+                raise OSError(f"{fh.name}: the file changed while it was split")
+            block += more
+        end = block.rfind(b"\n") + 1
+        fh.seek(end - len(block), os.SEEK_CUR)
+        size -= end
+        n = block.count(b"\n", 0, end)
+        if block.find(b"\r", 0, end) < 0 and n == block.count(b"}\n", 0, end):
+            # Every line ends in "}": each is a row.
+            lines += n
+            rows += n
+        else:
+            lines += n + block.count(b"\r", 0, end) - block.count(b"\r\n", 0, end)
+            rows += sum(1 for _ in _FILLED_LINE.finditer(block, 0, end))
+    return lines, rows
 
 
 def save_impressions(events: Sequence[ImpressionEvent], path) -> None:

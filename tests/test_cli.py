@@ -1,4 +1,5 @@
 import json
+import os
 from collections import Counter
 from datetime import timedelta
 
@@ -342,6 +343,116 @@ class TestBadImpressions:
         assert rc == 1
         assert f"{tmp_path / 'impressions.jsonl'}:2: bad impression" in \
             capsys.readouterr().err
+
+
+class TestServeWorkers:
+    """`gdserve serve --workers N` serves byte ranges of the impression file
+    in N processes and writes what one process writes: the same decisions,
+    and on a bad line the same error and the same partial file.  It leaves
+    no child process and no file but its output."""
+
+    @pytest.fixture(scope="class")
+    def scen(self, tmp_path_factory):
+        scen = tmp_path_factory.mktemp("scen")
+        assert run(["scenario", "--out-dir", scen, "--contracts", 6, "--days", 2,
+                    "--daily-traffic", 300, "--seed", 8]) == 0
+        assert run(["plan", "--supply", scen / "supply.jsonl",
+                    "--contracts", scen / "contracts.jsonl",
+                    "--out", scen / "plan.jsonl"]) == 0
+        return scen
+
+    @pytest.fixture
+    def four_cpus(self, monkeypatch):
+        """Up to four workers, whatever the machine has."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def serve(self, scen, impressions, out_dir, workers, capsys):
+        """Exit status, stderr and decisions of one serve into `out_dir`
+        (`--workers` left out when `workers` is None)."""
+        out_dir.mkdir()
+        rc = run(["serve", "--plan", scen / "plan.jsonl",
+                  "--contracts", scen / "contracts.jsonl", "--impressions", impressions,
+                  "--out", out_dir / "decisions.jsonl", "--seed", 5]
+                 + ([] if workers is None else ["--workers", workers]))
+        err = capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)          # every child was reaped
+        assert os.listdir(out_dir) == ["decisions.jsonl"]
+        return rc, err, (out_dir / "decisions.jsonl").read_bytes()
+
+    def test_same_decisions_for_every_worker_count(self, scen, tmp_path, capsys,
+                                                   four_cpus):
+        lines = (scen / "impressions.jsonl").read_text().count("\n")
+        outs = []
+        for n in (1, 2, 3, 4):
+            rc, err, out = self.serve(scen, scen / "impressions.jsonl", tmp_path / f"w{n}",
+                                      n, capsys)
+            assert (rc, err) == (0, f"wrote {lines} decisions to "
+                                    f"{tmp_path / f'w{n}' / 'decisions.jsonl'}\n")
+            outs.append(out)
+        assert outs == [outs[0]] * 4 and outs[0].count(b"\n") == lines > 0
+
+    def test_blank_and_crlf_lines_draw_by_row(self, scen, tmp_path, capsys, four_cpus):
+        # Blank, whitespace-only and CRLF lines change no row, so no decision.
+        lines = (scen / "impressions.jsonl").read_text().splitlines()
+        path = tmp_path / "impressions.jsonl"
+        path.write_bytes("".join(line + ("\r\n\r\n" if i % 7 == 0 else " \t\n\r" if i % 7 == 1
+                                         else "\r\n") for i, line in enumerate(lines))
+                         .encode("utf-8"))
+        plain = self.serve(scen, scen / "impressions.jsonl", tmp_path / "plain", 1, capsys)
+        for n in (1, 2, 3):
+            assert self.serve(scen, path, tmp_path / f"w{n}", n, capsys)[2] == plain[2]
+
+    def with_bad_lines(self, scen, tmp_path, workers, bad_ranges):
+        """The scenario's impressions with line 3 of each range in
+        `bad_ranges` given a bad timestamp of the same length, so that the
+        ranges stay where they are; returns the path and the line numbers."""
+        text = (scen / "impressions.jsonl").read_text()
+        ranges = sim.split_impressions(scen / "impressions.jsonl", workers)
+        assert len(ranges) == workers
+        lines = text.splitlines(keepends=True)
+        numbers = [ranges[k].first_line + 2 for k in bad_ranges]
+        for number in numbers:
+            lines[number - 1] = lines[number - 1].replace('"ts": "2', '"ts": "x')
+        path = tmp_path / "impressions.jsonl"
+        path.write_text("".join(lines))
+        assert sim.split_impressions(path, workers) == ranges
+        return path, numbers
+
+    @pytest.mark.parametrize("workers, bad_ranges", [
+        (2, [1]), (3, [1, 2]), (2, [0]), (3, [0, 2]), (4, [2, 3])])
+    def test_first_bad_line_fails_as_in_one_process(self, scen, tmp_path, capsys,
+                                                    four_cpus, workers, bad_ranges):
+        path, numbers = self.with_bad_lines(scen, tmp_path, workers, bad_ranges)
+        one = self.serve(scen, path, tmp_path / "one", 1, capsys)
+        assert one[0] == 1
+        assert one[1].startswith(f"error: {path}:{numbers[0]}: bad impression: ")
+        assert one[2].count(b"\n") == numbers[0] - 1
+        assert self.serve(scen, path, tmp_path / "many", workers, capsys) == one
+
+    def test_workers_outside_cpus_rejected_without_fork(self, scen, tmp_path, capsys,
+                                                        monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+        monkeypatch.setattr(os, "fork", no_fork)
+        for workers in (0, os.cpu_count() + 1):
+            rc = run(["serve", "--plan", scen / "plan.jsonl",
+                      "--contracts", scen / "contracts.jsonl",
+                      "--impressions", scen / "impressions.jsonl",
+                      "--out", tmp_path / "decisions.jsonl", "--workers", workers])
+            assert rc == 1
+            assert capsys.readouterr().err == (f"error: --workers must be between 1 and "
+                                               f"{os.cpu_count()}, got {workers}\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_one_process_without_fork(self, scen, tmp_path, capsys, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert cli._serve_workers(None) == len(os.sched_getaffinity(0))
+        plain = self.serve(scen, scen / "impressions.jsonl", tmp_path / "plain", 1, capsys)
+        monkeypatch.delattr(os, "fork")
+        assert cli._serve_workers(None) == 1
+        assert self.serve(scen, scen / "impressions.jsonl", tmp_path / "nofork", None,
+                          capsys)[2] == plain[2]
 
 
 class TestPlanFileErrors:

@@ -221,6 +221,17 @@ class TestRoundTrip:
         assert type(c.demand) is int and type(c.booked_demand) is float
         assert c.penalty == 10.0
 
+    def test_booked_zero_is_below_demand(self, tmp_path):
+        # 0 is a booked total like any other, not "booked not given".
+        path = tmp_path / "contracts.jsonl"
+        path.write_text('{"id": "c1", "targeting": "x = 1", "demand": 5, "booked": 0, '
+                        '"start": "2026-03-02T00:00:00", "end": "2026-03-09T00:00:00"}\n')
+        with pytest.raises(model.GraphDataError,
+                           match=f"{path}:1: bad contract record: booked 0 is below demand 5"):
+            model.load_contracts(path)
+        assert make_contract("c1", "x = 1", 5, booked_demand=0).booked_demand == 0
+        assert make_contract("c1", "x = 1", 5).booked_demand == 5
+
     def test_zulu_timestamps_accepted(self):
         ts = model.parse_ts("2026-03-02T00:00:00Z")
         assert ts.year == 2026

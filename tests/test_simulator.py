@@ -1,6 +1,8 @@
 import bisect
+import io
 import json
 import math
+import os
 import random
 import tracemalloc
 from collections import Counter
@@ -421,7 +423,8 @@ class TestCallTimeLookups:
         report = sim.run_simulation(graph, events, cfg)
         assert len(calls) == report.impressions_in_window > 0
 
-    def test_draw_reached_in_gdserve_serve(self, monkeypatch, tmp_path):
+    def planned(self, tmp_path):
+        """A scenario's files and its `gdserve plan`; returns its events."""
         from gdserve import cli
         graph, events = self.scenario()
         model.save_supply(graph.supply_nodes, tmp_path / "supply.jsonl")
@@ -430,12 +433,36 @@ class TestCallTimeLookups:
         assert cli.main(["plan", "--supply", str(tmp_path / "supply.jsonl"),
                          "--contracts", str(tmp_path / "contracts.jsonl"),
                          "--out", str(tmp_path / "plan.jsonl")]) == 0
-        calls = self.counting(monkeypatch, "draw_index")
+        return events
+
+    def serve(self, tmp_path, workers):
+        from gdserve import cli
         assert cli.main(["serve", "--plan", str(tmp_path / "plan.jsonl"),
                          "--contracts", str(tmp_path / "contracts.jsonl"),
                          "--impressions", str(tmp_path / "impressions.jsonl"),
-                         "--out", str(tmp_path / "decisions.jsonl")]) == 0
+                         "--out", str(tmp_path / "decisions.jsonl"),
+                         "--workers", str(workers)]) == 0
+
+    def first_range_rows(self, monkeypatch, tmp_path):
+        """Rows of the first of two ranges, the ones the serving process
+        reads itself; `--workers 2` is allowed on a machine with one CPU."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        ranges = sim.split_impressions(tmp_path / "impressions.jsonl", 2)
+        assert len(ranges) == 2 and ranges[1].first_row > 0
+        return ranges[1].first_row
+
+    def test_draw_reached_in_gdserve_serve(self, monkeypatch, tmp_path):
+        events = self.planned(tmp_path)
+        calls = self.counting(monkeypatch, "draw_index")
+        self.serve(tmp_path, 1)
         assert len(calls) == len(events) > 0
+
+    def test_draw_reached_for_first_range_with_two_workers(self, monkeypatch, tmp_path):
+        events = self.planned(tmp_path)
+        rows = self.first_range_rows(monkeypatch, tmp_path)
+        calls = self.counting(monkeypatch, "draw_index")
+        self.serve(tmp_path, 2)
+        assert len(calls) == rows < len(events)
 
     def counting_rows(self, monkeypatch):
         rows = []
@@ -460,20 +487,17 @@ class TestCallTimeLookups:
 
     def test_gdserve_serve_reads_rows_through_iter_impressions(
             self, monkeypatch, tmp_path):
-        from gdserve import cli
-        graph, events = self.scenario()
-        model.save_supply(graph.supply_nodes, tmp_path / "supply.jsonl")
-        model.save_contracts(graph.contracts, tmp_path / "contracts.jsonl")
-        sim.save_impressions(events, tmp_path / "impressions.jsonl")
-        assert cli.main(["plan", "--supply", str(tmp_path / "supply.jsonl"),
-                         "--contracts", str(tmp_path / "contracts.jsonl"),
-                         "--out", str(tmp_path / "plan.jsonl")]) == 0
+        events = self.planned(tmp_path)
         rows = self.counting_rows(monkeypatch)
-        assert cli.main(["serve", "--plan", str(tmp_path / "plan.jsonl"),
-                         "--contracts", str(tmp_path / "contracts.jsonl"),
-                         "--impressions", str(tmp_path / "impressions.jsonl"),
-                         "--out", str(tmp_path / "decisions.jsonl")]) == 0
+        self.serve(tmp_path, 1)
         assert len(rows) == len(events) > 0
+
+    def test_gdserve_serve_reads_first_range_with_two_workers(self, monkeypatch, tmp_path):
+        events = self.planned(tmp_path)
+        first = self.first_range_rows(monkeypatch, tmp_path)
+        rows = self.counting_rows(monkeypatch)
+        self.serve(tmp_path, 2)
+        assert [r[0] for r in rows] == [ev.id for ev in events[:first]]
 
 
 def reference_events(path):
@@ -648,6 +672,88 @@ class TestImpressionReader:
         with pytest.raises(sim.SimulationError,
                            match=f"impression {events[7].id} at .* is out of order"):
             sim.run_simulation(graph, events, daily_reopt_config(1.0))
+
+
+def impression_line(i):
+    return json.dumps({"id": f"i{i}", "ts": f"2026-03-02T00:{i // 60:02d}:{i % 60:02d}",
+                       "attributes": {"a": str(i % 3)}})
+
+
+def line_table(data: bytes):
+    """(byte offset, line number, rows before it) of each line of `data`,
+    split as a reader with universal newlines splits them, and the same
+    triple for the end of the data."""
+    table, offset, rows = [], 0, 0
+    for number, line in enumerate(io.StringIO(data.decode("utf-8"), newline=""), 1):
+        table.append((offset, number, rows))
+        offset += len(line.encode("utf-8"))
+        rows += bool(line.strip(model.JSON_WHITESPACE))
+    return table, (offset, len(table) + 1, rows)
+
+
+class TestSplitImpressions:
+    """`split_impressions` cuts a file into byte ranges whose line and row
+    offsets are those of the whole file, and reading the ranges with
+    `iter_impressions` gives the file's rows."""
+
+    FILES = {
+        "canonical": "".join(impression_line(i) + "\n" for i in range(40)),
+        "blank and whitespace lines": "".join(
+            impression_line(i) + ("\n\n" if i % 3 == 0 else "\n \t \n" if i % 3 == 1
+                                  else "  \n") for i in range(30)),
+        "crlf": "".join(impression_line(i) + "\r\n" for i in range(30)) + "\r\n",
+        "lone cr": "".join(impression_line(i) + "\r" for i in range(30)),
+        "mixed, no final newline": "\r\n \r\r\n".join(
+            impression_line(i) + " \t" * (i % 2) for i in range(30)),
+        "non-ascii ids": "".join(impression_line(i).replace(f'"i{i}"', f'"\u00e9{i}"')
+                                 + "\n" for i in range(20)),
+        "fewer lines than parts": impression_line(0) + "\n\n" + impression_line(1),
+        "one line": impression_line(0),
+        "blank only": " \n\r\n\t\r",
+        "empty": "",
+    }
+
+    def rows(self, path, *bounds):
+        sets = sim.ImpressionStream()
+        return [(i, t, sets.attrs[s]) for i, t, s in sim.iter_impressions(path, sets, *bounds)]
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("name", FILES)
+    def test_ranges_match_whole_file(self, tmp_path, monkeypatch, name, block):
+        if block is not None:       # block edges inside lines and inside "\r\n"
+            monkeypatch.setattr(sim, "_BLOCK", block)
+        path = tmp_path / "impressions.jsonl"
+        data = self.FILES[name].encode("utf-8")
+        path.write_bytes(data)
+        table, end = line_table(data)
+        at = {offset: (number, rows) for offset, number, rows in table + [end]}
+        whole = self.rows(path)
+        assert len(whole) == end[2]
+        for parts in range(1, 7):
+            ranges = sim.split_impressions(path, parts)
+            assert 1 <= len(ranges) <= min(parts, max(1, len(table)))
+            if name == "canonical":
+                assert len(ranges) == parts
+            assert ranges[0][:3] == (0, 1, 0) and ranges[-1].lines is None
+            got = []
+            for r, after in zip(ranges, ranges[1:] + [None]):
+                assert (r.first_line, r.first_row) == at[r.start]
+                assert r.first_row == len(got)
+                if after is not None:
+                    assert r.start < after.start and data[after.start - 1] == ord("\n")
+                    assert r.lines == after.first_line - r.first_line
+                got += self.rows(path, r.start, r.first_line, r.lines)
+            assert got == whole
+
+    def test_line_numbers_are_those_of_the_file(self, tmp_path):
+        path = tmp_path / "impressions.jsonl"
+        lines = [impression_line(i) for i in range(20)]
+        lines[15] = "{}"
+        path.write_text("\r\n".join(lines) + "\r\n")
+        last = sim.split_impressions(path, 2)[-1]
+        assert last.first_line <= 16
+        with pytest.raises(model.GraphDataError, match=f"{path}:16: bad impression"):
+            self.rows(path, last.start, last.first_line, last.lines)
 
 
 def reference_run(graph, events, cfg, algorithm):
