@@ -89,12 +89,13 @@ def cmd_plan(args) -> int:
 
 def _load_plan(path):
     """Read an HWM or a dual plan file; a dual plan's records carry theta."""
-    first, lineno = "", 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip(model.JSON_WHITESPACE):
-                first = line
-                break
+    lineno, first = 0, ""
+    for start, block in model.line_blocks(path, "plan record"):
+        filled = [(n, line) for n, line in enumerate(block, start)
+                  if line.strip(model.JSON_WHITESPACE)]
+        if filled:
+            lineno, first = filled[0]
+            break
     if not first:
         return hwm_mod.HwmPlan([])
     try:

@@ -28,7 +28,11 @@ while the node is unsaturated, then with slope theta_j*S/(theta_j+S), where
 S is the theta-sum of the other contracts still active, and is flat at 1
 once j is alone.  Each coordinate step therefore collects the knots of
 D_j and solves D_j(a) = d_j exactly by one breakpoint scan, as SHALE's
-first stage does (Bharadwaj et al., KDD 2012).
+first stage does (Bharadwaj et al., KDD 2012).  The knots of one node come
+from walking its other contracts in descending activation key
+(1 + alpha_k, theta_k); the solve keeps that order per node for the whole
+solve and moves a contract within it when its dual changes, so no step
+sorts a node.
 
 The step is non-decreasing in every other dual: raising alpha_k raises the
 node level that `kernels.dual_probs` solves for, which lowers every x_ij,
@@ -44,6 +48,7 @@ the fixed point a warm-started solve would move duals down.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -179,15 +184,16 @@ def reconstruct_primal(eligible: Sequence[Tuple[str, float, float]]
     return [(cid, x) for (cid, _, _), x in zip(eligible, xs)]
 
 
-def delivery_knots(theta_j: float,
-                   nodes: Sequence[Tuple[float, Sequence[Tuple[float, float]]]]
+def delivery_knots(j: str, theta_j: float,
+                   nodes: Sequence[Tuple[float, Sequence[Tuple[float, float, str]]]]
                    ) -> List[Tuple[float, float]]:
-    """Knots of one contract's forecast delivery as a function of its dual.
+    """Knots of contract j's forecast delivery as a function of its dual.
 
-    `nodes` holds one (s_i, others_i) pair per eligible node of contract j,
-    where others_i lists the (theta_k, alpha_k) of the node's other planned
-    contracts, whose duals stay fixed.  Returns (a_t, c_t) pairs sorted by
-    a_t such that, for every a,
+    `nodes` holds one (s_i, order_i) pair per eligible node of j, where
+    order_i lists the (1 + alpha_k, theta_k, k) of the node's planned
+    contracts in ascending order; j's own entry, if present, is skipped, and
+    the other duals stay fixed.  Returns (a_t, c_t) pairs sorted by a_t such
+    that, for every a,
 
         D_j(a) = sum_i s_i * x_ij(a) = sum_t c_t * max(0, a - a_t)
 
@@ -195,7 +201,7 @@ def delivery_knots(theta_j: float,
     alpha_j = a.  Requires theta_j > 0.
     """
     knots: List[Tuple[float, float]] = []
-    for s, others in nodes:
+    for s, order in nodes:
         # Walk the node level X down from the highest activation point
         # 1 + alpha_k of the others.  a_sum and b_sum are the sums of
         # theta_k * (1 + alpha_k) and theta_k over the others active above X,
@@ -203,7 +209,9 @@ def delivery_knots(theta_j: float,
         # minus that, reached at a = X - 1 + x_ij / theta_j.
         a_sum = b_sum = 0.0
         slope_above = 0.0
-        for c, t in sorted(((1.0 + a, t) for t, a in others), reverse=True):
+        for c, t, k in reversed(order):
+            if k == j:
+                continue
             filled = a_sum - b_sum * c
             if filled >= 1.0:
                 break
@@ -278,6 +286,15 @@ def solve_dual_offline(graph: AllocationGraph, tol: float = 1e-6,
     skips capped contracts) are those of the unskipped solve.  A start
     above the fixed point would break the induction.
 
+    Each node's planned contracts are kept in one list sorted by activation
+    key (1 + alpha_k, theta_k), built once per solve; the step of contract
+    j walks the lists of j's nodes, skipping j, and a dual that changes is
+    moved in each of its nodes' lists by bisection.  The knots are those of
+    a walk over a freshly sorted list: entries with equal keys add the same
+    terms in the same order, so their order among themselves does not
+    matter, and the move reinserts the entry under its new key whichever
+    way the dual moved, so the order holds for a start anywhere.
+
     The graph's edges are taken as given (see `model.AllocationGraph`).
     """
     spec = DualObjectiveSpec.from_graph(graph)
@@ -297,20 +314,23 @@ def solve_dual_offline(graph: AllocationGraph, tol: float = 1e-6,
 
     # Per-node eligible lists restricted to planned contracts; per-contract
     # (node, supply, slot) views for delivery evaluation, and per-contract
-    # (supply, [(other contract, its theta)]) lists for the coordinate step.
+    # (supply, order) lists for the coordinate step, where a node's order
+    # holds its contracts' (1 + alpha, theta, id) in ascending order and is
+    # shared by all of them.
     node_lists: Dict[str, List[str]] = {}
     for n in graph.supply_nodes:
         lst = [cid for cid in graph.contracts_of[n.id] if cid in included_ids]
         if lst and n.forecast_supply > 0:
             node_lists[n.id] = lst
     views = {c.id: [] for c in included}
-    rivals = {c.id: [] for c in included}
+    orders = {c.id: [] for c in included}
     for nid, lst in node_lists.items():
         s = float(graph.node_by_id[nid].forecast_supply)
         ths = [theta[cid] for cid in lst]
+        order = sorted((1.0 + alpha[cid], t, cid) for cid, t in zip(lst, ths))
         for slot, cid in enumerate(lst):
             views[cid].append((lst, ths, s, slot))
-            rivals[cid].append((s, [(k, t) for k, t in zip(lst, ths) if k != cid]))
+            orders[cid].append((s, order))
 
     def delivery(cid: str, a: float) -> float:
         total = 0.0
@@ -341,11 +361,15 @@ def solve_dual_offline(graph: AllocationGraph, tol: float = 1e-6,
             if alpha[cid] >= hi:
                 continue
             steps += 1
-            knots = delivery_knots(theta[cid], [
-                (s, [(t, alpha[k]) for k, t in others]) for s, others in rivals[cid]])
-            new = _first_crossing(knots, float(c.demand), hi)
-            max_change = max(max_change, abs(new - alpha[cid]) / max(1.0, hi))
+            knots = delivery_knots(cid, theta[cid], orders[cid])
+            new, old = _first_crossing(knots, float(c.demand), hi), alpha[cid]
+            max_change = max(max_change, abs(new - old) / max(1.0, hi))
             alpha[cid] = new
+            if new != old:
+                was, now = (1.0 + old, theta[cid], cid), (1.0 + new, theta[cid], cid)
+                for _, order in orders[cid]:
+                    del order[bisect_left(order, was)]
+                    insort(order, now)
         if max_change < tol:
             _, rel_w = worst_violation()
             if rel_w <= tol:

@@ -7,13 +7,14 @@ fractional supply values, so arithmetic treats supply as float throughout.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import (Callable, Dict, List, Mapping, Optional, Protocol, Sequence,
-                    Tuple, TypeVar)
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional, Protocol,
+                    Sequence, Tuple, TypeVar)
 
 from . import targeting as tg
 
@@ -307,6 +308,66 @@ def record_attributes(rec) -> AttributeMap:
     return attrs
 
 
+_LINES_HINT = 1 << 13       # about the characters of one block of `line_blocks`
+
+
+def line_blocks(path, what: str, start: int = 0, first_line: int = 1,
+                lines: Optional[int] = None) -> Iterator[Tuple[int, List[str]]]:
+    """The lines of a UTF-8 text file in blocks: (number of the block's first
+    line, its lines), each block about `_LINES_HINT` characters.
+
+    Lines end at `\n`, `\r\n` or a lone `\r`, as a text file reads them.
+    Reading starts at byte `start`, which must be 0 or just after a `\n`,
+    numbers the first line `first_line` and stops after `lines` lines (at
+    the end of the file when None).
+
+    A line that is not UTF-8 raises GraphDataError as `path:line: bad
+    <what>: <reason>`, after every line before it has been yielded.  The
+    text reader decodes ahead of the lines it returns, so after a decoding
+    error the rest is read again from the first line not yet yielded, and
+    each line is decoded on its own and yielded in a block of one.  Only
+    that error path decodes line by line.
+    """
+    lineno, left = first_line, lines
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        fh = io.TextIOWrapper(raw, encoding="utf-8")
+        while left is None or left > 0:
+            try:
+                block = fh.readlines(_LINES_HINT)
+            except UnicodeDecodeError:
+                break
+            if not block:
+                return
+            if left is not None:
+                del block[left:]
+                left -= len(block)
+            yield lineno, block
+            lineno += len(block)
+        else:
+            return
+    yield from _decoded_lines(path, what, start, first_line, lines, lineno)
+
+
+def _decoded_lines(path, what: str, start: int, first_line: int,
+                   lines: Optional[int], resume: int) -> Iterator[Tuple[int, List[str]]]:
+    """`line_blocks` from line `resume` on, each line decoded on its own."""
+    n, lines_end = first_line, None if lines is None else first_line + lines
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        for chunk in raw:                   # split at b"\n" only
+            for line in chunk.splitlines(keepends=True):
+                if n == lines_end:
+                    return
+                if n >= resume:
+                    try:
+                        text = line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise GraphDataError(f"{path}:{n}: bad {what}: {exc}") from exc
+                    yield n, [text]
+                n += 1
+
+
 def read_plan_file(path, parse: Callable[[dict], T]) -> List[T]:
     """Parse a plan file, one record per non-blank line, with `parse`.
 
@@ -315,8 +376,8 @@ def read_plan_file(path, parse: Callable[[dict], T]) -> List[T]:
     """
     entries: List[T] = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    for first, block in line_blocks(path, "plan record"):
+        for lineno, line in enumerate(block, first):
             line = line.strip(JSON_WHITESPACE)
             if not line:
                 continue
@@ -334,8 +395,8 @@ def read_plan_file(path, parse: Callable[[dict], T]) -> List[T]:
 def load_supply(path) -> List[SupplyNode]:
     """Read supply.jsonl: {"id", "attributes": {..}, "supply": int} per line."""
     nodes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    for first, block in line_blocks(path, "supply record"):
+        for lineno, line in enumerate(block, first):
             line = line.strip(JSON_WHITESPACE)
             if not line:
                 continue
@@ -364,8 +425,8 @@ def load_contracts(path) -> List[Contract]:
     allows it, since feedback plans with a demand above the booked total.
     """
     contracts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    for first, block in line_blocks(path, "contract record"):
+        for lineno, line in enumerate(block, first):
             line = line.strip(JSON_WHITESPACE)
             if not line:
                 continue
@@ -414,8 +475,8 @@ def save_contracts(contracts: List[Contract], path) -> None:
 def load_edges(path) -> List[Edge]:
     """Read an explicit edges.jsonl override: {"supply_id", "contract_id"} per line."""
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    for first, block in line_blocks(path, "edge record"):
+        for lineno, line in enumerate(block, first):
             line = line.strip(JSON_WHITESPACE)
             if not line:
                 continue

@@ -54,7 +54,6 @@ depends on another impression; it does not run blocks in parallel.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -76,8 +75,8 @@ from .feedback import DeliveryState, FeedbackConfig, apply_feedback, linear_goal
 from .hwm import HwmEntry, HwmPlan, generate_hwm_plan
 from .kernels import draw_index
 from .model import (JSON_WHITESPACE, AllocationGraph, Contract, GraphDataError,
-                    ServingPlan, parse_ts, record_attributes, record_number,
-                    replan_contract)
+                    ServingPlan, line_blocks, parse_ts, record_attributes,
+                    record_number, replan_contract)
 
 
 class SimulationError(ValueError):
@@ -670,8 +669,9 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
     JSON whitespace is skipped.  The set id indexes `sets.attrs` and
     `sets.keys`: a set first seen is checked by `model.record_attributes`
     and added to `sets`, and a later line with the same items in the same
-    order is matched to it without a check.  A bad line raises
-    GraphDataError as `path:line`.
+    order is matched to it without a check.  A bad line, one that is not
+    UTF-8 included, raises GraphDataError as `path:line`, after the rows of
+    the lines before it (see `model.line_blocks`).
 
     By default the whole file is read.  A byte range of it is read from
     `start`, which must be 0 or just after a `\n`, for `lines` lines (to
@@ -697,10 +697,8 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
     known = sets._set_of_items
     set_of_text: Dict[str, int] = {}
     canonical = _CANONICAL_LINE.fullmatch
-    with open(path, "rb") as raw:
-        raw.seek(start)
-        fh = io.TextIOWrapper(raw, encoding="utf-8")
-        for lineno, line in enumerate(islice(fh, lines), first_line):
+    for first, block in line_blocks(path, "impression", start, first_line, lines):
+        for lineno, line in enumerate(block, first):
             line = line.strip(JSON_WHITESPACE)
             if not line:
                 continue

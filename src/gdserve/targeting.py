@@ -224,18 +224,25 @@ def eligible(attrs: Mapping[str, str], expr: TargetingExpr) -> bool:
 
     Absent attributes fail Equals/In; NOT is classical negation.
     """
-    if isinstance(expr, TrueExpr):
-        return True
-    if isinstance(expr, Equals):
+    kind = type(expr)
+    if kind is Equals:
         return attrs.get(expr.attr) == expr.value
-    if isinstance(expr, In):
+    if kind is And:
+        for child in expr.children:
+            if not eligible(attrs, child):
+                return False
+        return True
+    if kind is In:
         return attrs.get(expr.attr) in expr.values
-    if isinstance(expr, Not):
+    if kind is Or:
+        for child in expr.children:
+            if eligible(attrs, child):
+                return True
+        return False
+    if kind is Not:
         return not eligible(attrs, expr.child)
-    if isinstance(expr, And):
-        return all(eligible(attrs, c) for c in expr.children)
-    if isinstance(expr, Or):
-        return any(eligible(attrs, c) for c in expr.children)
+    if kind is TrueExpr:
+        return True
     raise TypeError(f"not a targeting expression: {expr!r}")
 
 

@@ -403,19 +403,20 @@ class TestServeWorkers:
         for n in (1, 2, 3):
             assert self.serve(scen, path, tmp_path / f"w{n}", n, capsys)[2] == plain[2]
 
-    def with_bad_lines(self, scen, tmp_path, workers, bad_ranges):
-        """The scenario's impressions with line 3 of each range in
-        `bad_ranges` given a bad timestamp of the same length, so that the
-        ranges stay where they are; returns the path and the line numbers."""
-        text = (scen / "impressions.jsonl").read_text()
+    def with_bad_lines(self, scen, tmp_path, workers, bad_ranges, bad=b"x", line=3):
+        """The scenario's impressions with line `line` of each range in
+        `bad_ranges` given a timestamp starting with the byte `bad` in place
+        of its first digit, so that the ranges stay where they are; returns
+        the path and the line numbers."""
+        data = (scen / "impressions.jsonl").read_bytes()
         ranges = sim.split_impressions(scen / "impressions.jsonl", workers)
         assert len(ranges) == workers
-        lines = text.splitlines(keepends=True)
-        numbers = [ranges[k].first_line + 2 for k in bad_ranges]
+        lines = data.splitlines(keepends=True)
+        numbers = [ranges[k].first_line + line - 1 for k in bad_ranges]
         for number in numbers:
-            lines[number - 1] = lines[number - 1].replace('"ts": "2', '"ts": "x')
+            lines[number - 1] = lines[number - 1].replace(b'"ts": "2', b'"ts": "' + bad)
         path = tmp_path / "impressions.jsonl"
-        path.write_text("".join(lines))
+        path.write_bytes(b"".join(lines))
         assert sim.split_impressions(path, workers) == ranges
         return path, numbers
 
@@ -427,6 +428,22 @@ class TestServeWorkers:
         one = self.serve(scen, path, tmp_path / "one", 1, capsys)
         assert one[0] == 1
         assert one[1].startswith(f"error: {path}:{numbers[0]}: bad impression: ")
+        assert one[2].count(b"\n") == numbers[0] - 1
+        assert self.serve(scen, path, tmp_path / "many", workers, capsys) == one
+
+    @pytest.mark.parametrize("workers, bad_ranges, line", [
+        (2, [1], 1), (2, [0], 3), (3, [1, 2], 1), (2, [1], 3)])
+    def test_undecodable_line_fails_as_in_one_process(self, scen, tmp_path, capsys,
+                                                      four_cpus, workers, bad_ranges,
+                                                      line):
+        # A range's reader must not decode ahead into the next range, nor
+        # fail before serving the rows of its own lines before the bad one.
+        path, numbers = self.with_bad_lines(scen, tmp_path, workers, bad_ranges,
+                                            b"\xff", line)
+        one = self.serve(scen, path, tmp_path / "one", 1, capsys)
+        assert one[0] == 1
+        assert one[1].startswith(f"error: {path}:{numbers[0]}: bad impression: 'utf-8' "
+                                 "codec can't decode byte 0xff")
         assert one[2].count(b"\n") == numbers[0] - 1
         assert self.serve(scen, path, tmp_path / "many", workers, capsys) == one
 

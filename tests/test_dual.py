@@ -278,17 +278,18 @@ def _knot_reference(graph, tol=1e-6, max_iters=10000):
     theta = dual.DualObjectiveSpec.from_graph(graph).theta
 
     def step(cid, d, hi, delivery, alpha):
-        knots = dual.delivery_knots(theta[cid], _knot_nodes(graph, theta, alpha, cid))
+        knots = dual.delivery_knots(cid, theta[cid], _knot_nodes(graph, theta, alpha, cid))
         return dual._first_crossing(knots, d, hi)
 
     return _reference_ascent(graph, step, tol, max_iters)
 
 
 def _knot_nodes(graph, theta, alpha, cid):
-    """(s_i, [(theta_k, alpha_k) of the other contracts]) per node of cid."""
+    """(s_i, the (1 + alpha_k, theta_k, k) of the node's planned contracts,
+    cid's own included, sorted afresh) per node of cid."""
     return [(float(graph.node_by_id[nid].forecast_supply),
-             [(theta[k], alpha[k]) for k in graph.contracts_of[nid]
-              if k != cid and k in theta])
+             sorted((1.0 + alpha[k], theta[k], k) for k in graph.contracts_of[nid]
+                    if k in theta))
             for nid in graph.nodes_of[cid]
             if graph.node_by_id[nid].forecast_supply > 0]
 
@@ -332,22 +333,23 @@ class TestExactStep:
                      for cid in theta}
             for cid in theta:
                 nodes = _knot_nodes(g, theta, alpha, cid)
-                knots = dual.delivery_knots(theta[cid], nodes)
+                knots = dual.delivery_knots(cid, theta[cid], nodes)
                 points = ([0.0, spec.penalty[cid] / 2.0]
                           + [rng.uniform(0.0, 5.0) for _ in range(5)]
                           + [a for a, _ in knots if a >= 0.0] + pool)
                 for a in points:
                     ref = sum(s * kernels.dual_probs(
-                        [theta[cid]] + [t for t, _ in others],
-                        [a] + [al for _, al in others])[0]
-                        for s, others in nodes)
+                        [theta[cid]] + [t for _, t, k in order if k != cid],
+                        [a] + [alpha[k] for _, _, k in order if k != cid])[0]
+                        for s, order in nodes)
                     assert _curve(knots, a) == pytest.approx(ref, rel=1e-9,
                                                              abs=1e-9)
 
     def test_knots_of_a_lone_contract(self):
         # x = theta * (1 + a) from a = -1, flat at 1 from a = 1/theta - 1.
-        knots = dual.delivery_knots(0.5, [(100.0, [])])
-        assert knots == [(-1.0, 50.0), (1.0, -50.0)]
+        for order in ([], [(1.0, 0.5, "j")]):
+            knots = dual.delivery_knots("j", 0.5, [(100.0, order)])
+            assert knots == [(-1.0, 50.0), (1.0, -50.0)]
 
     def test_edge_cases_match_bisection(self):
         g = _edge_cases_graph()
@@ -377,7 +379,7 @@ class TestExactStep:
                 # in the flat meets the demand, the exact step returns its
                 # left end and bisection a point that rounding picks.
                 knots = dual.delivery_knots(
-                    spec.theta[cid], _knot_nodes(g, spec.theta, alpha, cid))
+                    cid, spec.theta[cid], _knot_nodes(g, spec.theta, alpha, cid))
                 d = g.contract_by_id[cid].demand
                 assert a < ref[cid]
                 assert _curve(knots, a) == pytest.approx(d, rel=1e-9)
@@ -430,3 +432,79 @@ class TestCappedSkip:
         assert plan.stats.capped == 1
         assert len(calls) == plan.stats.steps
         assert plan.stats.steps < plan.stats.sweeps * len(plan.entries)
+
+
+def _tie_heavy_instance(rng) -> QpInstance:
+    """30 contracts over 80 nodes with supplies, demand shares and penalties
+    from small pools.  A share is a dyadic fraction of an integer eligible
+    supply, so contracts with the same share have the same theta exactly;
+    every key ties at the start, and many duals end tied at a shared
+    penalty/2 cap."""
+    n, m = 80, 30
+    mask = np.zeros((n, m), dtype=bool)
+    for j in range(m):
+        mask[rng.sample(range(n), rng.randint(2, 12)), j] = True
+    s = np.array([rng.choice([40.0, 80.0]) for _ in range(n)])
+    d = np.array([rng.choice([0.125, 0.25, 0.5, 1.5]) * float(s[mask[:, j]].sum())
+                  for j in range(m)])
+    p = np.array([rng.choice([2.0, 10.0]) for _ in range(m)])
+    return QpInstance(s=s, d=d, p=p, mask=mask)
+
+
+class TestKeptOrder:
+    """The solve keeps each node's contracts sorted by activation key and
+    moves a contract when its dual changes; the references sort per call."""
+
+    def test_lists_hold_current_duals_in_order(self, monkeypatch):
+        knots, crossing = dual.delivery_knots, dual._first_crossing
+        graphs = [_edge_cases_graph()] + [
+            _instance_to_graph(_tie_heavy_instance(random.Random(seed)))
+            for seed in (1, 2)]
+        for g in graphs:
+            theta = dual.DualObjectiveSpec.from_graph(g).theta
+            # The duals as the steps set them, followed through the
+            # crossings the solve computes, not read from the solve.
+            alpha = {cid: 0.0 for cid in theta}
+            stepping = []
+
+            def checked_knots(j, theta_j, nodes):
+                expected = [
+                    (float(n.forecast_supply),
+                     sorted((1.0 + alpha[k], theta[k], k)
+                            for k in g.contracts_of[n.id] if k in theta))
+                    for n in g.supply_nodes
+                    if j in g.contracts_of[n.id] and n.forecast_supply > 0]
+                assert [(s, sorted(order)) for s, order in nodes] == expected
+                for _, order in nodes:
+                    walk = [(c, t) for c, t, k in reversed(order) if k != j]
+                    assert all(x >= y for x, y in zip(walk, walk[1:]))
+                stepping.append(j)
+                return knots(j, theta_j, nodes)
+
+            def followed_crossing(*args):
+                alpha[stepping.pop()] = new = crossing(*args)
+                return new
+
+            monkeypatch.setattr(dual, "delivery_knots", checked_knots)
+            monkeypatch.setattr(dual, "_first_crossing", followed_crossing)
+            plan = dual.solve_dual_offline(g)
+            assert not stepping
+            assert {e.contract_id: e.alpha for e in plan.entries} == alpha
+
+    def test_tie_heavy_instances_match_sorting_reference(self):
+        rng = random.Random(1313)
+        for trial in range(5):
+            g = _instance_to_graph(_tie_heavy_instance(rng))
+            spec = dual.DualObjectiveSpec.from_graph(g)
+            assert len(set(spec.theta.values())) <= 4
+            plan = dual.solve_dual_offline(g)
+            ref, sweeps, history = _knot_reference(g)
+            assert {e.contract_id: e.alpha for e in plan.entries} == ref
+            assert plan.stats.sweeps == sweeps
+            # The solve computes the steps of duals below their cap.
+            assert plan.stats.steps == sum(
+                1 for cid, seq in history.items() for a in seq[:-1]
+                if a < spec.penalty[cid] / 2.0)
+            duals = list(ref.values())
+            assert len(set(duals)) < len(duals)
+            assert any(0.0 < a < spec.penalty[cid] / 2.0 for cid, a in ref.items())

@@ -103,6 +103,25 @@ class TestFeasibility:
         assert not report.feasible
 
 
+# One good record for each reader of a JSON-lines file.
+READERS = [
+    ("supply", '{"id": "n1", "attributes": {"x": "1"}, "supply": 5}',
+     model.load_supply),
+    ("contracts", '{"id": "c1", "targeting": "x = 1", "demand": 5, '
+     '"start": "2026-03-02T00:00:00", "end": "2026-03-09T00:00:00"}',
+     model.load_contracts),
+    ("edges", '{"supply_id": "n1", "contract_id": "c1"}', model.load_edges),
+    ("impressions", '{"id": "i1", "ts": "2026-03-02T00:00:00", '
+     '"attributes": {"x": "1"}}', simulate.load_impressions),
+    ("hwm_plan", '{"contract_id": "c1", "eligible_supply": 5, "alpha": 0.5}',
+     hwm.load_hwm_plan),
+    ("dual_plan", '{"contract_id": "c1", "theta": 0.5, "alpha": 0.0, '
+     '"penalty": 10.0}', dual.load_dual_plan),
+    ("plan", '{"contract_id": "c1", "theta": 0.5, "alpha": 0.0, '
+     '"penalty": 10.0}', cli._load_plan),
+]
+
+
 class TestRoundTrip:
     def test_supply_and_contracts_round_trip(self, tmp_path, three_contract_graph):
         g = three_contract_graph
@@ -175,22 +194,7 @@ class TestRoundTrip:
             simulate.load_impressions(path)
 
     @pytest.mark.parametrize("tail", ["\u00a0", "\x0c"])
-    @pytest.mark.parametrize("name, record, read", [
-        ("supply", '{"id": "n1", "attributes": {"x": "1"}, "supply": 5}',
-         model.load_supply),
-        ("contracts", '{"id": "c1", "targeting": "x = 1", "demand": 5, '
-         '"start": "2026-03-02T00:00:00", "end": "2026-03-09T00:00:00"}',
-         model.load_contracts),
-        ("edges", '{"supply_id": "n1", "contract_id": "c1"}', model.load_edges),
-        ("impressions", '{"id": "i1", "ts": "2026-03-02T00:00:00", '
-         '"attributes": {"x": "1"}}', simulate.load_impressions),
-        ("hwm_plan", '{"contract_id": "c1", "eligible_supply": 5, "alpha": 0.5}',
-         hwm.load_hwm_plan),
-        ("dual_plan", '{"contract_id": "c1", "theta": 0.5, "alpha": 0.0, '
-         '"penalty": 10.0}', dual.load_dual_plan),
-        ("plan", '{"contract_id": "c1", "theta": 0.5, "alpha": 0.0, '
-         '"penalty": 10.0}', cli._load_plan),
-    ])
+    @pytest.mark.parametrize("name, record, read", READERS)
     def test_only_json_whitespace_is_stripped(self, tmp_path, name, record,
                                               read, tail):
         # json.loads rejects U+00A0 and U+000C around a value, and so must
@@ -207,6 +211,22 @@ class TestRoundTrip:
         path.write_text(f" \t\r\n{record} \t\r\n", encoding="utf-8")
         loaded = read(path)
         assert len(getattr(loaded, "entries", loaded)) == 1
+
+    @pytest.mark.parametrize("name, record, read", READERS)
+    def test_undecodable_line_reports_line(self, tmp_path, name, record, read):
+        # A byte that is not UTF-8 fails with its line, even when the text
+        # reader decodes it in the same chunk as the lines before it, and a
+        # bad record before it fails first.
+        path = tmp_path / f"{name}.jsonl"
+        good, bad = record.encode("utf-8"), b"{\xff" + record.encode("utf-8")[1:]
+        path.write_bytes(good + b"\n" + b" \n" * 300 + bad + b"\n" + good + b"\n")
+        with pytest.raises(model.GraphDataError,
+                           match=f"{path}:302: bad .*: 'utf-8' codec can't decode "
+                                 "byte 0xff in position 1"):
+            read(path)
+        path.write_bytes(good + b"\n{}\n" + bad + b"\n")
+        with pytest.raises(model.GraphDataError, match=f"{path}:2: bad "):
+            read(path)
 
     def test_missing_attributes_are_empty(self, tmp_path):
         path = tmp_path / "supply.jsonl"

@@ -755,6 +755,36 @@ class TestSplitImpressions:
         with pytest.raises(model.GraphDataError, match=f"{path}:16: bad impression"):
             self.rows(path, last.start, last.first_line, last.lines)
 
+    def test_undecodable_line_fails_after_the_rows_before_it(self, tmp_path):
+        # The text reader decodes 8 KiB chunks ahead of the lines it gives.
+        lines = [impression_line(i).encode("utf-8") for i in range(2000)]
+        (tmp_path / "head.jsonl").write_bytes(b"\r\n".join(lines[:1500]) + b"\r\n")
+        lines[1500] = lines[1500].replace(b'"ts": "2', b'"ts": "\xff')
+        path = tmp_path / "impressions.jsonl"
+        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        sets, got = sim.ImpressionStream(), []
+        with pytest.raises(model.GraphDataError,
+                           match=f"{path}:1501: bad impression: 'utf-8' codec can't "
+                                 "decode byte 0xff in position 23"):
+            for i, t, s in sim.iter_impressions(path, sets):
+                got.append((i, t, sets.attrs[s]))
+        assert got == self.rows(tmp_path / "head.jsonl")
+
+    def test_undecodable_line_of_the_next_range_is_not_read(self, tmp_path):
+        lines = [impression_line(i).encode("utf-8") + b"\n" for i in range(400)]
+        clean = tmp_path / "clean.jsonl"
+        clean.write_bytes(b"".join(lines))
+        ranges = sim.split_impressions(clean, 2)
+        k = ranges[1].first_line - 1
+        lines[k] = lines[k].replace(b'"ts": "2', b'"ts": "\xff')
+        path = tmp_path / "impressions.jsonl"
+        path.write_bytes(b"".join(lines))
+        assert sim.split_impressions(path, 2) == ranges
+        first = (ranges[0].start, ranges[0].first_line, ranges[0].lines)
+        assert self.rows(path, *first) == self.rows(clean, *first)
+        with pytest.raises(model.GraphDataError, match=f"{path}:{k + 1}: bad impression"):
+            self.rows(path, ranges[1].start, ranges[1].first_line, ranges[1].lines)
+
 
 def reference_run(graph, events, cfg, algorithm):
     """The engine written out per impression, as a reference: each in-window

@@ -93,6 +93,36 @@ class TestEligibility:
             rhs = tg.eligible(attrs, tg.Or((tg.Not(x), tg.Not(y))))
             assert lhs == rhs
 
+    def test_matches_reference_evaluator(self):
+        rng = random.Random(6)
+        for _ in range(2000):
+            expr = random_targeting(rng)
+            if rng.random() < 0.2:
+                expr = rng.choice([tg.And, tg.Or])((expr,))
+            attrs = random_attrs(rng) if rng.random() < 0.9 else {}
+            assert tg.eligible(attrs, expr) is _reference_eligible(attrs, expr)
+
+    def test_rejects_what_is_not_an_expression(self):
+        for expr in ("gender = male", None, tg.And((tg.TrueExpr(), 42)),
+                     tg.Not(("gender", "male"))):
+            with pytest.raises(TypeError, match="not a targeting expression"):
+                tg.eligible({"gender": "male"}, expr)
+
+
+def _reference_eligible(attrs, expr) -> bool:
+    """The grammar's meaning, evaluated without shortcuts: an absent
+    attribute fails Equals and In."""
+    if isinstance(expr, tg.TrueExpr):
+        return True
+    if isinstance(expr, tg.Equals):
+        return expr.attr in attrs and attrs[expr.attr] == expr.value
+    if isinstance(expr, tg.In):
+        return expr.attr in attrs and attrs[expr.attr] in expr.values
+    if isinstance(expr, tg.Not):
+        return not _reference_eligible(attrs, expr.child)
+    results = [_reference_eligible(attrs, c) for c in expr.children]
+    return all(results) if isinstance(expr, tg.And) else any(results)
+
 
 class TestBuildEdges:
     def test_empty_contracts(self, three_contract_graph):
