@@ -36,7 +36,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import dual as dual_mod
 from . import hwm as hwm_mod
@@ -89,20 +89,8 @@ def cmd_plan(args) -> int:
 
 def _load_plan(path):
     """Read an HWM or a dual plan file; a dual plan's records carry theta."""
-    lineno, first = 0, ""
-    for start, block in model.line_blocks(path, "plan record"):
-        filled = [(n, line) for n, line in enumerate(block, start)
-                  if line.strip(model.JSON_WHITESPACE)]
-        if filled:
-            lineno, first = filled[0]
-            break
-    if not first:
-        return hwm_mod.HwmPlan([])
-    try:
-        rec = json.loads(first)
-    except ValueError as exc:
-        raise model.GraphDataError(f"{path}:{lineno}: bad plan record: {exc}") from exc
-    if isinstance(rec, dict) and "theta" in rec:
+    first = next(model.read_records(path, "plan record", json.loads), None)
+    if isinstance(first, dict) and "theta" in first:
         return dual_mod.load_dual_plan(path)
     return hwm_mod.load_hwm_plan(path)
 
@@ -278,28 +266,25 @@ def cmd_simulate(args) -> int:
 
 
 def _read_timeseries(path, contract_ids) -> List[mx.TimeseriesRow]:
-    """Read a delivery timeseries; a bad row fails with the file and line."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        expected = ["cycle_end_ts", "contract_id", "delivered_cum", "linear_goal"]
-        if header != expected:
-            raise model.GraphDataError(f"{path}: unexpected timeseries header {header}")
-        for lineno, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ts, cid, delivered, goal = line.split(",")
-                row = mx.TimeseriesRow(model.parse_ts(ts), cid, float(delivered),
-                                       float(goal))
-                if cid not in contract_ids:
-                    raise ValueError(f"unknown contract {cid!r}")
-                if not (math.isfinite(row.delivered) and math.isfinite(row.linear_goal)):
-                    raise ValueError("delivered_cum and linear_goal must be finite")
-                rows.append(row)
-            except ValueError as exc:
-                raise model.GraphDataError(f"{path}:{lineno}: bad row: {exc}") from exc
+    """Read a delivery timeseries: the header, then one row per line; a bad
+    header or row fails as `path:line: bad row: <reason>`."""
+    header = True
+
+    def row(line: str) -> Optional[mx.TimeseriesRow]:
+        nonlocal header
+        if header:
+            if line != sim.TIMESERIES_HEADER:
+                raise ValueError(f"unexpected timeseries header {line.split(',')}")
+            header = False
+            return None
+        ts, cid, delivered, goal = line.split(",")
+        out = mx.TimeseriesRow(model.parse_ts(ts), cid, float(delivered), float(goal))
+        if cid not in contract_ids:
+            raise ValueError(f"unknown contract {cid!r}")
+        if not (math.isfinite(out.delivered) and math.isfinite(out.linear_goal)):
+            raise ValueError("delivered_cum and linear_goal must be finite")
+        return out
+    rows = list(model.read_records(path, "row", row))[1:]
     if not rows:
         raise model.GraphDataError(f"{path}: no rows")
     return rows

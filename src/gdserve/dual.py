@@ -312,41 +312,37 @@ def solve_dual_offline(graph: AllocationGraph, tol: float = 1e-6,
     alpha = {c.id: 0.0 for c in included}
     included_ids = set(alpha)
 
-    # Per-node eligible lists restricted to planned contracts; per-contract
-    # (node, supply, slot) views for delivery evaluation, and per-contract
-    # (supply, order) lists for the coordinate step, where a node's order
-    # holds its contracts' (1 + alpha, theta, id) in ascending order and is
-    # shared by all of them.
-    node_lists: Dict[str, List[str]] = {}
+    # Per-node (supply, planned contracts, thetas) for delivery evaluation,
+    # and per-contract (supply, order) lists for the coordinate step, where
+    # a node's order holds its contracts' (1 + alpha, theta, id) in
+    # ascending order and is shared by all of them.
+    node_views = []
+    orders = {c.id: [] for c in included}
     for n in graph.supply_nodes:
         lst = [cid for cid in graph.contracts_of[n.id] if cid in included_ids]
-        if lst and n.forecast_supply > 0:
-            node_lists[n.id] = lst
-    views = {c.id: [] for c in included}
-    orders = {c.id: [] for c in included}
-    for nid, lst in node_lists.items():
-        s = float(graph.node_by_id[nid].forecast_supply)
+        if not lst or n.forecast_supply <= 0:
+            continue
+        s = float(n.forecast_supply)
         ths = [theta[cid] for cid in lst]
+        node_views.append((s, lst, ths))
         order = sorted((1.0 + alpha[cid], t, cid) for cid, t in zip(lst, ths))
-        for slot, cid in enumerate(lst):
-            views[cid].append((lst, ths, s, slot))
+        for cid in lst:
             orders[cid].append((s, order))
-
-    def delivery(cid: str, a: float) -> float:
-        total = 0.0
-        for lst, ths, s, slot in views[cid]:
-            als = [a if k == cid else alpha[k] for k in lst]
-            total += s * kernels.dual_probs(ths, als)[slot]
-        return total
 
     def worst_violation() -> Tuple[str, float]:
         # Complementarity residual: a contract must either deliver d_j within
         # tol*d_j or sit at the cap (underdelivery priced at the penalty).
+        # Each node is evaluated once; a contract's delivery adds s * x over
+        # its nodes in node order.
+        delivered = {c.id: 0.0 for c in included}
+        for s, lst, ths in node_views:
+            for cid, x in zip(lst, kernels.dual_probs(ths, [alpha[k] for k in lst])):
+                delivered[cid] += s * x
         cid_w, rel_w = "", 0.0
         for c in included:
             if alpha[c.id] >= cap[c.id] - tol:
                 continue
-            short = max(0.0, float(c.demand) - delivery(c.id, alpha[c.id]))
+            short = max(0.0, float(c.demand) - delivered[c.id])
             rel = short / float(c.demand)
             if rel > rel_w:
                 cid_w, rel_w = c.id, rel

@@ -314,7 +314,8 @@ _LINES_HINT = 1 << 13       # about the characters of one block of `line_blocks`
 def line_blocks(path, what: str, start: int = 0, first_line: int = 1,
                 lines: Optional[int] = None) -> Iterator[Tuple[int, List[str]]]:
     """The lines of a UTF-8 text file in blocks: (number of the block's first
-    line, its lines), each block about `_LINES_HINT` characters.
+    line, its lines), each block about `_LINES_HINT` characters.  Files are
+    read through `read_records`, which applies the rest of the reading rule.
 
     Lines end at `\n`, `\r\n` or a lone `\r`, as a text file reads them.
     Reading starts at byte `start`, which must be 0 or just after a `\n`,
@@ -368,45 +369,54 @@ def _decoded_lines(path, what: str, start: int, first_line: int,
                 n += 1
 
 
-def read_plan_file(path, parse: Callable[[dict], T]) -> List[T]:
-    """Parse a plan file, one record per non-blank line, with `parse`.
+def read_records(path, what: str, parse: Callable[[str], T], start: int = 0,
+                 first_line: int = 1, lines: Optional[int] = None) -> Iterator[T]:
+    """`parse(line)` for each non-blank line of a UTF-8 text file.
 
-    A record that `parse` rejects (KeyError, ValueError or TypeError) or
-    that lists a contract already listed fails with the file and line.
+    The one reading rule of every line file: lines are read by
+    `line_blocks` (with its `start`, `first_line` and `lines`), each is
+    stripped of JSON whitespace, and one left empty is skipped.  A line
+    that `parse` rejects (KeyError, ValueError or TypeError), or that is
+    not UTF-8, raises GraphDataError as `path:line: bad <what>: <reason>`,
+    after the items of the lines before it.
     """
-    entries: List[T] = []
-    seen = set()
-    for first, block in line_blocks(path, "plan record"):
+    for first, block in line_blocks(path, what, start, first_line, lines):
         for lineno, line in enumerate(block, first):
             line = line.strip(JSON_WHITESPACE)
             if not line:
                 continue
             try:
-                entry = parse(json.loads(line))
-                if entry.contract_id in seen:
-                    raise ValueError(f"contract {entry.contract_id!r} is listed twice")
+                item = parse(line)
             except (KeyError, ValueError, TypeError) as exc:
-                raise GraphDataError(f"{path}:{lineno}: bad plan record: {exc}") from exc
-            seen.add(entry.contract_id)
-            entries.append(entry)
-    return entries
+                raise GraphDataError(f"{path}:{lineno}: bad {what}: {exc}") from exc
+            yield item
+
+
+def read_plan_file(path, parse: Callable[[dict], T]) -> List[T]:
+    """Parse a plan file, one JSON record per non-blank line, with `parse`.
+
+    A record that `parse` rejects or that lists a contract already listed
+    fails with the file and line (see `read_records`).
+    """
+    seen = set()
+
+    def entry(line: str) -> T:
+        item = parse(json.loads(line))
+        if item.contract_id in seen:
+            raise ValueError(f"contract {item.contract_id!r} is listed twice")
+        seen.add(item.contract_id)
+        return item
+    return list(read_records(path, "plan record", entry))
+
+
+def _supply_node(line: str) -> SupplyNode:
+    rec = json.loads(line)
+    return SupplyNode(str(rec["id"]), record_attributes(rec), record_number(rec, "supply"))
 
 
 def load_supply(path) -> List[SupplyNode]:
     """Read supply.jsonl: {"id", "attributes": {..}, "supply": int} per line."""
-    nodes = []
-    for first, block in line_blocks(path, "supply record"):
-        for lineno, line in enumerate(block, first):
-            line = line.strip(JSON_WHITESPACE)
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                nodes.append(SupplyNode(str(rec["id"]), record_attributes(rec),
-                                        record_number(rec, "supply")))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise GraphDataError(f"{path}:{lineno}: bad supply record: {exc}") from exc
-    return nodes
+    return list(read_records(path, "supply record", _supply_node))
 
 
 def save_supply(nodes: List[SupplyNode], path) -> None:
@@ -418,40 +428,36 @@ def save_supply(nodes: List[SupplyNode], path) -> None:
                                  "supply": supply}) + "\n")
 
 
+def _contract(line: str) -> Contract:
+    rec = json.loads(line)
+    try:
+        targeting = tg.parse_targeting(rec["targeting"])
+    except tg.TargetingSyntaxError as exc:
+        raise ValueError(f"targeting: {exc}") from exc
+    contract = Contract(
+        id=str(rec["id"]),
+        targeting=targeting,
+        demand=record_number(rec, "demand"),
+        start=parse_ts(rec["start"]),
+        end=parse_ts(rec["end"]),
+        booked_demand=record_number(rec, "booked") if "booked" in rec else None,
+        penalty=record_number(rec, "penalty", 10.0),
+    )
+    if contract.booked_demand < contract.demand:
+        raise ValueError(f"booked {contract.booked_demand} is below "
+                         f"demand {contract.demand}")
+    return contract
+
+
 def load_contracts(path) -> List[Contract]:
     """Read contracts.jsonl: {"id", "targeting", "demand", "start", "end"[, "penalty", "booked"]}.
 
     "booked" (default: the demand) may not be below the demand.  `Contract`
     allows it, since feedback plans with a demand above the booked total.
+    A targeting text that does not parse fails as `bad contract record:
+    targeting: <reason>`.
     """
-    contracts = []
-    for first, block in line_blocks(path, "contract record"):
-        for lineno, line in enumerate(block, first):
-            line = line.strip(JSON_WHITESPACE)
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                contract = Contract(
-                    id=str(rec["id"]),
-                    targeting=tg.parse_targeting(rec["targeting"]),
-                    demand=record_number(rec, "demand"),
-                    start=parse_ts(rec["start"]),
-                    end=parse_ts(rec["end"]),
-                    booked_demand=(record_number(rec, "booked") if "booked" in rec
-                                   else None),
-                    penalty=record_number(rec, "penalty", 10.0),
-                )
-                if contract.booked_demand < contract.demand:
-                    raise ValueError(f"booked {contract.booked_demand} is below "
-                                     f"demand {contract.demand}")
-                contracts.append(contract)
-            except tg.TargetingSyntaxError as exc:
-                raise GraphDataError(
-                    f"{path}:{lineno}: bad targeting expression: {exc}") from exc
-            except (KeyError, ValueError, TypeError) as exc:
-                raise GraphDataError(f"{path}:{lineno}: bad contract record: {exc}") from exc
-    return contracts
+    return list(read_records(path, "contract record", _contract))
 
 
 def save_contracts(contracts: List[Contract], path) -> None:
@@ -472,20 +478,14 @@ def save_contracts(contracts: List[Contract], path) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _edge(line: str) -> Edge:
+    rec = json.loads(line)
+    return str(rec["supply_id"]), str(rec["contract_id"])
+
+
 def load_edges(path) -> List[Edge]:
     """Read an explicit edges.jsonl override: {"supply_id", "contract_id"} per line."""
-    edges = []
-    for first, block in line_blocks(path, "edge record"):
-        for lineno, line in enumerate(block, first):
-            line = line.strip(JSON_WHITESPACE)
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                edges.append((str(rec["supply_id"]), str(rec["contract_id"])))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise GraphDataError(f"{path}:{lineno}: bad edge record: {exc}") from exc
-    return edges
+    return list(read_records(path, "edge record", _edge))
 
 
 def replan_contract(contract: Contract, demand: float) -> Contract:

@@ -74,9 +74,8 @@ from .dual import solve_dual_offline
 from .feedback import DeliveryState, FeedbackConfig, apply_feedback, linear_goal
 from .hwm import HwmEntry, HwmPlan, generate_hwm_plan
 from .kernels import draw_index
-from .model import (JSON_WHITESPACE, AllocationGraph, Contract, GraphDataError,
-                    ServingPlan, line_blocks, parse_ts, record_attributes,
-                    record_number, replan_contract)
+from .model import (AllocationGraph, Contract, ServingPlan, parse_ts, read_records,
+                    record_attributes, record_number, replan_contract)
 
 
 class SimulationError(ValueError):
@@ -621,8 +620,6 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
                                 c.end <= sim_end)
                 for c in graph.contracts]
     unallocated = served - math.fsum(delivered.values())
-    booked_total = sum(o.booked for o in outcomes)
-    total_under = sum(max(0.0, o.booked - o.delivered) for o in outcomes) / booked_total
     smooth = mx.smoothness_summary(
         timeseries, {c.id: float(c.booked_demand) for c in graph.contracts},
         {o.contract_id for o in outcomes if o.finished})
@@ -630,7 +627,10 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
         algorithm=algorithm, mode=cfg.mode, cycle_bounds=bounds,
         outcomes=outcomes, timeseries=timeseries, rates=rates_trace,
         impressions_in_window=served, impressions_skipped=skipped,
-        unallocated=unallocated, total_underdelivery_frac=total_under,
+        unallocated=unallocated,
+        total_underdelivery_frac=mx.underdelivery_fraction(
+            {o.contract_id: o.booked for o in outcomes},
+            {o.contract_id: o.delivered for o in outcomes}),
         smoothness=smooth)
 
 
@@ -664,14 +664,13 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
     """Rows (id, ts, set id) of impressions.jsonl, one per non-blank line.
 
     A line holds one JSON object {"id", "ts", "attributes"}, and nothing
-    else, as `json.loads` requires.  Lines end at `\n`, `\r\n` or a lone
-    `\r` (universal newlines), and a line that is empty after stripping
-    JSON whitespace is skipped.  The set id indexes `sets.attrs` and
-    `sets.keys`: a set first seen is checked by `model.record_attributes`
-    and added to `sets`, and a later line with the same items in the same
-    order is matched to it without a check.  A bad line, one that is not
-    UTF-8 included, raises GraphDataError as `path:line`, after the rows of
-    the lines before it (see `model.line_blocks`).
+    else, as `json.loads` requires.  The file is read by
+    `model.read_records`: lines, blank lines and a bad line (one that is
+    not UTF-8 included, reported as `path:line: bad impression`) are as it
+    reads them.  The set id indexes `sets.attrs` and `sets.keys`: a set
+    first seen is checked by `model.record_attributes` and added to `sets`,
+    and a later line with the same items in the same order is matched to
+    it without a check.
 
     By default the whole file is read.  A byte range of it is read from
     `start`, which must be 0 or just after a `\n`, for `lines` lines (to
@@ -697,33 +696,27 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
     known = sets._set_of_items
     set_of_text: Dict[str, int] = {}
     canonical = _CANONICAL_LINE.fullmatch
-    for first, block in line_blocks(path, "impression", start, first_line, lines):
-        for lineno, line in enumerate(block, first):
-            line = line.strip(JSON_WHITESPACE)
-            if not line:
-                continue
-            try:
-                m = canonical(line)
-                sid = None if m is None else set_of_text.get(m[3])
-                if sid is not None:
-                    row = (m[1], parse_ts(m[2]), sid)
-                else:
-                    rec, end = _decode(line)
-                    if end != len(line):
-                        raise json.JSONDecodeError("Extra data", line, end)
-                    try:
-                        sid = known[tuple(rec["attributes"].items())]
-                    except (KeyError, TypeError, AttributeError):
-                        # A set not seen yet, or one record_attributes rejects.
-                        # Its strings are interned, so sets share names and values.
-                        sid = sets.set_id({intern(name): intern(value) for name, value
-                                           in record_attributes(rec).items()})
-                    row = (str(rec["id"]), parse_ts(rec["ts"]), sid)
-                    if m is not None:
-                        set_of_text[m[3]] = sid
-            except (KeyError, ValueError, TypeError) as exc:
-                raise GraphDataError(f"{path}:{lineno}: bad impression: {exc}") from exc
-            yield row
+
+    def row(line: str) -> Tuple[str, datetime, int]:
+        m = canonical(line)
+        sid = None if m is None else set_of_text.get(m[3])
+        if sid is not None:
+            return m[1], parse_ts(m[2]), sid
+        rec, end = _decode(line)
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
+        try:
+            sid = known[tuple(rec["attributes"].items())]
+        except (KeyError, TypeError, AttributeError):
+            # A set not seen yet, or one record_attributes rejects.  Its
+            # strings are interned, so sets share names and values.
+            sid = sets.set_id({intern(name): intern(value) for name, value
+                               in record_attributes(rec).items()})
+        item = (str(rec["id"]), parse_ts(rec["ts"]), sid)
+        if m is not None:
+            set_of_text[m[3]] = sid
+        return item
+    return read_records(path, "impression", row, start, first_line, lines)
 
 
 class ImpressionRange(NamedTuple):
@@ -824,12 +817,12 @@ def load_config(path) -> SimulationConfig:
 
     Numbers are read through `model.record_number`, `seed` and `shards`
     must be integers and `baseline_comparator` a JSON boolean.  A bad field
-    raises SimulationError as `path: field ...`.
+    raises SimulationError as `path: field ...`, and a file that is not
+    UTF-8 or not JSON as `path: <reason>`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return _config_from(json.loads(text))
+        with open(path, "r", encoding="utf-8") as fh:
+            return _config_from(json.load(fh))
     except ValueError as exc:
         raise SimulationError(f"{path}: {exc}") from exc
 
@@ -885,6 +878,9 @@ def _record_int(rec, key: str, default: int) -> int:
     return value
 
 
+TIMESERIES_HEADER = "cycle_end_ts,contract_id,delivered_cum,linear_goal"
+
+
 def write_report(report: SimulationReport, report_path, timeseries_path) -> None:
     """Emit report.json and the per-cycle delivery_timeseries.csv."""
     doc = {
@@ -907,7 +903,7 @@ def write_report(report: SimulationReport, report_path, timeseries_path) -> None
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(timeseries_path, "w", encoding="utf-8") as fh:
-        fh.write("cycle_end_ts,contract_id,delivered_cum,linear_goal\n")
+        fh.write(TIMESERIES_HEADER + "\n")
         for row in report.timeseries:
             fh.write(f"{row.t.isoformat()},{row.contract_id},"
                      f"{row.delivered!r},{row.linear_goal!r}\n")

@@ -656,6 +656,31 @@ class TestScenarioAndSimulate:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {ts}: no rows\n"
 
+    def test_metrics_on_undecodable_timeseries(self, tmp_path, capsys):
+        # A byte that is not UTF-8 fails with its line, as in the JSONL files.
+        write_demo_inputs(tmp_path)
+        ts = tmp_path / "ts.csv"
+        ts.write_bytes(b"cycle_end_ts,contract_id,delivered_cum,linear_goal\n"
+                       + b"2026-03-02T12:00:00,males,1.0,1.0\n" * 3
+                       + b"2026-03-03T00:00:00,m\xffales,1.0,1.0\n")
+        rc = run(["metrics", "--timeseries", ts,
+                  "--contracts", tmp_path / "contracts.jsonl"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {ts}:5: bad row: 'utf-8' codec can't decode byte 0xff")
+
+    def test_metrics_on_wrong_header(self, tmp_path, capsys):
+        write_demo_inputs(tmp_path)
+        ts = tmp_path / "ts.csv"
+        ts.write_text("\nts,contract_id,delivered_cum,linear_goal\n"
+                      "2026-03-02T12:00:00,males,1.0,1.0\n")
+        rc = run(["metrics", "--timeseries", ts,
+                  "--contracts", tmp_path / "contracts.jsonl"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {ts}:2: bad row: unexpected timeseries header "
+            "['ts', 'contract_id', 'delivered_cum', 'linear_goal']\n")
+
     @pytest.mark.parametrize("row, message", [
         ("2026-03-03T00:00:00,ghost,1.0,1.0", "unknown contract 'ghost'"),
         ("2026-03-03T00:00:00,males,abc,1.0", "could not convert string to float"),
@@ -715,6 +740,15 @@ class TestBadConfig:
                   "--out-dir", tmp_path / "out"])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {field} ")
+
+    def test_undecodable_config_names_file(self, scen, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"algorithm": "hwm", "seed": 1\xff}')
+        rc = run(["simulate", "--config", path, "--scenario", scen,
+                  "--out-dir", tmp_path / "out"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 30")
 
     @pytest.mark.parametrize("name, message", [
         ("contracts.jsonl", "duplicate contract ids: c000"),

@@ -213,9 +213,10 @@ class TestServe:
 def _reference_ascent(graph, step, tol=1e-6, max_iters=10000):
     """Cold-started cyclic coordinate ascent with no skip: same sweep order,
     clamp and convergence test as `solve_dual_offline`, with delivery
-    evaluated through `kernels.dual_probs`.  `step(cid, d, hi, delivery,
-    alpha)` returns one contract's new dual.  Returns the duals, the sweep
-    count and each contract's sequence of duals, starting at 0."""
+    evaluated through `kernels.dual_probs` once per (contract, node).
+    `step(cid, d, hi, delivery, alpha)` returns one contract's new dual.
+    Returns the duals, the sweep count, each contract's sequence of duals,
+    starting at 0, and the final worst residual."""
     spec = dual.DualObjectiveSpec.from_graph(graph)
     included = sorted((c for c in graph.contracts if c.id in spec.theta),
                       key=lambda c: c.id)
@@ -248,8 +249,10 @@ def _reference_ascent(graph, step, tol=1e-6, max_iters=10000):
             max_change = max(max_change, abs(new - alpha[cid]) / max(1.0, hi))
             alpha[cid] = new
             history[cid].append(new)
-        if max_change < tol and worst() <= tol:
-            return alpha, sweeps, history
+        if max_change < tol:
+            residual = worst()
+            if residual <= tol:
+                return alpha, sweeps, history, residual
     raise AssertionError("reference ascent did not converge")
 
 
@@ -415,9 +418,10 @@ class TestCappedSkip:
             g = _instance_to_graph(random_instance(rng, max_nodes=12,
                                                    max_contracts=7))
             plan = dual.solve_dual_offline(g)
-            ref, sweeps, history = _knot_reference(g)
+            ref, sweeps, history, residual = _knot_reference(g)
             assert {e.contract_id: e.alpha for e in plan.entries} == ref
             assert plan.stats.sweeps == sweeps
+            assert plan.stats.worst_residual == residual
             for seq in history.values():
                 assert all(a <= b for a, b in zip(seq, seq[1:]))
             capped += sum(1 for e in plan.entries if e.alpha == e.penalty / 2)
@@ -498,9 +502,10 @@ class TestKeptOrder:
             spec = dual.DualObjectiveSpec.from_graph(g)
             assert len(set(spec.theta.values())) <= 4
             plan = dual.solve_dual_offline(g)
-            ref, sweeps, history = _knot_reference(g)
+            ref, sweeps, history, residual = _knot_reference(g)
             assert {e.contract_id: e.alpha for e in plan.entries} == ref
             assert plan.stats.sweeps == sweeps
+            assert plan.stats.worst_residual == residual
             # The solve computes the steps of duals below their cap.
             assert plan.stats.steps == sum(
                 1 for cid, seq in history.items() for a in seq[:-1]

@@ -252,6 +252,17 @@ class TestRoundTrip:
         assert make_contract("c1", "x = 1", 5, booked_demand=0).booked_demand == 0
         assert make_contract("c1", "x = 1", 5).booked_demand == 5
 
+    def test_bad_targeting_reports_line_and_offset(self, tmp_path):
+        path = tmp_path / "contracts.jsonl"
+        path.write_text('{"id": "c1", "targeting": "x = 1", "demand": 5, '
+                        '"start": "2026-03-02T00:00:00", "end": "2026-03-09T00:00:00"}\n'
+                        '{"id": "c2", "targeting": "x = 1 AND", "demand": 5, '
+                        '"start": "2026-03-02T00:00:00", "end": "2026-03-09T00:00:00"}\n')
+        with pytest.raises(model.GraphDataError,
+                           match=f"{path}:2: bad contract record: targeting: "
+                                 ".* at offset 9"):
+            model.load_contracts(path)
+
     def test_zulu_timestamps_accepted(self):
         ts = model.parse_ts("2026-03-02T00:00:00Z")
         assert ts.year == 2026
