@@ -146,7 +146,6 @@ class SimulationReport:
     impressions_in_window: int
     impressions_skipped: int
     unallocated: float
-    total_underdelivery_frac: float
     smoothness: Dict[str, Optional[float]]
     delivery_improvement: Optional[float] = None
 
@@ -155,6 +154,10 @@ class SimulationReport:
 
     def delivered_by_id(self) -> Dict[str, float]:
         return {o.contract_id: o.delivered for o in self.outcomes}
+
+    @property
+    def total_underdelivery_frac(self) -> float:
+        return mx.underdelivery_fraction(self.booked_by_id(), self.delivered_by_id())
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +630,7 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
         algorithm=algorithm, mode=cfg.mode, cycle_bounds=bounds,
         outcomes=outcomes, timeseries=timeseries, rates=rates_trace,
         impressions_in_window=served, impressions_skipped=skipped,
-        unallocated=unallocated,
-        total_underdelivery_frac=mx.underdelivery_fraction(
-            {o.contract_id: o.booked for o in outcomes},
-            {o.contract_id: o.delivered for o in outcomes}),
-        smoothness=smooth)
+        unallocated=unallocated, smoothness=smooth)
 
 
 # ---------------------------------------------------------------------------
