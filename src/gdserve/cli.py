@@ -131,15 +131,16 @@ def cmd_serve(args) -> int:
     def serve(rng: sim.ImpressionRange, path) -> int:
         """Write the decisions of the rows of `rng` to `path`; returns their
         number.  Impressions are read row by row; only their attribute sets
-        are kept.  Row n of the file draws `impression_uniform(seed, n)`."""
+        are kept.  Row n of the file draws `impression_uniform(seed, n)`, the
+        uniforms of the range coming from one `impression_uniforms`."""
         sets = sim.ImpressionStream()
         keys, attrs = sets.keys, sets.attrs
         rows = sim.iter_impressions(args.impressions, sets, rng.start, rng.first_line,
                                     rng.lines)
+        uniforms = sim.impression_uniforms(seed, rng.first_row)
         written = 0
         with open(path, "w", encoding="utf-8") as out:
-            for n, (imp_id, ts, sid) in enumerate(rows, rng.first_row):
-                u = sim.impression_uniform(seed, n)
+            for (imp_id, ts, sid), u in zip(rows, uniforms):
                 ids, probs, sel = server.draw(keys[sid], attrs[sid], ts, u)
                 text = probs_json.get(ids)
                 if text is None:

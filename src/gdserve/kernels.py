@@ -5,15 +5,20 @@ These four functions are the numeric inner loops of planning and serving:
 * solve_rate       -- smallest a with sum_i min(r_i, s_i * a) = d (rate solve)
 * effective_probs  -- priority-order truncation of serving rates to sum <= 1
 * dual_probs       -- per-impression primal reconstruction from dual values
-* draw_index       -- single-uniform categorical draw over probabilities
+* draw_index       -- single-uniform categorical draw, by bisection over the
+                      running sums of the probabilities
 
 They work on plain Python lists of floats, which beats array round-trips at
 typical per-impression candidate-list sizes.  Sorts are stable and sums run
-in a fixed order, so equal inputs give bit-identical outputs.
+in a fixed order, so equal inputs give bit-identical outputs.  A caller
+keeps the running sums of each probability list it draws from
+(`itertools.accumulate`, left to right: the additions a linear scan of the
+probabilities makes), so a draw is one `bisect_right`, not a Python loop.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Sequence
 
 
@@ -106,15 +111,12 @@ def dual_probs(thetas: Sequence[float], alphas: Sequence[float]) -> List[float]:
     return [max(0.0, thetas[k] * (1.0 + alphas[k] - beta)) for k in range(n)]
 
 
-def draw_index(probs: Sequence[float], u: float) -> int:
-    """Map one uniform draw through cumulative probabilities.
+def draw_index(cum: Sequence[float], u: float) -> int:
+    """Map one uniform draw through running sums of probabilities.
 
-    Returns the selected index, or -1 when u falls past the total mass
-    (the unallocated outcome).
+    `cum` is `list(accumulate(probs))` of non-negative probabilities.
+    Returns the first index k with u < cum[k], or -1 when u falls past the
+    total mass (the unallocated outcome).
     """
-    cum = 0.0
-    for k, p in enumerate(probs):
-        cum += p
-        if u < cum:
-            return k
-    return -1
+    k = bisect_right(cum, u)
+    return k if k < len(cum) else -1

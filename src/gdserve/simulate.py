@@ -30,26 +30,32 @@ run: the graph's edges for an attribute set that is a supply node, and one
 walk of the targeting trees per other attribute set.  Each cycle serves
 through one `Server`, which remembers the candidates (eligible, planned, in
 flight) per attribute set and flight phase, and the plan's probabilities
-per candidate list, one entry per distinct list.  `Server.draw` makes
-every sampled decision, here and in `gdserve serve`.
+per candidate list, one entry per distinct list, with the running sums of
+its probabilities.  Every sampled decision is one `kernels.draw_index`, a
+bisection of those sums, here and in `gdserve serve` (`Server.draw`).
 
-Two serving modes are supported.  In "sampled" mode every impression draws a
-contract from its effective probabilities with one uniform (`Server.draw`),
-a counter hash of the seed and the impression's stream position
-(`impression_uniform`, SplitMix64), so runs are reproducible and any split
-of the stream draws the same numbers.  In "expected" mode the fractional
-probabilities themselves are accumulated, which removes all randomness and
-lets tests reproduce analytic delivery numbers exactly.  No candidate list
-changes inside a flight phase, so each cycle's range is cut at the
-`Server`'s flight instants, and each piece adds, per attribute set, its
-count of visits times the set's slice.  The sums are exact: every
-probability is an integer number of units of 2^-1074 (`exact_units`), and
-each contract's total is divided once, which rounds as `math.fsum` of the
-per-impression probabilities would.  `shards` adds the bounds of that
-many contiguous blocks of the range to the cuts, and the report is
-bit-identical for every shard count.  That is the check that no decision
-depends on another impression; it does not run blocks in parallel.
-`gdserve serve --workers` does, over the byte ranges of `split_impressions`.
+Two serving modes are supported.  No candidate list changes inside a
+flight phase, so both cut each cycle's range at the `Server`'s flight
+instants (`_pieces`) and look each attribute set's entry up once per
+piece.  In "sampled" mode every impression draws a contract from its
+effective probabilities with one uniform, a counter hash of the seed and
+the impression's stream position (`impression_uniform`, SplitMix64), so
+runs are reproducible and any split of the stream draws the same numbers.
+A piece keeps one slot per set id, filled at the set's first visit and
+cleared when a contract that meets its booked demand is dropped, and draws
+its uniforms from one `impression_uniforms`, which advances the counter by
+one add per impression.  In "expected" mode the fractional probabilities
+themselves are accumulated, which removes all randomness and lets tests
+reproduce analytic delivery numbers exactly: each piece adds, per
+attribute set, its count of visits times the set's slice.  The sums are
+exact: every probability is an integer number of units of 2^-1074
+(`exact_units`), and each contract's total is divided once, which rounds
+as `math.fsum` of the per-impression probabilities would.  `shards` adds
+the bounds of that many contiguous blocks of the range to the cuts, and
+the report is bit-identical for every shard count.  That is the check that
+no decision depends on another impression; it does not run blocks in
+parallel.  `gdserve serve --workers` does, over the byte ranges of
+`split_impressions`.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
-from itertools import islice
+from itertools import accumulate, islice
 from operator import gt
 from sys import intern
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
@@ -220,10 +226,24 @@ def impression_uniform(seed: int, index: int) -> float:
     seeds up to 10^6 apart are at least 9.9e12 positions apart, so their
     streams do not overlap before that many impressions.
     """
-    z = ((seed * _GOLDEN_GAMMA + index + 1) * _GOLDEN_GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
+    return next(impression_uniforms(seed, index))
+
+
+def impression_uniforms(seed: int, start: int) -> Iterator[float]:
+    """`impression_uniform(seed, start + j)` for j = 0, 1, 2, ...
+
+    SplitMix64's counter of position n is n*G (mod 2^64), so the next
+    position's counter is one add of G, and each uniform costs the
+    finalizer alone (a counter-based generator, as in Salmon et al.,
+    "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).
+    """
+    mask, gamma = _MASK64, _GOLDEN_GAMMA
+    n = ((seed * gamma + start + 1) * gamma) & mask
+    while True:
+        z = ((n ^ (n >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
+        n = (n + gamma) & mask
 
 
 # Every finite double is an integer multiple of 2^-1074, the least subnormal.
@@ -333,6 +353,9 @@ class EligibilityIndex:
 
 Candidates = Tuple[str, ...]
 Slice = Tuple[Tuple[str, ...], List[float]]
+# One candidate tuple's memo: the tuple, its slice's ids and probabilities,
+# and the running sums of those probabilities, the list `draw_index` takes.
+Entry = Tuple[Candidates, Tuple[str, ...], List[float], List[float]]
 
 
 class Server:
@@ -346,9 +369,12 @@ class Server:
     are the intervals between the sorted distinct start and end instants of
     the served contracts, and no contract enters or leaves its flight
     inside one.  So candidates are remembered per attribute set and phase,
-    and slices (`plan.effective_probs`) per candidate tuple.  `draw` makes
-    one decision from them and one uniform.  `instants` holds those sorted
-    instants, so a caller can cut a sorted stream into phases.
+    and slices (`plan.effective_probs`) per candidate tuple, each with the
+    running sums of its probabilities (`itertools.accumulate`), so that a
+    draw is one bisection (`draw_index`).  `entry` gives all of them for
+    one visit, and `draw` makes one decision from them and one uniform.
+    `instants` holds those sorted instants, so a caller can cut a sorted
+    stream into phases and look each set up once per phase.
     """
 
     def __init__(self, plan: ServingPlan, index: EligibilityIndex,
@@ -358,14 +384,15 @@ class Server:
         self._served = {c.id: c for c in contracts if c.id in plan}
         self.instants = sorted({t for c in self._served.values()
                                 for t in (c.start, c.end)})
-        # One entry (candidates, slice) per distinct candidate tuple.  Each
-        # attribute set has one list of entries, indexed by phase, so equal
-        # candidates in two slots are one tuple, found in one lookup.
-        self._slices: Dict[Candidates, Tuple[Candidates, Slice]] = {}
-        self._candidates: Dict[AttrsKey, List[Optional[Tuple[Candidates, Slice]]]] = {}
+        # One entry per distinct candidate tuple.  Each attribute set has
+        # one list of entries, indexed by phase, so equal candidates in two
+        # slots are one tuple, found in one lookup.
+        self._slices: Dict[Candidates, Entry] = {}
+        self._candidates: Dict[AttrsKey, List[Optional[Entry]]] = {}
 
-    def _entry(self, key: AttrsKey, attrs: Mapping[str, str],
-               ts: datetime) -> Tuple[Candidates, Slice]:
+    def entry(self, key: AttrsKey, attrs: Mapping[str, str], ts: datetime) -> Entry:
+        """The candidates of `attrs` (whose `attrs_key` is `key`) at `ts`,
+        their slice's ids and probabilities, and its running sums."""
         phase = bisect_right(self.instants, ts)
         phases = self._candidates.get(key)
         if phases is None:
@@ -378,34 +405,37 @@ class Server:
                 if cid in served and served[cid].in_flight(ts)))
         return entry
 
-    def _slice_entry(self, cands: Candidates) -> Tuple[Candidates, Slice]:
+    def _slice_entry(self, cands: Candidates) -> Entry:
         entry = self._slices.get(cands)
         if entry is None:
-            probs = self._plan.effective_probs(cands)
-            entry = self._slices[cands] = (cands, (tuple([cid for cid, _ in probs]),
-                                                   [p for _, p in probs]))
+            pairs = self._plan.effective_probs(cands)
+            probs = [p for _, p in pairs]
+            entry = self._slices[cands] = (cands, tuple([cid for cid, _ in pairs]),
+                                           probs, list(accumulate(probs)))
         return entry
 
     def candidates(self, key: AttrsKey, attrs: Mapping[str, str],
                    ts: datetime) -> Candidates:
         """Ids served to `attrs` (whose `attrs_key` is `key`) at `ts`."""
-        return self._entry(key, attrs, ts)[0]
+        return self.entry(key, attrs, ts)[0]
 
     def slice(self, cands: Candidates) -> Slice:
         """`plan.effective_probs(cands)` as the ids in the plan's order and
-        their probabilities, the list `draw_index` takes (two sequences
-        hold less memory than the (id, probability) pairs)."""
-        return self._slice_entry(cands)[1]
+        their probabilities (two sequences hold less memory than the
+        (id, probability) pairs)."""
+        _, ids, probs, _ = self._slice_entry(cands)
+        return ids, probs
 
     def draw(self, key: AttrsKey, attrs: Mapping[str, str], ts: datetime,
              u: float) -> Tuple[Tuple[str, ...], List[float], int]:
         """One decision: the slice of the candidates of `attrs` at `ts`, and
         the index in it that the uniform `u` selects (-1: unallocated)."""
-        ids, probs = self._entry(key, attrs, ts)[1]
-        return ids, probs, draw_index(probs, u)
+        _, ids, probs, cum = self.entry(key, attrs, ts)
+        return ids, probs, draw_index(cum, u)
 
     def drop(self, contract_id: str) -> None:
-        """Serve `contract_id` no more (it has met its booked demand)."""
+        """Serve `contract_id` no more (it has met its booked demand).  The
+        entries `entry` gave before hold stale candidates."""
         del self._served[contract_id]
         self._candidates.clear()
 
@@ -445,6 +475,15 @@ class _BaseController:
             self.rates[c.id] = rate
             entries.append(HwmEntry(c.id, planning_graph.eligible_supply(c.id), rate))
         return HwmPlan(entries)
+
+
+def _pieces(ts: Sequence[datetime], instants: Sequence[datetime], lo: int, hi: int,
+            bounds: Iterable[int] = ()) -> Iterator[Tuple[int, int]]:
+    """The range [lo, hi) of the sorted timestamps `ts` cut into pieces
+    (a, b), in order: at the first index at or after each of `instants`,
+    so that every piece lies in one flight phase, and at `bounds`."""
+    cuts = sorted({bisect_left(ts, t, lo, hi) for t in instants}.union(bounds, (lo, hi)))
+    return zip(cuts, islice(cuts, 1, None))
 
 
 def run_simulation(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
@@ -518,7 +557,8 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
         return cfg.forecast_error_multiplier
 
     index = EligibilityIndex(graph.contracts, graph)
-    contract_by_id = graph.contract_by_id
+    booked_of = {c.id: c.booked_demand for c in graph.contracts}
+    n_sets = len(keys)
     delivered: Dict[str, float] = {c.id: 0.0 for c in graph.contracts}
     boost: Dict[str, bool] = {c.id: False for c in graph.contracts}
     rates_trace: Dict[str, List[Optional[float]]] = {c.id: [] for c in graph.contracts}
@@ -586,33 +626,39 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
             # no eligible forecast supply.
             server = Server(plan, index, graph.contracts)
             if sampled:
-                for i in range(lo, hi):
-                    sid = set_ids[i]
-                    ids, _, sel = server.draw(keys[sid], attrs_of_set[sid], ts[i],
-                                              impression_uniform(cfg.seed, i))
-                    if sel >= 0:
-                        cid = ids[sel]
-                        delivered[cid] += 1.0
-                        if delivered[cid] >= contract_by_id[cid].booked_demand:
-                            server.drop(cid)
+                # Each set's entry is looked up once per phase into a slot,
+                # and again after a drop, which makes the entries stale.
+                for a, b in _pieces(ts, server.instants, lo, hi):
+                    t = ts[a]
+                    slots: List[Optional[Entry]] = [None] * n_sets
+                    for sid, u in zip(set_ids[a:b], impression_uniforms(cfg.seed, a)):
+                        entry = slots[sid]
+                        if entry is None:
+                            entry = slots[sid] = server.entry(
+                                keys[sid], attrs_of_set[sid], t)
+                        sel = draw_index(entry[3], u)
+                        if sel >= 0:
+                            cid = entry[1][sel]
+                            delivered[cid] += 1.0
+                            if delivered[cid] >= booked_of[cid]:
+                                server.drop(cid)
+                                slots = [None] * n_sets
             else:
-                # No candidate list changes inside a flight phase, so each
-                # phase's delivery is its count of each set times the set's
-                # slice.  The shards' block bounds split the range further.
+                # Each phase's delivery is its count of each set times the
+                # set's slice.  The shards' block bounds split the range
+                # further.
                 block = max(1, math.ceil((hi - lo) / cfg.shards))
-                cuts = sorted({bisect_left(ts, t, lo, hi) for t in server.instants}
-                              .union(range(lo, hi, block), (hi,)))
                 acc: Dict[str, int] = {}
-                for a, b in zip(cuts, cuts[1:]):
+                for a, b in _pieces(ts, server.instants, lo, hi, range(lo, hi, block)):
+                    t = ts[a]
                     for sid, n in Counter(set_ids[a:b]).items():
-                        cands = server.candidates(keys[sid], attrs_of_set[sid], ts[a])
-                        for cid, p in zip(*server.slice(cands)):
+                        _, ids, probs, _ = server.entry(keys[sid], attrs_of_set[sid], t)
+                        for cid, p in zip(ids, probs):
                             if p > 0.0:
                                 acc[cid] = acc.get(cid, 0) + n * exact_units(p)
                 for c in planning:
                     inc = acc.get(c.id, 0) / _UNIT_DENOMINATOR
-                    booked = contract_by_id[c.id].booked_demand
-                    delivered[c.id] = min(booked, delivered[c.id] + inc)
+                    delivered[c.id] = min(booked_of[c.id], delivered[c.id] + inc)
 
         for c in graph.contracts:
             if c.start <= cycle_end <= c.end:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from datetime import datetime, timedelta
+from itertools import accumulate
 
 import pytest
 
@@ -28,7 +29,7 @@ def decide(plan, eligible_ids, u):
     """The contract one uniform `u` selects from the plan's slice for
     `eligible_ids` (`kernels.draw_index`), or None when it selects none."""
     probs = plan.effective_probs(eligible_ids)
-    sel = kernels.draw_index([p for _, p in probs], u)
+    sel = kernels.draw_index(list(accumulate(p for _, p in probs)), u)
     return probs[sel][0] if sel >= 0 else None
 
 

@@ -2,6 +2,7 @@ import json
 import os
 from collections import Counter
 from datetime import timedelta
+from itertools import accumulate
 
 import pytest
 
@@ -295,7 +296,7 @@ class TestDecisionLines:
                      and tg.eligible(ev.attributes, c.targeting)]
             u = sim.impression_uniform(seed, n)
             probs = plan.effective_probs(cands)
-            sel = kernels.draw_index([p for _, p in probs], u)
+            sel = kernels.draw_index(list(accumulate(p for _, p in probs)), u)
             lines.append(json.dumps({
                 "impression_id": ev.id, "chosen": probs[sel][0] if sel >= 0 else None,
                 "probs": [[cid, p] for cid, p in probs], "u": u}) + "\n")

@@ -1,6 +1,8 @@
 """Kernel correctness."""
 
+import math
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -117,15 +119,61 @@ class TestDualProbs:
                 assert ys[k] <= xs[k] + 1e-12
 
 
+def _draw_by_scan(probs, u):
+    """The linear scan `draw_index` replaced, kept as its reference: the
+    first index whose running sum exceeds u, else -1."""
+    cum = 0.0
+    for k, p in enumerate(probs):
+        cum += p
+        if u < cum:
+            return k
+    return -1
+
+
+def _probability_lists(rng):
+    """Seeded lists of each kind a plan's slice can be: empty, with zeros,
+    with repeated values, of total below 1 and of total exactly 1."""
+    yield []
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        raw = [rng.random() for _ in range(n)]
+        below = rng.uniform(0.05, 0.999) / sum(raw)
+        yield [x * below for x in raw]                              # total < 1
+        yield [0.0 if rng.random() < 0.4 else x * below for x in raw]   # zeros
+        yield [0.0] * n
+        yield [rng.choice([0.125, 0.1, 1 / 3])] * n                 # repeated
+        yield [rng.choice([0.0, 0.05, 0.2]) for _ in range(n)]
+        cuts = sorted(rng.randint(0, 64) for _ in range(n - 1))
+        yield [(b - a) / 64 for a, b in zip([0] + cuts, cuts + [64])]   # total = 1
+        yield kernels.effective_probs([rng.uniform(0.0, 0.8) for _ in range(n)])
+
+
 class TestDrawIndex:
     def test_selects_by_cumulative(self, kern):
-        probs = [0.25, 0.625]
-        assert kern.draw_index(probs, 0.0) == 0
-        assert kern.draw_index(probs, 0.2499) == 0
-        assert kern.draw_index(probs, 0.25) == 1
-        assert kern.draw_index(probs, 0.8749) == 1
-        assert kern.draw_index(probs, 0.875) == -1
-        assert kern.draw_index(probs, 0.999) == -1
+        cum = list(accumulate([0.25, 0.625]))
+        assert kern.draw_index(cum, 0.0) == 0
+        assert kern.draw_index(cum, 0.2499) == 0
+        assert kern.draw_index(cum, 0.25) == 1
+        assert kern.draw_index(cum, 0.8749) == 1
+        assert kern.draw_index(cum, 0.875) == -1
+        assert kern.draw_index(cum, 0.999) == -1
 
     def test_empty_is_unallocated(self, kern):
-        assert kern.draw_index([], 0.3) == -1
+        assert kern.draw_index(list(accumulate([])), 0.3) == -1
+
+    def test_matches_linear_scan(self, kern):
+        rng = random.Random(15)
+        kinds = set()
+        for probs in _probability_lists(rng):
+            cum = list(accumulate(probs))
+            total = cum[-1] if cum else 0.0
+            kinds.add((0.0 in probs, len(set(probs)) < len(probs),
+                       total == 1.0, 0.0 < total < 1.0))
+            us = [0.0, rng.random(), math.nextafter(total, 2.0), 1.0]
+            for c in cum:
+                us += [c, math.nextafter(c, 0.0)]
+            for u in us:
+                assert kern.draw_index(cum, u) == _draw_by_scan(probs, u), (probs, u)
+        # Each kind of list was drawn from: zeros, repeats, total 1, total < 1.
+        for k in range(4):
+            assert any(kind[k] for kind in kinds)

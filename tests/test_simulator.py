@@ -8,6 +8,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from datetime import timedelta
+from itertools import accumulate, islice
 
 import pytest
 
@@ -307,7 +308,7 @@ class TestServer:
             assert list(zip(ids, probs)) == plan.effective_probs(want)
             u = sim.impression_uniform(which, len(evaluated))
             assert server.draw(sim.attrs_key(ev.attributes), ev.attributes, ev.ts,
-                               u) == (ids, probs, draw_index(probs, u))
+                               u) == (ids, probs, draw_index(list(accumulate(probs)), u))
         assert evaluated and set(evaluated.values()) == {1}
 
     def test_sampled_cap_mid_cycle_matches_delivered_filter(self, monkeypatch):
@@ -346,7 +347,8 @@ class TestServer:
             if not cands:
                 continue
             probs = plan.effective_probs(cands)
-            sel = draw_index([p for _, p in probs], sim.impression_uniform(cfg.seed, idx))
+            sel = draw_index(list(accumulate(p for _, p in probs)),
+                             sim.impression_uniform(cfg.seed, idx))
             if sel >= 0:
                 delivered[probs[sel][0]] += 1.0
         assert capped_early
@@ -878,7 +880,7 @@ def reference_run(graph, events, cfg, algorithm):
                     cands.append(c.id)
                 probs = plan.effective_probs(cands)
                 if sampled:
-                    sel = draw_index([p for _, p in probs],
+                    sel = draw_index(list(accumulate(p for _, p in probs)),
                                      sim.impression_uniform(cfg.seed, idx))
                     if sel >= 0:
                         cid = probs[sel][0]
@@ -1099,6 +1101,17 @@ class TestImpressionUniform:
             ref = _splitmix64((s * gamma * gamma) & mask)
             for i in range(1000):
                 assert self.u(s, i) == (next(ref) >> 11) * 2.0 ** -53
+
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2 ** 64 - 1])
+    def test_stream_is_the_uniform_of_each_position(self, seed):
+        gamma, mask = 0x9E3779B97F4A7C15, (1 << 64) - 1
+        # From the first and the last start, position seed*G + start + 1
+        # passes a multiple of 2^64 within the twelve draws; the 64-bit
+        # counter, position * G, wraps every second step or so anyway.
+        wrap = (-(seed * gamma + 1)) & mask
+        for start in (wrap - 5, 0, 123_456, 2 ** 64 + 3, wrap + 2 ** 64 - 5):
+            stream = list(islice(sim.impression_uniforms(seed, start), 12))
+            assert stream == [self.u(seed, start + j) for j in range(12)], start
 
     def test_mean_and_variance_of_1e5_draws(self):
         n = 100_000
