@@ -35,6 +35,7 @@ import signal
 import sys
 import tempfile
 from dataclasses import replace
+from datetime import datetime
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -266,29 +267,40 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_timeseries(path, contract_ids) -> List[mx.TimeseriesRow]:
-    """Read a delivery timeseries: the header, then one row per line; a bad
-    header or row fails as `path:line: bad row: <reason>`."""
+def _read_timeseries(path, contract_ids) -> Tuple[List[mx.TimeseriesRow], datetime]:
+    """Read a delivery timeseries (see `simulate.write_report`): the header,
+    one row per line, and last the end-of-run row `<sim_end>,,,`.  Returns
+    the rows and sim_end.  A bad header or row fails as `path:line: bad row:
+    <reason>`, and a file with no rows or no end-of-run row as `path: ...`."""
     header = True
+    sim_end: Optional[datetime] = None
 
     def row(line: str) -> Optional[mx.TimeseriesRow]:
-        nonlocal header
+        nonlocal header, sim_end
         if header:
             if line != sim.TIMESERIES_HEADER:
                 raise ValueError(f"unexpected timeseries header {line.split(',')}")
             header = False
             return None
+        if sim_end is not None:
+            raise ValueError("a row follows the end-of-run row")
         ts, cid, delivered, goal = line.split(",")
+        if not (cid or delivered or goal):
+            sim_end = model.parse_ts(ts)
+            return None
         out = mx.TimeseriesRow(model.parse_ts(ts), cid, float(delivered), float(goal))
         if cid not in contract_ids:
             raise ValueError(f"unknown contract {cid!r}")
         if not (math.isfinite(out.delivered) and math.isfinite(out.linear_goal)):
             raise ValueError("delivered_cum and linear_goal must be finite")
         return out
-    rows = list(model.read_records(path, "row", row))[1:]
+    rows = [r for r in model.read_records(path, "row", row) if r is not None]
     if not rows:
         raise model.GraphDataError(f"{path}: no rows")
-    return rows
+    if sim_end is None:
+        raise model.GraphDataError(f"{path}: no end-of-run row (<sim_end>,,,) "
+                                   "after the rows")
+    return rows, sim_end
 
 
 def _final_delivery(rows: List[mx.TimeseriesRow]) -> Dict[str, float]:
@@ -300,14 +312,13 @@ def _final_delivery(rows: List[mx.TimeseriesRow]) -> Dict[str, float]:
 
 def cmd_metrics(args) -> int:
     contracts = {c.id: c for c in model.load_contracts(args.contracts)}
-    rows = _read_timeseries(args.timeseries, contracts)
+    rows, sim_end = _read_timeseries(args.timeseries, contracts)
     booked = {cid: float(c.booked_demand) for cid, c in contracts.items()}
-    sim_end = max(r.t for r in rows)
     finished = {cid for cid, c in contracts.items() if c.end <= sim_end}
     result = mx.smoothness_summary(rows, booked, finished, args.positive_part)
     result["delivery_improvement"] = None
     if args.baseline:
-        base_rows = _read_timeseries(args.baseline, contracts)
+        base_rows, _ = _read_timeseries(args.baseline, contracts)
         result["delivery_improvement"] = mx.delivery_improvement(
             booked, _final_delivery(rows), booked, _final_delivery(base_rows))
     json.dump(result, sys.stdout, indent=2, sort_keys=True)

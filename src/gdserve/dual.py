@@ -50,11 +50,11 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import kernels
 from .model import (AllocationGraph, FractionalAllocation, GraphDataError,
-                    read_plan_file, record_number)
+                    PlanningProblem, read_plan_file, record_number)
 
 
 class DualConvergenceError(RuntimeError):
@@ -74,13 +74,19 @@ class DualObjectiveSpec:
     penalty: Dict[str, float]
 
     @classmethod
-    def from_graph(cls, graph: AllocationGraph) -> "DualObjectiveSpec":
+    def from_graph(cls, graph: Union[AllocationGraph, PlanningProblem]
+                   ) -> "DualObjectiveSpec":
+        """The spec of every live contract of `model.PlanningProblem.of(graph)`;
+        one with no eligible forecast supply has a price but no theta."""
+        problem = PlanningProblem.of(graph)
+        contracts = problem.index.contracts
         theta = {}
         penalty = {}
-        for c in graph.contracts:
-            total = graph.eligible_supply(c.id)
+        for j, demand in problem.demand.items():
+            c = contracts[j]
+            total = problem.eligible_supply(j)
             if total > 0:
-                theta[c.id] = c.demand / total
+                theta[c.id] = demand / total
             penalty[c.id] = c.penalty
         return cls(theta, penalty)
 
@@ -260,8 +266,8 @@ def _first_crossing(knots: Sequence[Tuple[float, float]], demand: float,
     return min(max(root, 0.0), hi)
 
 
-def solve_dual_offline(graph: AllocationGraph, tol: float = 1e-6,
-                       max_iters: int = 10000) -> DualPlan:
+def solve_dual_offline(graph: Union[AllocationGraph, PlanningProblem],
+                       tol: float = 1e-6, max_iters: int = 10000) -> DualPlan:
     """Compute per-contract dual values by cyclic coordinate ascent.
 
     For each contract in turn the dual is set to the smallest value at which
@@ -295,34 +301,40 @@ def solve_dual_offline(graph: AllocationGraph, tol: float = 1e-6,
     matter, and the move reinserts the entry under its new key whichever
     way the dual moved, so the order holds for a start anywhere.
 
+    A graph is solved as `model.PlanningProblem.of(graph)`, so `gdserve
+    plan` and the simulator's re-plans run this one solve over positions.
     The graph's edges are taken as given (see `model.AllocationGraph`).
     """
-    spec = DualObjectiveSpec.from_graph(graph)
+    problem = PlanningProblem.of(graph)
+    spec = DualObjectiveSpec.from_graph(problem)
+    theta = spec.theta
+    contracts = problem.index.contracts
     diagnostics = []
-    included = []
-    for c in graph.contracts:
-        if c.id in spec.theta:
-            included.append(c)
+    included: List[Tuple[str, float]] = []      # (id, demand), by id
+    planned = set()                             # their positions
+    for j, d in problem.demand.items():
+        cid = contracts[j].id
+        if cid in theta:
+            included.append((cid, float(d)))
+            planned.add(j)
         else:
             diagnostics.append(
-                f"contract {c.id}: no eligible forecast supply; excluded from plan")
-    included.sort(key=lambda c: c.id)
-    theta = spec.theta
-    cap = {c.id: spec.penalty[c.id] / 2.0 for c in included}
-    alpha = {c.id: 0.0 for c in included}
-    included_ids = set(alpha)
+                f"contract {cid}: no eligible forecast supply; excluded from plan")
+    included.sort()
+    cap = {cid: spec.penalty[cid] / 2.0 for cid, _ in included}
+    alpha = {cid: 0.0 for cid, _ in included}
 
     # Per-node (supply, planned contracts, thetas) for delivery evaluation,
     # and per-contract (supply, order) lists for the coordinate step, where
     # a node's order holds its contracts' (1 + alpha, theta, id) in
     # ascending order and is shared by all of them.
     node_views = []
-    orders = {c.id: [] for c in included}
-    for n in graph.supply_nodes:
-        lst = [cid for cid in graph.contracts_of[n.id] if cid in included_ids]
-        if not lst or n.forecast_supply <= 0:
+    orders = {cid: [] for cid, _ in included}
+    for js, supply in zip(problem.index.contracts_of, problem.supply):
+        lst = [contracts[j].id for j in js if j in planned]
+        if not lst or supply <= 0:
             continue
-        s = float(n.forecast_supply)
+        s = float(supply)
         ths = [theta[cid] for cid in lst]
         node_views.append((s, lst, ths))
         order = sorted((1.0 + alpha[cid], t, cid) for cid, t in zip(lst, ths))
@@ -334,31 +346,31 @@ def solve_dual_offline(graph: AllocationGraph, tol: float = 1e-6,
         # tol*d_j or sit at the cap (underdelivery priced at the penalty).
         # Each node is evaluated once; a contract's delivery adds s * x over
         # its nodes in node order.
-        delivered = {c.id: 0.0 for c in included}
+        delivered = {cid: 0.0 for cid, _ in included}
         for s, lst, ths in node_views:
             for cid, x in zip(lst, kernels.dual_probs(ths, [alpha[k] for k in lst])):
                 delivered[cid] += s * x
         cid_w, rel_w = "", 0.0
-        for c in included:
-            if alpha[c.id] >= cap[c.id] - tol:
+        for cid, d in included:
+            if alpha[cid] >= cap[cid] - tol:
                 continue
-            short = max(0.0, float(c.demand) - delivered[c.id])
-            rel = short / float(c.demand)
+            short = max(0.0, d - delivered[cid])
+            rel = short / d
             if rel > rel_w:
-                cid_w, rel_w = c.id, rel
+                cid_w, rel_w = cid, rel
         return cid_w, rel_w
 
     converged = False
     steps = 0
     for sweeps in range(1, max_iters + 1):
         max_change = 0.0
-        for c in included:
-            cid, hi = c.id, cap[c.id]
+        for cid, d in included:
+            hi = cap[cid]
             if alpha[cid] >= hi:
                 continue
             steps += 1
             knots = delivery_knots(cid, theta[cid], orders[cid])
-            new, old = _first_crossing(knots, float(c.demand), hi), alpha[cid]
+            new, old = _first_crossing(knots, d, hi), alpha[cid]
             max_change = max(max_change, abs(new - old) / max(1.0, hi))
             alpha[cid] = new
             if new != old:
@@ -379,9 +391,9 @@ def solve_dual_offline(graph: AllocationGraph, tol: float = 1e-6,
             f"worst contract {cid_w or 'n/a'} short by {rel_w:.3g} of demand",
             cid_w, rel_w)
 
-    entries = [DualEntry(c.id, theta[c.id], alpha[c.id], spec.penalty[c.id])
-               for c in included]
-    capped = sum(1 for c in included if alpha[c.id] >= cap[c.id] - tol)
+    entries = [DualEntry(cid, theta[cid], alpha[cid], spec.penalty[cid])
+               for cid, _ in included]
+    capped = sum(1 for cid, _ in included if alpha[cid] >= cap[cid] - tol)
     return DualPlan(entries, diagnostics, DualSolveStats(sweeps, steps, capped, rel_w))
 
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from . import kernels
-from .model import AllocationGraph, read_plan_file, record_number
+from .model import AllocationGraph, PlanningProblem, read_plan_file, record_number
 
 
 @dataclass(frozen=True)
@@ -56,40 +56,46 @@ class HwmPlan:
         return list(zip(ordered, effs))
 
 
-def generate_hwm_plan(graph: AllocationGraph) -> HwmPlan:
-    """Run the offline pass over a forecast graph.
+def generate_hwm_plan(graph: Union[AllocationGraph, PlanningProblem]) -> HwmPlan:
+    """Run the offline pass over a forecast graph or a re-plan's problem.
 
     Contracts are processed in allocation order; each gets the rate that
     exactly absorbs its demand from the remaining supply of its neighbor
     nodes (rate 1 when the demand cannot be met), and the consumed supply is
-    deducted before the next contract is handled.  The graph's edges are
-    taken as given (see `model.AllocationGraph`).
+    deducted before the next contract is handled.  A graph is planned as
+    `model.PlanningProblem.of(graph)`, so `gdserve plan` and the simulator's
+    re-plans run this one pass over positions.  The graph's edges are taken
+    as given (see `model.AllocationGraph`).
     """
-    eligible_supply = {c.id: graph.eligible_supply(c.id) for c in graph.contracts}
-    order = sorted(graph.contracts, key=lambda c: (eligible_supply[c.id], c.id))
-    remaining = {n.id: float(n.forecast_supply) for n in graph.supply_nodes}
+    problem = PlanningProblem.of(graph)
+    supply, demand = problem.supply, problem.demand
+    contracts, nodes_of = problem.index.contracts, problem.index.nodes_of
+    eligible_supply = {j: problem.eligible_supply(j) for j in demand}
+    order = sorted(demand, key=lambda j: (eligible_supply[j], contracts[j].id))
+    remaining = [float(s) for s in supply]
     entries: List[HwmEntry] = []
     diagnostics: List[str] = []
-    for contract in order:
-        node_ids = graph.nodes_of[contract.id]
-        if not node_ids:
+    for j in order:
+        cid, d = contracts[j].id, demand[j]
+        nodes = nodes_of[j]
+        if not nodes:
             alpha = 1.0
             diagnostics.append(
-                f"contract {contract.id}: no eligible supply nodes; "
+                f"contract {cid}: no eligible supply nodes; "
                 "rate set to 1 but it can never be served from this forecast")
         else:
-            rem = [remaining[nid] for nid in node_ids]
-            sup = [float(graph.node_by_id[nid].forecast_supply) for nid in node_ids]
-            if sum(rem) < contract.demand:
+            rem = [remaining[i] for i in nodes]
+            sup = [float(supply[i]) for i in nodes]
+            if sum(rem) < d:
                 diagnostics.append(
-                    f"contract {contract.id}: remaining eligible supply "
-                    f"{sum(rem):.6g} is below demand {contract.demand:.6g}; "
+                    f"contract {cid}: remaining eligible supply "
+                    f"{sum(rem):.6g} is below demand {d:.6g}; "
                     "rate saturated at 1")
-            alpha = kernels.solve_rate(rem, sup, float(contract.demand))
-            for nid, s in zip(node_ids, sup):
-                take = min(remaining[nid], s * alpha)
-                remaining[nid] -= take
-        entries.append(HwmEntry(contract.id, eligible_supply[contract.id], alpha))
+            alpha = kernels.solve_rate(rem, sup, float(d))
+            for i, s in zip(nodes, sup):
+                take = min(remaining[i], s * alpha)
+                remaining[i] -= take
+        entries.append(HwmEntry(cid, eligible_supply[j], alpha))
     return HwmPlan(entries, diagnostics)
 
 

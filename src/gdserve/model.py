@@ -106,8 +106,9 @@ class AllocationGraph:
     are taken as given, by the planners too; `validate_graph` checks them.
 
     Treat as immutable once built; it can then be shared freely across
-    serving threads.  Re-optimization works on fresh copies (see
-    replan_contract), never by mutating a live graph.
+    serving threads.  Re-plans neither copy nor change it: a run builds one
+    `PlanningIndex` of it, and each re-plan restates a supply vector and
+    the live contracts' demands over that index (see `PlanningProblem`).
     """
 
     supply_nodes: List[SupplyNode]
@@ -134,10 +135,57 @@ class AllocationGraph:
             if cid in self.nodes_of:
                 self.nodes_of[cid].append(sid)
 
-    def eligible_supply(self, contract_id: str) -> float:
-        """Total forecast supply across the contract's neighbor nodes."""
-        return sum(self.node_by_id[sid].forecast_supply
-                   for sid in self.nodes_of[contract_id])
+
+class PlanningIndex:
+    """A graph's supply nodes and contracts by position, and its edges as
+    position lists: built once, shared by every re-plan over the graph.
+
+    `nodes_of[j]` lists the positions of contract j's supply nodes and
+    `contracts_of[i]` those of node i's contracts, each in the graph's edge
+    order, as `AllocationGraph.nodes_of` and `contracts_of` list the ids.
+    An edge naming no node or no contract of the graph is left out.
+    """
+
+    def __init__(self, graph: AllocationGraph):
+        self.node_ids = [n.id for n in graph.supply_nodes]
+        self.contracts = list(graph.contracts)
+        node_pos = {nid: i for i, nid in enumerate(self.node_ids)}
+        contract_pos = {c.id: j for j, c in enumerate(self.contracts)}
+        self.nodes_of: List[List[int]] = [[] for _ in self.contracts]
+        self.contracts_of: List[List[int]] = [[] for _ in self.node_ids]
+        for sid, cid in graph.edges:
+            i, j = node_pos.get(sid), contract_pos.get(cid)
+            if i is not None and j is not None:
+                self.nodes_of[j].append(i)
+                self.contracts_of[i].append(j)
+
+
+@dataclass(frozen=True)
+class PlanningProblem:
+    """What a planner reads: a `PlanningIndex`, the forecast supply of each
+    node (by position) and the demand of each live contract (keyed by
+    position, in graph order).  A contract left out is not planned.
+
+    A re-plan restates these two vectors over its run's one index, so no
+    graph, node or contract is built per re-plan.
+    """
+
+    index: PlanningIndex
+    supply: Sequence[float]
+    demand: Mapping[int, float]
+
+    @classmethod
+    def of(cls, graph) -> "PlanningProblem":
+        """`graph` as a problem: a problem itself, else an `AllocationGraph`'s
+        index, its nodes' forecast supply and its contracts' demands."""
+        if isinstance(graph, cls):
+            return graph
+        return cls(PlanningIndex(graph), [n.forecast_supply for n in graph.supply_nodes],
+                   {j: c.demand for j, c in enumerate(graph.contracts)})
+
+    def eligible_supply(self, j: int) -> float:
+        """Total forecast supply across contract j's nodes, in edge order."""
+        return sum(map(self.supply.__getitem__, self.index.nodes_of[j]))
 
 
 def build_graph(supply_nodes: List[SupplyNode],
@@ -270,10 +318,11 @@ def record_number(rec, key: str, default: Optional[float] = None) -> float:
     """Field `key` of a JSON record, checked to be a finite number.
 
     A missing field takes `default` (KeyError when there is none); a field
-    that is not a finite JSON number (a boolean, a string, NaN, Infinity)
-    raises ValueError.  Loaders catch both and report the file and line.
-    An integer is returned as an int, so a count read from a file equals
-    the same count built in memory, down to how reports print it.
+    that is not a finite JSON number (a boolean, a string, NaN, Infinity,
+    an integer beyond float range) raises ValueError.  Loaders catch both
+    and report the file and line.  An integer is returned as an int, so a
+    count read from a file equals the same count built in memory, down to
+    how reports print it.
     """
     if not isinstance(rec, dict):
         raise ValueError("record is not a JSON object")
@@ -282,8 +331,14 @@ def record_number(rec, key: str, default: Optional[float] = None) -> float:
             raise KeyError(key)
         return default
     value = rec[key]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:       # an int that no float can hold
+        raise ValueError(f"{key} must be a finite number, got an integer of "
+                         f"{len(str(abs(value)))} digits") from None
+    if not finite:
         raise ValueError(f"{key} must be a finite number, got {value!r}")
     return value
 
@@ -489,5 +544,6 @@ def load_edges(path) -> List[Edge]:
 
 
 def replan_contract(contract: Contract, demand: float) -> Contract:
-    """Copy of a contract with restated remaining demand (for re-optimization)."""
+    """Copy of a contract with restated remaining demand.  The simulator
+    restates demand in a `PlanningProblem` instead, with no copy."""
     return replace(contract, demand=demand)

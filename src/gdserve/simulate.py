@@ -7,9 +7,12 @@ through the feedback adjustment), the remaining-flight supply forecast is
 restated as the true remaining per-node supply times a configurable error
 multiplier, and the chosen planner runs again: `generate_hwm_plan`,
 `solve_dual_offline`, or the forecast-free reactive pacer of
-`baseline_pacing`, whose plan is an `HwmPlan` too.  Between boundaries
-serving is stateless: each impression's decision depends only on the
-current plan and the impression itself.
+`baseline_pacing`, whose plan is an `HwmPlan` too.  A re-plan restates
+only those two vectors: the planner reads a `model.PlanningProblem`, one
+supply float per node and the live contracts' demands over the run's one
+`model.PlanningIndex`, so no graph, supply node or contract is built per
+cycle.  Between boundaries serving is stateless: each impression's decision
+depends only on the current plan and the impression itself.
 
 The engine reads an `ImpressionStream`: columns of ids, timestamps and one
 attribute-set id per impression, with one attribute map and one key per
@@ -66,13 +69,13 @@ import os
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import accumulate, islice
 from operator import gt
 from sys import intern
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, Union)
 
 from . import metrics as mx
 from . import targeting as tg
@@ -80,8 +83,9 @@ from .dual import solve_dual_offline
 from .feedback import DeliveryState, FeedbackConfig, apply_feedback, linear_goal
 from .hwm import HwmEntry, HwmPlan, generate_hwm_plan
 from .kernels import draw_index
-from .model import (AllocationGraph, Contract, ServingPlan, parse_ts, read_records,
-                    record_attributes, record_number, replan_contract)
+from .model import (AllocationGraph, Contract, PlanningIndex, PlanningProblem,
+                    ServingPlan, parse_ts, read_records, record_attributes,
+                    record_number)
 
 
 class SimulationError(ValueError):
@@ -112,8 +116,17 @@ class SimulationConfig:
     baseline_comparator: bool = False
 
     def __post_init__(self):
-        if self.reopt_period_hours <= 0:
+        if not self.reopt_period_hours > 0:
             raise SimulationError("reopt_period_hours must be positive")
+        # The cycles step by this timedelta: it must exist and not be zero.
+        try:
+            period = timedelta(hours=self.reopt_period_hours)
+        except OverflowError:
+            raise SimulationError(f"reopt_period_hours {self.reopt_period_hours!r} "
+                                  "is longer than the longest timedelta") from None
+        if not period:
+            raise SimulationError(f"reopt_period_hours {self.reopt_period_hours!r} "
+                                  "is under half a microsecond")
         if self.forecast_error_multiplier <= 0:
             raise SimulationError("forecast error multiplier must be positive")
         for nid, m in (self.per_node_error or {}).items():
@@ -452,13 +465,19 @@ class _BaseController:
     def __init__(self):
         self.rates: Dict[str, float] = {}
 
-    def replan(self, planning_graph: AllocationGraph, cycle_start: datetime,
-               delivered: Mapping[str, float], prev_cycle_traffic: Mapping[str, float],
+    def replan(self, graph: Union[AllocationGraph, PlanningProblem],
+               cycle_start: datetime, delivered: Mapping[str, float],
+               prev_cycle_traffic: Mapping[str, float],
                cycle_traffic: Mapping[str, float]) -> HwmPlan:
-        """Rates for this cycle; traffic is eligible events per hour in the
-        previous and in this cycle."""
+        """Rates for the live contracts of `PlanningProblem.of(graph)` this
+        cycle; traffic is eligible events per hour in the previous and in
+        this cycle."""
+        problem = PlanningProblem.of(graph)
+        contracts = problem.index.contracts
         entries = []
-        for c in sorted(planning_graph.contracts, key=lambda c: (c.end, c.id)):
+        for j in sorted(problem.demand,
+                        key=lambda j: (contracts[j].end, contracts[j].id)):
+            c = contracts[j]
             if c.id not in self.rates:
                 traffic = prev_cycle_traffic.get(c.id) or cycle_traffic.get(c.id, 0.0)
                 if traffic <= 0.0:
@@ -473,7 +492,7 @@ class _BaseController:
                     rate = max(rate, 1e-3)
                 rate = min(max(rate, 0.0), 1.0)
             self.rates[c.id] = rate
-            entries.append(HwmEntry(c.id, planning_graph.eligible_supply(c.id), rate))
+            entries.append(HwmEntry(c.id, problem.eligible_supply(j), rate))
         return HwmPlan(entries)
 
 
@@ -517,7 +536,9 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
     period = timedelta(hours=cfg.reopt_period_hours)
     bounds = [sim_start]
     while bounds[-1] < sim_end:
-        bounds.append(min(bounds[-1] + period, sim_end))
+        # A period is added only where the sum stays before sim_end, so a
+        # long period never takes a date past `datetime.max`.
+        bounds.append(bounds[-1] + period if sim_end - bounds[-1] > period else sim_end)
     n_cycles = len(bounds) - 1
     cycle_hours = cfg.reopt_period_hours
 
@@ -528,6 +549,9 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
         i = next(i for i in range(1, len(ts)) if ts[i] < ts[i - 1])
         raise SimulationError(
             f"impression {stream.ids[i]} at {ts[i].isoformat()} is out of order")
+
+    # Re-plans restate supply and demand vectors over one index of the graph.
+    planning = PlanningIndex(graph)
 
     # The stream is sorted, so cycle k is the index range
     # [starts[k], starts[k + 1]); count each supply node's impressions in it.
@@ -550,11 +574,9 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
         for k in range(n_cycles - 1, -1, -1):
             acc += counts[k]
             remaining_actual[nid][k] = acc
-
-    def node_multiplier(nid: str) -> float:
-        if cfg.per_node_error and nid in cfg.per_node_error:
-            return cfg.per_node_error[nid]
-        return cfg.forecast_error_multiplier
+    per_node = cfg.per_node_error or {}
+    multipliers = [per_node.get(nid, cfg.forecast_error_multiplier)
+                   for nid in planning.node_ids]
 
     index = EligibilityIndex(graph.contracts, graph)
     booked_of = {c.id: c.booked_demand for c in graph.contracts}
@@ -583,9 +605,10 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
         cycle_start = bounds[k]
         cycle_end = bounds[k + 1]
 
-        # Restate demand (actual delivery, optionally feedback-adjusted).
-        planning: List[Contract] = []
-        for c in graph.contracts:
+        # Restate the demand of each live contract, by position: actual
+        # delivery, optionally feedback-adjusted.
+        demand: Dict[int, float] = {}
+        for j, c in enumerate(graph.contracts):
             remaining = c.booked_demand - delivered[c.id]
             if remaining <= 0 or c.end <= cycle_start:
                 continue
@@ -595,23 +618,20 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
                                       remaining, boost[c.id])
                 reported, boost[c.id] = apply_feedback(
                     state, c, cycle_start, cfg.feedback, cycle_hours)
-            planning.append(replan_contract(c, reported))
+            demand[j] = reported
         plan = None
-        if planning:
-            planning_ids = {c.id for c in planning}
+        if demand:
             # Restate the remaining-flight forecast: true remaining supply
             # distorted by the configured error multiplier.
-            nodes = [replace(n, forecast_supply=remaining_actual[n.id][k]
-                             * node_multiplier(n.id))
-                     for n in graph.supply_nodes]
-            edges = [(sid, cid) for sid, cid in graph.edges if cid in planning_ids]
-            planning_graph = AllocationGraph(nodes, planning, edges)
+            supply = [remaining_actual[nid][k] * m
+                      for nid, m in zip(planning.node_ids, multipliers)]
+            problem = PlanningProblem(planning, supply, demand)
             if algorithm == "hwm":
-                plan = generate_hwm_plan(planning_graph)
+                plan = generate_hwm_plan(problem)
             elif algorithm == "dual":
-                plan = solve_dual_offline(planning_graph)
+                plan = solve_dual_offline(problem)
             else:
-                plan = pacer.replan(planning_graph, cycle_start, delivered,
+                plan = pacer.replan(problem, cycle_start, delivered,
                                     eligible_traffic(k - 1), eligible_traffic(k))
             cycle_rates = {e.contract_id: e.alpha for e in plan.entries}
         else:
@@ -656,9 +676,10 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
                         for cid, p in zip(ids, probs):
                             if p > 0.0:
                                 acc[cid] = acc.get(cid, 0) + n * exact_units(p)
-                for c in planning:
-                    inc = acc.get(c.id, 0) / _UNIT_DENOMINATOR
-                    delivered[c.id] = min(booked_of[c.id], delivered[c.id] + inc)
+                for j in demand:
+                    cid = graph.contracts[j].id
+                    inc = acc.get(cid, 0) / _UNIT_DENOMINATOR
+                    delivered[cid] = min(booked_of[cid], delivered[cid] + inc)
 
         for c in graph.contracts:
             if c.start <= cycle_end <= c.end:
@@ -927,7 +948,12 @@ TIMESERIES_HEADER = "cycle_end_ts,contract_id,delivered_cum,linear_goal"
 
 
 def write_report(report: SimulationReport, report_path, timeseries_path) -> None:
-    """Emit report.json and the per-cycle delivery_timeseries.csv."""
+    """Emit report.json and the per-cycle delivery_timeseries.csv.
+
+    The timeseries is `TIMESERIES_HEADER`, one row per line, and last the
+    end-of-run row: the run's `sim_end` and three empty fields, from which
+    `gdserve metrics` tells the finished contracts as the report does.
+    """
     doc = {
         "algorithm": report.algorithm,
         "mode": report.mode,
@@ -952,3 +978,4 @@ def write_report(report: SimulationReport, report_path, timeseries_path) -> None
         for row in report.timeseries:
             fh.write(f"{row.t.isoformat()},{row.contract_id},"
                      f"{row.delivered!r},{row.linear_goal!r}\n")
+        fh.write(f"{report.cycle_bounds[-1].isoformat()},,,\n")

@@ -503,7 +503,8 @@ class TestPlanFileErrors:
 
     @pytest.mark.parametrize("key, value", [
         ("alpha", "0.5"), ("alpha", -0.1), ("alpha", 1.5),
-        ("eligible_supply", "400"), ("eligible_supply", -1)])
+        ("eligible_supply", "400"), ("eligible_supply", -1),
+        ("alpha", 10 ** 400), ("eligible_supply", 10 ** 400)])
     def test_bad_hwm_record(self, tmp_path, capsys, key, value):
         bad = dict(self.GOOD_HWM, contract_id="age5", **{key: value})
         rc, err = self.serve(tmp_path, capsys, json.dumps(self.GOOD_HWM)
@@ -529,6 +530,34 @@ class TestPlanFileErrors:
         rc, _ = self.serve(tmp_path, capsys,
                            "".join(json.dumps(r) + "\n" for r in plan))
         assert rc == 0
+
+
+class TestIntegersBeyondFloatRange:
+    """A JSON integer no float can hold (1 followed by 400 zeros) fails as
+    any other non-finite number does: exit 1 with `path:line`, where
+    `math.isfinite` used to raise an OverflowError past `cli.main`.  Plan
+    files take such numbers in `TestPlanFileErrors`."""
+
+    HUGE = 10 ** 400
+    MESSAGE = "must be a finite number, got an integer of 401 digits"
+
+    @pytest.mark.parametrize("name, key, what", [
+        ("supply.jsonl", "supply", "supply record"),
+        ("contracts.jsonl", "demand", "contract record"),
+        ("contracts.jsonl", "booked", "contract record"),
+    ])
+    def test_plan_inputs(self, tmp_path, capsys, name, key, what):
+        write_demo_inputs(tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), key: self.HUGE})
+        path.write_text("\n".join(lines) + "\n")
+        rc = run(["plan", "--supply", tmp_path / "supply.jsonl",
+                  "--contracts", tmp_path / "contracts.jsonl",
+                  "--out", tmp_path / "plan.jsonl"])
+        assert rc == 1
+        assert (capsys.readouterr().err
+                == f"error: {path}:2: bad {what}: {key} {self.MESSAGE}\n")
 
 
 class TestScenarioAndSimulate:
@@ -648,6 +677,59 @@ class TestScenarioAndSimulate:
         assert None not in report["smoothness"].values()
         assert {k: doc[k] for k in report["smoothness"]} == report["smoothness"]
 
+    def test_metrics_finishes_contracts_at_sim_end(self, tmp_path, capsys):
+        # Flights end at 13:00 and 20:00, off the 6 h cycle bounds, and
+        # sim_end is midnight: both are finished, though the last row is at
+        # 18:00.  `gdserve metrics` used to take 18:00 for sim_end.
+        scen = tmp_path / "scen"
+        scen.mkdir()
+        day = FLIGHT_START
+        node = model.SupplyNode("n", {"site": "a"}, 240)
+        contracts = [model.Contract(cid, tg.parse_targeting("TRUE"), demand, day,
+                                    day + timedelta(hours=end))
+                     for cid, demand, end in (("early", 60, 13), ("late", 90, 20))]
+        model.save_supply([node], scen / "supply.jsonl")
+        model.save_contracts(contracts, scen / "contracts.jsonl")
+        sim.save_impressions([sim.ImpressionEvent(f"i{k}", day + timedelta(minutes=6 * k),
+                                                  {"site": "a"}) for k in range(240)],
+                             scen / "impressions.jsonl")
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"reopt_period_hours": 6, "forecast_error_multiplier": 1.5,
+             "sim_start": day.isoformat(),
+             "sim_end": (day + timedelta(days=1)).isoformat()}))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", tmp_path / "config.json",
+                    "--scenario", scen, "--out-dir", out]) == 0
+        capsys.readouterr()
+        assert run(["metrics", "--timeseries", out / "delivery_timeseries.csv",
+                    "--contracts", scen / "contracts.jsonl"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        report = json.loads((out / "report.json").read_text())
+        assert report["smoothness"]["sigma75_finished"] is not None
+        assert {k: doc[k] for k in report["smoothness"]} == report["smoothness"]
+        rows, sim_end = cli._read_timeseries(out / "delivery_timeseries.csv",
+                                             {c.id: c for c in contracts})
+        assert max(r.t for r in rows) == day + timedelta(hours=18)
+        assert ({c.id for c in contracts if c.end <= sim_end}
+                == {c["id"] for c in report["contracts"] if c["finished"]}
+                == {"early", "late"})
+
+    def test_metrics_needs_end_of_run_row(self, tmp_path, capsys):
+        write_demo_inputs(tmp_path)
+        ts = tmp_path / "ts.csv"
+        rows = "cycle_end_ts,contract_id,delivered_cum,linear_goal\n" \
+               "2026-03-02T12:00:00,males,1.0,1.0\n"
+        ts.write_text(rows)
+        assert run(["metrics", "--timeseries", ts,
+                    "--contracts", tmp_path / "contracts.jsonl"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ts}: no end-of-run row (<sim_end>,,,) after the rows\n")
+        ts.write_text(rows + "2026-03-03T00:00:00,,,\n" + rows.splitlines()[1] + "\n")
+        assert run(["metrics", "--timeseries", ts,
+                    "--contracts", tmp_path / "contracts.jsonl"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ts}:4: bad row: a row follows the end-of-run row\n")
+
     def test_metrics_on_empty_timeseries(self, tmp_path, capsys):
         write_demo_inputs(tmp_path)
         ts = tmp_path / "ts.csv"
@@ -741,6 +823,29 @@ class TestBadConfig:
                   "--out-dir", tmp_path / "out"])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {field} ")
+
+    @pytest.mark.parametrize("hours, message", [
+        (1e308, "reopt_period_hours 1e+308 is longer than the longest timedelta"),
+        (10 ** 400, "reopt_period_hours must be a finite number, got an integer "
+                    "of 401 digits"),
+    ])
+    def test_unusable_period_fails_before_the_engine(self, scen, tmp_path, capsys,
+                                                     hours, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"reopt_period_hours": hours}))
+        rc = run(["simulate", "--config", path, "--scenario", scen,
+                  "--out-dir", tmp_path / "out"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_period_under_half_a_microsecond_rejected_on_load(self, tmp_path):
+        # Its timedelta is zero, so the cycle loop would never end: this
+        # must fail in the config, before any engine runs.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"reopt_period_hours": 1e-10}))
+        with pytest.raises(sim.SimulationError, match=(
+                f"^{path}: reopt_period_hours 1e-10 is under half a microsecond$")):
+            sim.load_config(path)
 
     def test_undecodable_config_names_file(self, scen, tmp_path, capsys):
         path = tmp_path / "config.json"

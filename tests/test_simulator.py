@@ -144,6 +144,32 @@ class TestEngineInvariants:
         with pytest.raises(sim.SimulationError, match="single worker"):
             sim.SimulationConfig(mode="sampled", shards=2)
 
+    @pytest.mark.parametrize("hours, message", [
+        (1e308, "is longer than the longest timedelta"),
+        (float("inf"), "is longer than the longest timedelta"),
+        (1e-10, "is under half a microsecond"),
+        (float("nan"), "must be positive"),
+    ])
+    def test_unusable_period_rejected(self, hours, message):
+        # 1e-10 h is a zero timedelta, on which the cycle loop never ended;
+        # only the config is built here, never an engine.
+        with pytest.raises(sim.SimulationError, match=f"reopt_period_hours .*{message}"):
+            sim.SimulationConfig(reopt_period_hours=hours)
+
+    def test_period_of_one_microsecond_accepted(self):
+        # 2e-10 h rounds to one microsecond, the shortest usable period.
+        assert sim.SimulationConfig(reopt_period_hours=2e-10).reopt_period_hours == 2e-10
+
+    def test_period_past_the_last_date_is_one_cycle(self):
+        # 1e8 h is a timedelta, but the window's start plus it is past
+        # `datetime.max`; the single cycle ends at sim_end.
+        graph, events = uniform_single_contract(days=2, per_day=10, demand=5)
+        report = sim.run_simulation(graph, events,
+                                    sim.SimulationConfig(reopt_period_hours=1e8))
+        assert report == sim.run_simulation(graph, events,
+                                            sim.SimulationConfig(reopt_period_hours=48.0))
+        assert report.cycle_bounds == [FLIGHT_START, FLIGHT_START + timedelta(days=2)]
+
     def test_unsorted_stream_names_first_offender(self):
         graph, events = uniform_single_contract(days=2, per_day=10, demand=5)
         events[3], events[4] = events[4], events[3]
@@ -1275,7 +1301,8 @@ class TestReportFiles:
         sim.write_report(report, tmp_path / "report.json", tmp_path / "ts.csv")
         lines = (tmp_path / "ts.csv").read_text().splitlines()
         assert lines[0] == "cycle_end_ts,contract_id,delivered_cum,linear_goal"
-        assert len(lines) == 1 + len(report.timeseries)
+        assert lines[-1] == f"{report.cycle_bounds[-1].isoformat()},,,"
+        assert len(lines) == 2 + len(report.timeseries)
         import json
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["contracts"][0]["id"] == "c1"
