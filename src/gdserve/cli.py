@@ -34,6 +34,7 @@ import shutil
 import signal
 import sys
 import tempfile
+from bisect import bisect_right
 from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
@@ -111,7 +112,7 @@ def _serve_workers(requested) -> int:
 
 def cmd_serve(args) -> int:
     workers = _serve_workers(args.workers)
-    contracts = {c.id: c for c in model.load_contracts(args.contracts)}
+    contracts = model.by_id("contract", model.load_contracts(args.contracts))
     plan = _load_plan(args.plan)
     plan_ids = [e.contract_id for e in plan.entries]
     for cid in plan_ids:
@@ -133,20 +134,37 @@ def cmd_serve(args) -> int:
         """Write the decisions of the rows of `rng` to `path`; returns their
         number.  Impressions are read row by row; only their attribute sets
         are kept.  Row n of the file draws `impression_uniform(seed, n)`, the
-        uniforms of the range coming from one `impression_uniforms`."""
+        uniforms of the range coming from one `impression_uniforms`.
+
+        The slots hold each set's slice (with its "probs" JSON) for the
+        flight phase [lo, hi) of the last row.  A row outside it, as in an
+        unsorted file, finds its phase by bisection and empties the slots."""
         sets = sim.ImpressionStream()
         keys, attrs = sets.keys, sets.attrs
         rows = sim.iter_impressions(args.impressions, sets, rng.start, rng.first_line,
                                     rng.lines)
         uniforms = sim.impression_uniforms(seed, rng.first_row)
+        lo = hi = datetime.min
+        slots: Dict[int, Tuple[Tuple[str, ...], List[float], str]] = {}
         written = 0
         with open(path, "w", encoding="utf-8") as out:
             for (imp_id, ts, sid), u in zip(rows, uniforms):
-                ids, probs, sel = server.draw(keys[sid], attrs[sid], ts, u)
-                text = probs_json.get(ids)
-                if text is None:
-                    text = probs_json[ids] = json.dumps(
-                        [[cid, p] for cid, p in zip(ids, probs)])
+                if not lo <= ts < hi:
+                    instants = server.instants
+                    phase = bisect_right(instants, ts)
+                    lo = instants[phase - 1] if phase else datetime.min
+                    hi = instants[phase] if phase < len(instants) else datetime.max
+                    slots = {}
+                slot = slots.get(sid)
+                if slot is None:
+                    ids, probs, cum = server.entry(keys[sid], attrs[sid], ts)
+                    text = probs_json.get(ids)
+                    if text is None:
+                        text = probs_json[ids] = json.dumps(
+                            [[cid, p] for cid, p in zip(ids, probs)])
+                    slot = slots[sid] = (ids, cum, text)
+                ids, cum, text = slot
+                sel = sim.draw_index(cum, u)
                 chosen = id_json[ids[sel]] if sel >= 0 else "null"
                 out.write(f'{{"impression_id": {encode_str(imp_id)}, "chosen": {chosen}, '
                           f'"probs": {text}, "u": {u!r}}}\n')
@@ -311,7 +329,7 @@ def _final_delivery(rows: List[mx.TimeseriesRow]) -> Dict[str, float]:
 
 
 def cmd_metrics(args) -> int:
-    contracts = {c.id: c for c in model.load_contracts(args.contracts)}
+    contracts = model.by_id("contract", model.load_contracts(args.contracts))
     rows, sim_end = _read_timeseries(args.timeseries, contracts)
     booked = {cid: float(c.booked_demand) for cid, c in contracts.items()}
     finished = {cid for cid, c in contracts.items() if c.end <= sim_end}

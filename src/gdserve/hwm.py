@@ -5,8 +5,9 @@ computes one serving rate per contract by draining a remaining-supply vector.
 The online pass needs only those per-contract numbers: `HwmPlan.effective_probs`
 truncates the rates of an impression's eligible contracts in plan order, so
 any number of servers can evaluate it independently with no shared state.
-Decisions are drawn by `simulate.Server.draw`, and the forecast is replayed
-through a plan by `model.forecast_allocation`; both serve every plan alike.
+Decisions are drawn with `kernels.draw_index` from the slices that
+`simulate.Server.entry` gives, and the forecast is replayed through a plan
+by `model.forecast_allocation`; both serve every plan alike.
 """
 
 from __future__ import annotations

@@ -98,12 +98,23 @@ class Contract:
         return self.start <= t < self.end
 
 
+def by_id(kind: str, items: Sequence[T]) -> Dict[str, T]:
+    """`items` by their `id`; ids that repeat raise GraphDataError as
+    `duplicate <kind> ids: <the ids, sorted>`."""
+    out = {x.id: x for x in items}
+    if len(out) != len(items):
+        dups = sorted(i for i, n in Counter(x.id for x in items).items() if n > 1)
+        raise GraphDataError(f"duplicate {kind} ids: " + ", ".join(dups))
+    return out
+
+
 @dataclass
 class AllocationGraph:
     """The bipartite forecast graph: supply nodes, contracts, eligibility edges.
 
-    Duplicate supply-node or contract ids raise GraphDataError.  The edges
-    are taken as given, by the planners too; `validate_graph` checks them.
+    Duplicate supply-node or contract ids raise GraphDataError (`by_id`).
+    The edges are taken as given, by the planners too; `validate_graph`
+    checks them.
 
     Treat as immutable once built; it can then be shared freely across
     serving threads.  Re-plans neither copy nor change it: a run builds one
@@ -120,13 +131,8 @@ class AllocationGraph:
     nodes_of: Dict[str, List[str]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.node_by_id = {n.id: n for n in self.supply_nodes}
-        self.contract_by_id = {c.id: c for c in self.contracts}
-        for kind, items, by_id in (("contract", self.contracts, self.contract_by_id),
-                                   ("supply node", self.supply_nodes, self.node_by_id)):
-            if len(by_id) != len(items):
-                dups = sorted(i for i, n in Counter(x.id for x in items).items() if n > 1)
-                raise GraphDataError(f"duplicate {kind} ids: " + ", ".join(dups))
+        self.contract_by_id = by_id("contract", self.contracts)
+        self.node_by_id = by_id("supply node", self.supply_nodes)
         self.contracts_of = {n.id: [] for n in self.supply_nodes}
         self.nodes_of = {c.id: [] for c in self.contracts}
         for sid, cid in self.edges:

@@ -31,11 +31,13 @@ restate the forecast) are a count of set ids over that range.
 An impression's eligible contracts come from one `EligibilityIndex` per
 run: the graph's edges for an attribute set that is a supply node, and one
 walk of the targeting trees per other attribute set.  Each cycle serves
-through one `Server`, which remembers the candidates (eligible, planned, in
-flight) per attribute set and flight phase, and the plan's probabilities
-per candidate list, one entry per distinct list, with the running sums of
-its probabilities.  Every sampled decision is one `kernels.draw_index`, a
-bisection of those sums, here and in `gdserve serve` (`Server.draw`).
+through one `Server`, whose `entry` gives the plan's probabilities for an
+impression's candidates (eligible, planned, in flight), one entry per
+distinct candidate tuple, with the running sums of its probabilities.  Its
+callers, here and in `gdserve serve`, keep one slot per attribute set for
+the current flight phase, so `entry` runs once per (set, phase), not per
+impression.  Every sampled decision is one `kernels.draw_index`, a
+bisection of those sums.
 
 Two serving modes are supported.  No candidate list changes inside a
 flight phase, so both cut each cycle's range at the `Server`'s flight
@@ -67,7 +69,7 @@ import json
 import math
 import os
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -365,29 +367,27 @@ class EligibilityIndex:
 
 
 Candidates = Tuple[str, ...]
-Slice = Tuple[Tuple[str, ...], List[float]]
-# One candidate tuple's memo: the tuple, its slice's ids and probabilities,
-# and the running sums of those probabilities, the list `draw_index` takes.
-Entry = Tuple[Candidates, Tuple[str, ...], List[float], List[float]]
+# One candidate tuple's plan slice: its ids in the plan's order, their
+# probabilities, and the running sums of those, the list `draw_index` takes.
+Entry = Tuple[Tuple[str, ...], List[float], List[float]]
 
 
 class Server:
-    """Serving state of one plan: candidates and plan slices, memoized.
+    """Serving state of one plan: one plan slice per candidate tuple.
 
     A decision depends only on the plan's slice for the impression's
-    candidate contracts and on one uniform, so both are computed once and
-    reused.  An impression's candidates are its eligible contracts
-    (`index.lookup`) that the plan holds and that are in flight.  Those
-    depend on the attribute set and on the flight phase only: the phases
-    are the intervals between the sorted distinct start and end instants of
-    the served contracts, and no contract enters or leaves its flight
-    inside one.  So candidates are remembered per attribute set and phase,
-    and slices (`plan.effective_probs`) per candidate tuple, each with the
-    running sums of its probabilities (`itertools.accumulate`), so that a
-    draw is one bisection (`draw_index`).  `entry` gives all of them for
-    one visit, and `draw` makes one decision from them and one uniform.
-    `instants` holds those sorted instants, so a caller can cut a sorted
-    stream into phases and look each set up once per phase.
+    candidate contracts and on one uniform.  An impression's candidates are
+    its eligible contracts (`index.lookup`) that the plan holds and that are
+    in flight; `entry` gives their slice (`plan.effective_probs`), computed
+    once per distinct candidate tuple, with the running sums of its
+    probabilities (`itertools.accumulate`), so that a draw is one bisection
+    (`draw_index`).  Candidates depend on the attribute set and the flight
+    phase only: the phases are the intervals between `instants`, the sorted
+    distinct start and end instants of the served contracts, and no contract
+    enters or leaves its flight inside one.  So a caller keeps one slot per
+    attribute set for the phase it is in, and calls `entry` when the slot is
+    empty: the simulator cuts each cycle's sorted range into phases, and
+    `gdserve serve` keeps the slots of the last row's phase.
     """
 
     def __init__(self, plan: ServingPlan, index: EligibilityIndex,
@@ -397,60 +397,26 @@ class Server:
         self._served = {c.id: c for c in contracts if c.id in plan}
         self.instants = sorted({t for c in self._served.values()
                                 for t in (c.start, c.end)})
-        # One entry per distinct candidate tuple.  Each attribute set has
-        # one list of entries, indexed by phase, so equal candidates in two
-        # slots are one tuple, found in one lookup.
-        self._slices: Dict[Candidates, Entry] = {}
-        self._candidates: Dict[AttrsKey, List[Optional[Entry]]] = {}
+        self._entries: Dict[Candidates, Entry] = {}
 
     def entry(self, key: AttrsKey, attrs: Mapping[str, str], ts: datetime) -> Entry:
-        """The candidates of `attrs` (whose `attrs_key` is `key`) at `ts`,
-        their slice's ids and probabilities, and its running sums."""
-        phase = bisect_right(self.instants, ts)
-        phases = self._candidates.get(key)
-        if phases is None:
-            phases = self._candidates[key] = [None] * (len(self.instants) + 1)
-        entry = phases[phase]
-        if entry is None:
-            served = self._served
-            entry = phases[phase] = self._slice_entry(tuple(
-                cid for cid in self._index.lookup(key, attrs)
-                if cid in served and served[cid].in_flight(ts)))
-        return entry
-
-    def _slice_entry(self, cands: Candidates) -> Entry:
-        entry = self._slices.get(cands)
+        """The plan slice for the candidates of `attrs` (whose `attrs_key` is
+        `key`) at `ts`: ids, probabilities and their running sums."""
+        served = self._served
+        cands = tuple(cid for cid in self._index.lookup(key, attrs)
+                      if cid in served and served[cid].in_flight(ts))
+        entry = self._entries.get(cands)
         if entry is None:
             pairs = self._plan.effective_probs(cands)
             probs = [p for _, p in pairs]
-            entry = self._slices[cands] = (cands, tuple([cid for cid, _ in pairs]),
-                                           probs, list(accumulate(probs)))
+            entry = self._entries[cands] = (tuple([cid for cid, _ in pairs]), probs,
+                                            list(accumulate(probs)))
         return entry
-
-    def candidates(self, key: AttrsKey, attrs: Mapping[str, str],
-                   ts: datetime) -> Candidates:
-        """Ids served to `attrs` (whose `attrs_key` is `key`) at `ts`."""
-        return self.entry(key, attrs, ts)[0]
-
-    def slice(self, cands: Candidates) -> Slice:
-        """`plan.effective_probs(cands)` as the ids in the plan's order and
-        their probabilities (two sequences hold less memory than the
-        (id, probability) pairs)."""
-        _, ids, probs, _ = self._slice_entry(cands)
-        return ids, probs
-
-    def draw(self, key: AttrsKey, attrs: Mapping[str, str], ts: datetime,
-             u: float) -> Tuple[Tuple[str, ...], List[float], int]:
-        """One decision: the slice of the candidates of `attrs` at `ts`, and
-        the index in it that the uniform `u` selects (-1: unallocated)."""
-        _, ids, probs, cum = self.entry(key, attrs, ts)
-        return ids, probs, draw_index(cum, u)
 
     def drop(self, contract_id: str) -> None:
         """Serve `contract_id` no more (it has met its booked demand).  The
-        entries `entry` gave before hold stale candidates."""
+        entries `entry` gave before may hold it."""
         del self._served[contract_id]
-        self._candidates.clear()
 
 
 _BASE_GAIN = 4.0
@@ -647,7 +613,8 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
             server = Server(plan, index, graph.contracts)
             if sampled:
                 # Each set's entry is looked up once per phase into a slot,
-                # and again after a drop, which makes the entries stale.
+                # and again after a drop, since a slot may hold the dropped
+                # contract.
                 for a, b in _pieces(ts, server.instants, lo, hi):
                     t = ts[a]
                     slots: List[Optional[Entry]] = [None] * n_sets
@@ -656,9 +623,9 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
                         if entry is None:
                             entry = slots[sid] = server.entry(
                                 keys[sid], attrs_of_set[sid], t)
-                        sel = draw_index(entry[3], u)
+                        sel = draw_index(entry[2], u)
                         if sel >= 0:
-                            cid = entry[1][sel]
+                            cid = entry[0][sel]
                             delivered[cid] += 1.0
                             if delivered[cid] >= booked_of[cid]:
                                 server.drop(cid)
@@ -672,7 +639,7 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
                 for a, b in _pieces(ts, server.instants, lo, hi, range(lo, hi, block)):
                     t = ts[a]
                     for sid, n in Counter(set_ids[a:b]).items():
-                        _, ids, probs, _ = server.entry(keys[sid], attrs_of_set[sid], t)
+                        ids, probs, _ = server.entry(keys[sid], attrs_of_set[sid], t)
                         for cid, p in zip(ids, probs):
                             if p > 0.0:
                                 acc[cid] = acc.get(cid, 0) + n * exact_units(p)

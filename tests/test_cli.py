@@ -1,7 +1,9 @@
+import bisect
 import json
 import os
+import random
 from collections import Counter
-from datetime import timedelta
+from datetime import datetime, timedelta
 from itertools import accumulate
 
 import pytest
@@ -277,6 +279,25 @@ class TestServeCommand:
         assert all(sum(p for _, p in d["probs"]) <= 1.0 + 1e-9 for d in decisions)
 
 
+def reference_decisions(contracts_path, plan_path, impressions_path, seed):
+    """The decisions file of `gdserve serve`, made row by row: targeting,
+    plan membership, flight, `effective_probs`, and `draw_index` with
+    `impression_uniform(seed, row)`."""
+    contracts = model.load_contracts(contracts_path)
+    plan = cli._load_plan(plan_path)
+    lines = []
+    for n, ev in enumerate(sim.load_impressions(impressions_path)):
+        cands = [c.id for c in contracts if c.id in plan and c.in_flight(ev.ts)
+                 and tg.eligible(ev.attributes, c.targeting)]
+        u = sim.impression_uniform(seed, n)
+        probs = plan.effective_probs(cands)
+        sel = kernels.draw_index(list(accumulate(p for _, p in probs)), u)
+        lines.append(json.dumps({
+            "impression_id": ev.id, "chosen": probs[sel][0] if sel >= 0 else None,
+            "probs": [[cid, p] for cid, p in probs], "u": u}) + "\n")
+    return "".join(lines)
+
+
 class TestDecisionLines:
     """Each `gdserve serve` line is the bytes json.dumps writes for the
     decision dict of one draw (`kernels.draw_index`) from the plan's slice
@@ -286,21 +307,6 @@ class TestDecisionLines:
               ('quote " back \\ snow \u2603 e\u0301 \u00e9', {"gender": "male"}),
               ("nothing eligible", {"state": "TX"}),
               ("\u00fcber", {"gender": "male", "age_bucket": "5"})]
-
-    def reference(self, tmp_path, plan_path, seed):
-        contracts = model.load_contracts(tmp_path / "contracts.jsonl")
-        plan = cli._load_plan(plan_path)
-        lines = []
-        for n, ev in enumerate(sim.load_impressions(tmp_path / "impressions.jsonl")):
-            cands = [c.id for c in contracts if c.id in plan and c.in_flight(ev.ts)
-                     and tg.eligible(ev.attributes, c.targeting)]
-            u = sim.impression_uniform(seed, n)
-            probs = plan.effective_probs(cands)
-            sel = kernels.draw_index(list(accumulate(p for _, p in probs)), u)
-            lines.append(json.dumps({
-                "impression_id": ev.id, "chosen": probs[sel][0] if sel >= 0 else None,
-                "probs": [[cid, p] for cid, p in probs], "u": u}) + "\n")
-        return "".join(lines)
 
     @pytest.mark.parametrize("algorithm", ["hwm", "dual"])
     def test_lines_equal_json_dumps_of_decision(self, tmp_path, algorithm):
@@ -322,11 +328,92 @@ class TestDecisionLines:
                   "--out", tmp_path / "decisions.jsonl", "--seed", 4])
         assert rc == 0
         got = (tmp_path / "decisions.jsonl").read_text(encoding="utf-8")
-        assert got == self.reference(tmp_path, plan_path, 4)
+        assert got == reference_decisions(tmp_path / "contracts.jsonl", plan_path,
+                                          tmp_path / "impressions.jsonl", 4)
         decisions = [json.loads(line) for line in got.splitlines()]
         assert {d["impression_id"] for d in decisions} == {e[0] for e in self.EVENTS}
         assert any(d["probs"] == [] and d["chosen"] is None for d in decisions)
         assert any(d["chosen"] is not None for d in decisions)
+
+
+class TestServeSlots:
+    """`gdserve serve` keeps each attribute set's slice for the flight phase
+    of the last row, and finds the phase again for a row outside it."""
+
+    @pytest.fixture(scope="class")
+    def scen(self, tmp_path_factory):
+        scen = tmp_path_factory.mktemp("scen")
+        assert run(["scenario", "--out-dir", scen, "--contracts", 8, "--days", 3,
+                    "--daily-traffic", 300, "--seed", 6]) == 0
+        assert run(["plan", "--supply", scen / "supply.jsonl",
+                    "--contracts", scen / "contracts.jsonl",
+                    "--out", scen / "plan.jsonl"]) == 0
+        return scen
+
+    def serve(self, scen, contracts, impressions, out, workers):
+        return run(["serve", "--plan", scen / "plan.jsonl", "--contracts", contracts,
+                    "--impressions", impressions, "--out", out, "--seed", 2,
+                    "--workers", workers])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unsorted_rows_match_reference(self, scen, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        events = list(sim.load_impressions(scen / "impressions.jsonl"))
+        contracts = model.load_contracts(scen / "contracts.jsonl")
+        instants = sorted({t for c in contracts for t in (c.start, c.end)})
+        # Rows exactly at every flight start and end, before the first
+        # instant, and at the first and last representable instants.
+        extra = [instants[0] - timedelta(microseconds=1), datetime.min, datetime.max]
+        events += [sim.ImpressionEvent(f"at{i}", t, events[i * 7].attributes)
+                   for i, t in enumerate(instants + extra)]
+        random.Random(4).shuffle(events)
+        assert any(a.ts > b.ts for a, b in zip(events, events[1:]))
+        sim.save_impressions(events, tmp_path / "impressions.jsonl")
+        assert "9999-12-31T23:59:59.999999" in (tmp_path / "impressions.jsonl").read_text()
+        assert self.serve(scen, scen / "contracts.jsonl", tmp_path / "impressions.jsonl",
+                          tmp_path / "decisions.jsonl", workers) == 0
+        assert (tmp_path / "decisions.jsonl").read_text(encoding="utf-8") == \
+            reference_decisions(scen / "contracts.jsonl", scen / "plan.jsonl",
+                                tmp_path / "impressions.jsonl", 2)
+
+    def test_one_entry_per_set_and_phase(self, scen, tmp_path, monkeypatch):
+        stream = sim.load_impressions(scen / "impressions.jsonl")
+        plan = cli._load_plan(scen / "plan.jsonl")
+        instants = sorted({t for c in model.load_contracts(scen / "contracts.jsonl")
+                           if c.id in plan for t in (c.start, c.end)})
+        pairs = {(sid, bisect.bisect_right(instants, t))
+                 for sid, t in zip(stream.set_ids, stream.ts)}
+        calls = []
+        entry = sim.Server.entry
+
+        def counting(self, *args):
+            calls.append(args)
+            return entry(self, *args)
+
+        monkeypatch.setattr(sim.Server, "entry", counting)
+        assert self.serve(scen, scen / "contracts.jsonl", scen / "impressions.jsonl",
+                          tmp_path / "decisions.jsonl", 1) == 0
+        assert 0 < len(calls) <= len(pairs) < len(stream)
+
+    @pytest.mark.parametrize("command", ["serve", "metrics"])
+    def test_duplicate_contract_ids_rejected(self, scen, tmp_path, capsys, command):
+        # A second record of the first contract, targeting every visit, must
+        # not replace the first one.
+        lines = (scen / "contracts.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        lines.append(json.dumps({**first, "targeting": "TRUE"}))
+        contracts = tmp_path / "contracts.jsonl"
+        contracts.write_text("\n".join(lines) + "\n")
+        if command == "serve":
+            rc = self.serve(scen, contracts, scen / "impressions.jsonl",
+                            tmp_path / "decisions.jsonl", 1)
+        else:
+            # The contracts are read before the timeseries, which is missing.
+            rc = run(["metrics", "--timeseries", tmp_path / "timeseries.csv",
+                      "--contracts", contracts])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: duplicate contract ids: {first['id']}\n"
+        assert os.listdir(tmp_path) == ["contracts.jsonl"]
 
 
 class TestBadImpressions:

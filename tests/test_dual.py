@@ -194,7 +194,8 @@ class TestPlanFile:
 
 class TestServe:
     def test_one_serve_function_for_every_plan(self):
-        # `Server.draw` serves a dual plan as it serves an HWM plan.
+        # `Server.entry` and `draw_index` serve a dual plan as they serve an
+        # HWM plan.
         nodes = [model.SupplyNode("a", {"x": "1"}, 100)]
         contracts = [make_contract("c1", "x = 1", 30), make_contract("c2", "x = 1", 40)]
         graph = model.build_graph(nodes, contracts)
@@ -203,11 +204,11 @@ class TestServe:
         assert [cid for cid, _ in probs] == ["c1", "c2"]
         server = sim.Server(plan, sim.EligibilityIndex(contracts, graph), contracts)
         attrs, ts = {"x": "1"}, FLIGHT_START
+        ids, ps, cum = server.entry(sim.attrs_key(attrs), attrs, ts)
+        assert list(zip(ids, ps)) == probs
         p1 = probs[0][1]
         for u, chosen in ((0.0, 0), (p1 - 1e-9, 0), (p1, 1)):
-            ids, ps, sel = server.draw(sim.attrs_key(attrs), attrs, ts, u)
-            assert sel == chosen
-            assert list(zip(ids, ps)) == probs
+            assert kernels.draw_index(cum, u) == chosen
 
 
 def _reference_ascent(graph, step, tol=1e-6, max_iters=10000):

@@ -285,8 +285,9 @@ class TestEligibilityIndex:
 
 
 class TestServer:
-    """`Server` candidates and slices equal a per-impression reference:
-    targeting, then plan membership, then flight, then `effective_probs`."""
+    """`Server.entry` gives the slice of a per-impression reference:
+    targeting, then plan membership, then flight, then `effective_probs`,
+    with running sums that `draw_index` bisects."""
 
     def scenario(self):
         spec = ScenarioSpec(num_contracts=10, num_attributes=3, seed=8, days=3,
@@ -325,16 +326,17 @@ class TestServer:
 
         server = sim.Server(Counting(), sim.EligibilityIndex(graph.contracts, graph),
                             graph.contracts)
-        for ev in events:
-            cands = server.candidates(sim.attrs_key(ev.attributes), ev.attributes, ev.ts)
+        for i, ev in enumerate(events):
+            ids, probs, cum = server.entry(sim.attrs_key(ev.attributes), ev.attributes,
+                                           ev.ts)
             want = [c.id for c in graph.contracts if tg.eligible(ev.attributes, c.targeting)
                     and c.id in plan and c.in_flight(ev.ts)]
-            assert sorted(cands) == sorted(want), (ev.attributes, ev.ts)
-            ids, probs = server.slice(cands)
-            assert list(zip(ids, probs)) == plan.effective_probs(want)
-            u = sim.impression_uniform(which, len(evaluated))
-            assert server.draw(sim.attrs_key(ev.attributes), ev.attributes, ev.ts,
-                               u) == (ids, probs, draw_index(list(accumulate(probs)), u))
+            assert sorted(ids) == sorted(want), (ev.attributes, ev.ts)
+            reference = plan.effective_probs(want)
+            assert list(zip(ids, probs)) == reference
+            u = sim.impression_uniform(which, i)
+            assert draw_index(cum, u) == draw_index(
+                list(accumulate(p for _, p in reference)), u)
         assert evaluated and set(evaluated.values()) == {1}
 
     def test_sampled_cap_mid_cycle_matches_delivered_filter(self, monkeypatch):
@@ -397,11 +399,12 @@ class TestServer:
         server = sim.Server(Counting(), sim.EligibilityIndex(graph.contracts, graph),
                             graph.contracts)
         visits = [(sim.attrs_key(ev.attributes), ev.attributes, ev.ts) for ev in events]
-        for i, visit in enumerate(visits):
-            server.draw(*visit, sim.impression_uniform(0, i))
-        held = [server.candidates(*visit) for visit in visits]
+        held = [server.entry(*visit) for visit in visits]
+        # Visits with equal candidates share one entry object.
+        by_cands = {frozenset(e[0]): e for e in held}
+        assert all(by_cands[frozenset(e[0])] is e for e in held)
         slots = {(key, bisect.bisect_right(server.instants, ts)) for key, _, ts in visits}
-        assert len({id(c) for c in held}) == len(set(held)) == len(slices) < len(slots)
+        assert len({id(e) for e in held}) == len(slices) == len(set(slices)) < len(slots)
 
 
 class TestCallTimeLookups:
