@@ -121,7 +121,8 @@ def cmd_serve(args) -> int:
                 f"plan contract {cid!r} is missing from {args.contracts}")
     seed = _seed_from(args)
     planned = [contracts[cid] for cid in plan_ids]
-    server = sim.Server(plan, sim.EligibilityIndex(planned), planned)
+    server = sim.Server(planned)
+    server.replan(plan)
     # Each line is the bytes json.dumps writes for the decision dict
     # {"impression_id", "chosen", "probs", "u"}, put together from the
     # JSON of each plan id and of each slice's "probs", made once; an

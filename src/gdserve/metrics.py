@@ -39,20 +39,14 @@ class SmoothnessSeries:
 
 
 def build_smoothness(rows: Sequence[TimeseriesRow],
-                     booked: Dict[str, float],
-                     flights: Optional[Dict[str, Tuple[datetime, datetime]]] = None,
-                     ) -> SmoothnessSeries:
+                     booked: Dict[str, float]) -> SmoothnessSeries:
     """Assemble the smoothness series from delivery timeseries rows.
 
-    A contract contributes at time t only when t lies within its flight
-    (rows outside the flight, if any, are dropped).
+    Every row is a sample; the simulator writes a contract's rows only at
+    times within its flight.
     """
     by_time: Dict[datetime, Dict[str, float]] = {}
     for row in rows:
-        if flights is not None:
-            start, end = flights[row.contract_id]
-            if not (start <= row.t <= end):
-                continue
         sigma = 100.0 * (row.delivered - row.linear_goal) / booked[row.contract_id]
         by_time.setdefault(row.t, {})[row.contract_id] = sigma
     return SmoothnessSeries(sorted(by_time.items()))

@@ -11,7 +11,7 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional, Protocol,
                     Sequence, Tuple, TypeVar)
@@ -547,9 +547,3 @@ def _edge(line: str) -> Edge:
 def load_edges(path) -> List[Edge]:
     """Read an explicit edges.jsonl override: {"supply_id", "contract_id"} per line."""
     return list(read_records(path, "edge record", _edge))
-
-
-def replan_contract(contract: Contract, demand: float) -> Contract:
-    """Copy of a contract with restated remaining demand.  The simulator
-    restates demand in a `PlanningProblem` instead, with no copy."""
-    return replace(contract, demand=demand)

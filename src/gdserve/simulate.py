@@ -26,18 +26,19 @@ the same rows as a result.  Any other sequence of `ImpressionEvent`s is
 turned into a stream by one pass.  Because the stream is sorted, each cycle
 is a contiguous index range, found by bisecting the timestamps at the cycle
 bounds, and a supply node's impressions in a cycle (from which re-plans
-restate the forecast) are a count of set ids over that range.
+restate the forecast) are a count of set ids over that range, kept by the
+node's position in the index.
 
-An impression's eligible contracts come from one `EligibilityIndex` per
-run: the graph's edges for an attribute set that is a supply node, and one
-walk of the targeting trees per other attribute set.  Each cycle serves
-through one `Server`, whose `entry` gives the plan's probabilities for an
-impression's candidates (eligible, planned, in flight), one entry per
-distinct candidate tuple, with the running sums of its probabilities.  Its
-callers, here and in `gdserve serve`, keep one slot per attribute set for
-the current flight phase, so `entry` runs once per (set, phase), not per
-impression.  Every sampled decision is one `kernels.draw_index`, a
-bisection of those sums.
+A run serves through one `Server`.  It holds each impression's eligible
+contracts, the graph's edges for an attribute set that is a supply node and
+one walk of the targeting trees per other attribute set, and the flight
+instants; each cycle hands it the new plan (`Server.replan`).  Its `entry`
+gives the plan's probabilities for an impression's candidates (eligible,
+planned, in flight), one entry per distinct candidate tuple, with the
+running sums of its probabilities.  Its callers, here and in `gdserve
+serve`, keep one slot per attribute set for the current flight phase, so
+`entry` runs once per (set, phase), not per impression.  Every sampled
+decision is one `kernels.draw_index`, a bisection of those sums.
 
 Two serving modes are supported.  No candidate list changes inside a
 flight phase, so both cut each cycle's range at the `Server`'s flight
@@ -74,7 +75,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import accumulate, islice
-from operator import gt
+from operator import add, gt, mul
 from sys import intern
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
@@ -339,33 +340,6 @@ class ImpressionStream(Sequence[ImpressionEvent]):
             yield ImpressionEvent(imp_id, t, attrs[sid])
 
 
-class EligibilityIndex:
-    """Eligible contract ids per attribute set, built once per run.
-
-    A set that matches a supply node of `graph` takes the node's edges
-    (`graph.contracts_of`).  Any other set is evaluated against the
-    targeting of every contract in `contracts` the first time it is looked
-    up and remembered for the rest of the run.  Ids come in no particular
-    order; every plan's `effective_probs` orders its input itself.
-    """
-
-    def __init__(self, contracts: Sequence[Contract],
-                 graph: Optional[AllocationGraph] = None):
-        self._contracts = list(contracts)
-        self._ids: Dict[AttrsKey, List[str]] = {}
-        if graph is not None:
-            for n in graph.supply_nodes:
-                self._ids[attrs_key(n.attributes)] = graph.contracts_of[n.id]
-
-    def lookup(self, key: AttrsKey, attrs: Mapping[str, str]) -> List[str]:
-        """Ids eligible for `attrs`, whose `attrs_key` is `key`."""
-        ids = self._ids.get(key)
-        if ids is None:
-            ids = [c.id for c in self._contracts if tg.eligible(attrs, c.targeting)]
-            self._ids[key] = ids
-        return ids
-
-
 Candidates = Tuple[str, ...]
 # One candidate tuple's plan slice: its ids in the plan's order, their
 # probabilities, and the running sums of those, the list `draw_index` takes.
@@ -373,38 +347,55 @@ Entry = Tuple[Tuple[str, ...], List[float], List[float]]
 
 
 class Server:
-    """Serving state of one plan: one plan slice per candidate tuple.
+    """Serving state of one run: eligibility, flight phases and one plan.
 
-    A decision depends only on the plan's slice for the impression's
-    candidate contracts and on one uniform.  An impression's candidates are
-    its eligible contracts (`index.lookup`) that the plan holds and that are
-    in flight; `entry` gives their slice (`plan.effective_probs`), computed
-    once per distinct candidate tuple, with the running sums of its
-    probabilities (`itertools.accumulate`), so that a draw is one bisection
-    (`draw_index`).  Candidates depend on the attribute set and the flight
-    phase only: the phases are the intervals between `instants`, the sorted
-    distinct start and end instants of the served contracts, and no contract
-    enters or leaves its flight inside one.  So a caller keeps one slot per
-    attribute set for the phase it is in, and calls `entry` when the slot is
-    empty: the simulator cuts each cycle's sorted range into phases, and
-    `gdserve serve` keeps the slots of the last row's phase.
+    Eligible contract ids per attribute set are built once: a set that
+    matches a supply node of `graph` takes the node's edges
+    (`graph.contracts_of`), and any other set is evaluated against the
+    targeting of every contract in `contracts` the first time it is seen.
+    Ids come in no particular order; `effective_probs` orders them.  The flight phases are the intervals between `instants`, the sorted
+    distinct start and end instants of `contracts`; no contract enters or
+    leaves its flight inside one.
+
+    `replan` sets the plan.  An impression's candidates are its eligible
+    contracts that the plan holds, that are in flight and that are not
+    dropped; `entry` gives their slice (`plan.effective_probs`), computed
+    once per distinct candidate tuple and plan, with the running sums of
+    its probabilities (`itertools.accumulate`), so that a draw is one
+    bisection (`draw_index`).  Candidates depend on the attribute set and
+    the flight phase only, so a caller keeps one slot per attribute set
+    for the phase it is in, and calls `entry` when the slot is empty: the
+    simulator cuts each cycle's sorted range into phases, and `gdserve
+    serve` keeps the slots of the last row's phase.
     """
 
-    def __init__(self, plan: ServingPlan, index: EligibilityIndex,
-                 contracts: Iterable[Contract]):
-        self._plan = plan
-        self._index = index
-        self._served = {c.id: c for c in contracts if c.id in plan}
-        self.instants = sorted({t for c in self._served.values()
-                                for t in (c.start, c.end)})
+    def __init__(self, contracts: Iterable[Contract],
+                 graph: Optional[AllocationGraph] = None):
+        self._contracts = list(contracts)
+        self._ids: Dict[AttrsKey, List[str]] = {}
+        if graph is not None:
+            for n in graph.supply_nodes:
+                self._ids[attrs_key(n.attributes)] = graph.contracts_of[n.id]
+        self.instants = sorted({t for c in self._contracts for t in (c.start, c.end)})
+        self._plan: Optional[ServingPlan] = None
+        self._served: Dict[str, Contract] = {}
         self._entries: Dict[Candidates, Entry] = {}
+
+    def replan(self, plan: ServingPlan) -> None:
+        """Serve `plan` from now on, with no contract dropped."""
+        self._plan = plan
+        self._served = {c.id: c for c in self._contracts if c.id in plan}
+        self._entries = {}
 
     def entry(self, key: AttrsKey, attrs: Mapping[str, str], ts: datetime) -> Entry:
         """The plan slice for the candidates of `attrs` (whose `attrs_key` is
         `key`) at `ts`: ids, probabilities and their running sums."""
+        ids = self._ids.get(key)
+        if ids is None:
+            ids = self._ids[key] = [c.id for c in self._contracts
+                                    if tg.eligible(attrs, c.targeting)]
         served = self._served
-        cands = tuple(cid for cid in self._index.lookup(key, attrs)
-                      if cid in served and served[cid].in_flight(ts))
+        cands = tuple(cid for cid in ids if cid in served and served[cid].in_flight(ts))
         entry = self._entries.get(cands)
         if entry is None:
             pairs = self._plan.effective_probs(cands)
@@ -414,8 +405,8 @@ class Server:
         return entry
 
     def drop(self, contract_id: str) -> None:
-        """Serve `contract_id` no more (it has met its booked demand).  The
-        entries `entry` gave before may hold it."""
+        """Serve `contract_id` no more under this plan (it has met its booked
+        demand).  The entries `entry` gave before may hold it."""
         del self._served[contract_id]
 
 
@@ -520,31 +511,26 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
     planning = PlanningIndex(graph)
 
     # The stream is sorted, so cycle k is the index range
-    # [starts[k], starts[k + 1]); count each supply node's impressions in it.
+    # [starts[k], starts[k + 1]); counts[k][i] is supply node i's impressions
+    # in it, and supply_from[k][i] those from cycle k on, as floats.
     starts = [bisect_left(ts, b) for b in bounds]
     served = starts[-1] - starts[0]
     skipped = len(ts) - served
-    node_of_key = {attrs_key(n.attributes): n.id for n in graph.supply_nodes}
+    node_of_key = {attrs_key(n.attributes): i for i, n in enumerate(graph.supply_nodes)}
     node_of_set = [node_of_key.get(key) for key in keys]
-    node_counts = {n.id: [0] * n_cycles for n in graph.supply_nodes}
-    for k in range(n_cycles):
+    counts = [[0] * len(planning.node_ids) for _ in range(n_cycles)]
+    for k, row in enumerate(counts):
         for sid, n in Counter(set_ids[starts[k]:starts[k + 1]]).items():
-            nid = node_of_set[sid]
-            if nid is not None:
-                node_counts[nid][k] += n
-
-    # Suffix sums: true remaining supply per node at each cycle start.
-    remaining_actual = {nid: [0.0] * (n_cycles + 1) for nid in node_counts}
-    for nid, counts in node_counts.items():
-        acc = 0.0
-        for k in range(n_cycles - 1, -1, -1):
-            acc += counts[k]
-            remaining_actual[nid][k] = acc
+            i = node_of_set[sid]
+            if i is not None:
+                row[i] += n
+    supply_from = list(accumulate(reversed(counts), lambda acc, row: list(map(add, acc, row)),
+                                  initial=[0.0] * len(planning.node_ids)))[::-1]
     per_node = cfg.per_node_error or {}
     multipliers = [per_node.get(nid, cfg.forecast_error_multiplier)
                    for nid in planning.node_ids]
 
-    index = EligibilityIndex(graph.contracts, graph)
+    server = Server(graph.contracts, graph)
     booked_of = {c.id: c.booked_demand for c in graph.contracts}
     n_sets = len(keys)
     delivered: Dict[str, float] = {c.id: 0.0 for c in graph.contracts}
@@ -556,16 +542,11 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
 
     def eligible_traffic(k: int) -> Dict[str, float]:
         # Eligible on-graph events per hour for each contract during cycle k.
-        if k < 0 or k >= n_cycles:
+        if k < 0:
             return {}
         hours = (bounds[k + 1] - bounds[k]).total_seconds() / 3600.0
-        if hours <= 0:
-            return {}
-        out = {}
-        for c in graph.contracts:
-            total = sum(node_counts[nid][k] for nid in graph.nodes_of[c.id])
-            out[c.id] = total / hours
-        return out
+        return {c.id: sum(map(counts[k].__getitem__, nodes)) / hours
+                for c, nodes in zip(graph.contracts, planning.nodes_of)}
 
     for k in range(n_cycles):
         cycle_start = bounds[k]
@@ -589,8 +570,7 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
         if demand:
             # Restate the remaining-flight forecast: true remaining supply
             # distorted by the configured error multiplier.
-            supply = [remaining_actual[nid][k] * m
-                      for nid, m in zip(planning.node_ids, multipliers)]
+            supply = list(map(mul, supply_from[k], multipliers))
             problem = PlanningProblem(planning, supply, demand)
             if algorithm == "hwm":
                 plan = generate_hwm_plan(problem)
@@ -610,7 +590,7 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
         if plan is not None and lo < hi:
             # Plan membership matters: the dual planner drops contracts with
             # no eligible forecast supply.
-            server = Server(plan, index, graph.contracts)
+            server.replan(plan)
             if sampled:
                 # Each set's entry is looked up once per phase into a slot,
                 # and again after a drop, since a slot may hold the dropped
@@ -849,7 +829,10 @@ def load_config(path) -> SimulationConfig:
     """Read the simulate config JSON (see SimulationConfig for fields).
 
     Numbers are read through `model.record_number`, `seed` and `shards`
-    must be integers and `baseline_comparator` a JSON boolean.  A bad field
+    must be integers and `baseline_comparator` a JSON boolean.  `feedback`
+    absent or null is off, and a JSON object, `{}` too, turns it on with
+    each missing field at its default; `sim_start` and `sim_end` absent or
+    null are derived from the flights.  A bad field
     raises SimulationError as `path: field ...`, and a file that is not
     UTF-8 or not JSON as `path: <reason>`.
     """
@@ -865,7 +848,7 @@ def _config_from(raw) -> SimulationConfig:
         raise ValueError(f"config must be a JSON object, got {raw!r}")
     fb = raw.get("feedback")
     feedback = None
-    if fb:
+    if fb is not None:
         if not isinstance(fb, dict):
             raise ValueError(f"feedback must be a JSON object, got {fb!r}")
         feedback = FeedbackConfig(
@@ -897,10 +880,11 @@ def _config_from(raw) -> SimulationConfig:
         baseline_comparator=comparator)
     for key in ("sim_start", "sim_end"):
         text = raw.get(key)
-        if text:
-            if not isinstance(text, str):
-                raise ValueError(f"{key} must be an ISO-8601 string, got {text!r}")
-            kwargs[key] = parse_ts(text)
+        if text is not None:
+            try:
+                kwargs[key] = parse_ts(text)
+            except ValueError:
+                raise ValueError(f"{key} must be an ISO-8601 timestamp, got {text!r}") from None
     return SimulationConfig(**kwargs)
 
 

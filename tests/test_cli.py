@@ -902,6 +902,16 @@ class TestBadConfig:
         ({"forecast_error_per_node": {"n1": "2"}}, "forecast_error_per_node:"),
         ({"sim_start": 5}, "sim_start"),
         ({"baseline_comparator": "false"}, "baseline_comparator"),
+        # Values that test false are values too: only absent or null is unset.
+        ({"feedback": []}, "feedback"),
+        ({"feedback": 0}, "feedback"),
+        ({"feedback": ""}, "feedback"),
+        ({"feedback": False}, "feedback"),
+        ({"sim_start": 0}, "sim_start"),
+        ({"sim_start": ""}, "sim_start"),
+        ({"sim_end": 0}, "sim_end"),
+        ({"sim_end": ""}, "sim_end"),
+        ({"sim_end": "tomorrow"}, "sim_end"),
     ])
     def test_bad_field_names_file_and_field(self, scen, tmp_path, capsys, cfg, field):
         path = tmp_path / "config.json"
@@ -910,6 +920,25 @@ class TestBadConfig:
                   "--out-dir", tmp_path / "out"])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {field} ")
+
+    def test_empty_feedback_object_is_feedback_with_defaults(self, tmp_path):
+        # 2x forecast and 6 h re-plans: feedback changes the delivery.
+        scen = tmp_path / "scen"
+        assert run(["scenario", "--out-dir", scen, "--contracts", 6, "--days", 3,
+                    "--daily-traffic", 2000, "--seed", 2]) == 0
+        defaults = {"delta_hours": 4, "boost_behind": 1.5, "damp_ahead": 10,
+                    "release_within_cycles": 2}
+        reports = {}
+        for name, feedback in (("empty", {}), ("defaults", defaults), ("off", None)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"reopt_period_hours": 6,
+                                        "forecast_error_multiplier": 2.0,
+                                        "feedback": feedback}))
+            out = tmp_path / name
+            assert run(["simulate", "--config", path, "--scenario", scen,
+                        "--out-dir", out]) == 0
+            reports[name] = (out / "report.json").read_text()
+        assert reports["empty"] == reports["defaults"] != reports["off"]
 
     @pytest.mark.parametrize("hours, message", [
         (1e308, "reopt_period_hours 1e+308 is longer than the longest timedelta"),

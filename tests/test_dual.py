@@ -202,7 +202,8 @@ class TestServe:
         plan = dual.solve_dual_offline(graph)
         probs = plan.effective_probs(["c2", "c1"])
         assert [cid for cid, _ in probs] == ["c1", "c2"]
-        server = sim.Server(plan, sim.EligibilityIndex(contracts, graph), contracts)
+        server = sim.Server(contracts, graph)
+        server.replan(plan)
         attrs, ts = {"x": "1"}, FLIGHT_START
         ids, ps, cum = server.entry(sim.attrs_key(attrs), attrs, ts)
         assert list(zip(ids, ps)) == probs

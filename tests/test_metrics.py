@@ -70,13 +70,6 @@ class TestSmoothness:
         assert mx.smoothness_quantile(series, 50) == pytest.approx(-30.0)
         assert mx.smoothness_quantile(series, 50, positive_part=True) == 0.0
 
-    def test_flight_filter_drops_outside_samples(self):
-        flights = {"a": (ts(0), ts(5))}
-        rows = [mx.TimeseriesRow(ts(2), "a", 5.0, 5.0),
-                mx.TimeseriesRow(ts(9), "a", 50.0, 10.0)]
-        series = mx.build_smoothness(rows, {"a": 100.0}, flights)
-        assert len(series.samples) == 1
-
     def test_empty_series_is_an_error(self):
         with pytest.raises(mx.MetricsError):
             mx.smoothness_quantile(mx.SmoothnessSeries([]), 75)

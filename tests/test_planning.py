@@ -23,7 +23,7 @@ def restated_graph(graph, supply, demand):
     supply, a copy of each live contract with its restated demand, and the
     live contracts' edges."""
     nodes = [replace(n, forecast_supply=s) for n, s in zip(graph.supply_nodes, supply)]
-    live = [model.replan_contract(graph.contracts[j], d) for j, d in demand.items()]
+    live = [replace(graph.contracts[j], demand=d) for j, d in demand.items()]
     ids = {c.id for c in live}
     return model.AllocationGraph(nodes, live,
                                  [(sid, cid) for sid, cid in graph.edges if cid in ids])

@@ -1,10 +1,15 @@
-"""Repository hygiene checks that need a git checkout."""
+"""Repository checks: the git checkout's hygiene and README's code."""
 
+import re
 import shutil
 import subprocess
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+
+from gdserve import ImpressionEvent
+from gdserve.scenario import demo_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,3 +31,20 @@ def test_no_tracked_file_is_gitignored():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == ""
+
+
+def test_readme_library_block_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.S)[1]
+    graph = demo_graph()
+    start = graph.contracts[0].start
+    impressions = [ImpressionEvent(f"{n.id}-{h}", start + timedelta(hours=h), n.attributes)
+                   for h in range(7 * 24) for n in graph.supply_nodes]
+    ns = {"supply_nodes": graph.supply_nodes, "contracts": graph.contracts,
+          "attrs": {"state": "CA", "age_bucket": "5"}, "ts": start, "u": 0.5,
+          "impressions": impressions}
+    exec(compile(block, "README.md#library", "exec"), ns)
+    # demo_graph's plan serves a {CA, age 5} visit to "california" alone.
+    assert ns["chosen"] == "california"
+    assert [o.contract_id for o in ns["report"].outcomes] == ["males", "california", "age5"]

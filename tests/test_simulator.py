@@ -230,9 +230,10 @@ class TestEngineInvariants:
         assert report.outcomes[0].delivered == pytest.approx(60.0, abs=1e-9)
 
 
-class TestEligibilityIndex:
+class TestEligibility:
     """Candidates taken from the graph's edges, or from targeting once per
-    off-graph attribute set, equal a walk of every contract's targeting."""
+    off-graph attribute set and run, equal a walk of every contract's
+    targeting."""
 
     def scenario(self):
         spec = ScenarioSpec(num_contracts=10, num_attributes=3, seed=8, days=3,
@@ -247,22 +248,22 @@ class TestEligibilityIndex:
         graph, events, _ = self.scenario()
         # A plan holding every other contract exercises the membership filter.
         plan = hwm.HwmPlan([hwm.HwmEntry(c.id, 1.0, 0.5) for c in graph.contracts[::2]])
-        index = sim.EligibilityIndex(graph.contracts, graph)
+        server = sim.Server(graph.contracts, graph)
+        server.replan(plan)
         for ev in events:
             # The same set with its attributes inserted in reverse order.
             reordered = dict(reversed(list(ev.attributes.items())))
             for attrs in (ev.attributes, reordered):
-                ids = index.lookup(sim.attrs_key(attrs), attrs)
-                got = sorted(cid for cid in ids if cid in plan
-                             and graph.contract_by_id[cid].in_flight(ev.ts))
+                ids, _, _ = server.entry(sim.attrs_key(attrs), attrs, ev.ts)
                 want = sorted(c.id for c in graph.contracts
                               if c.id in plan and c.in_flight(ev.ts)
                               and tg.eligible(attrs, c.targeting))
-                assert got == want, (attrs, ev.ts)
+                assert sorted(ids) == want, (attrs, ev.ts)
 
-    def test_targeting_walked_once_per_off_graph_set(self, monkeypatch):
+    @pytest.mark.parametrize("algorithm, mode", [
+        ("hwm", "expected"), ("hwm", "sampled"), ("dual", "expected"), ("base", "sampled")])
+    def test_targeting_walked_once_per_run(self, monkeypatch, algorithm, mode):
         graph, events, off_graph = self.scenario()
-        index = sim.EligibilityIndex(graph.contracts, graph)
         walked = Counter()
         depth = [0]
         walk = tg.eligible
@@ -278,9 +279,12 @@ class TestEligibilityIndex:
                 depth[0] -= 1
 
         monkeypatch.setattr(tg, "eligible", counting)
-        for _ in range(2):
-            for ev in events:
-                index.lookup(sim.attrs_key(ev.attributes), ev.attributes)
+        cfg = sim.SimulationConfig(algorithm="dual" if algorithm == "dual" else "hwm",
+                                   reopt_period_hours=6.0, mode=mode, seed=3)
+        run = sim.baseline_pacing if algorithm == "base" else sim.run_simulation
+        report = run(graph, events, cfg)
+        assert len(report.cycle_bounds) - 1 >= 12
+        # Each off-graph set once per run, with every contract; no on-graph set.
         assert walked == {key: len(graph.contracts) for key in off_graph}
 
 
@@ -324,8 +328,8 @@ class TestServer:
                 evaluated[tuple(cids)] += 1
                 return plan.effective_probs(cids)
 
-        server = sim.Server(Counting(), sim.EligibilityIndex(graph.contracts, graph),
-                            graph.contracts)
+        server = sim.Server(graph.contracts, graph)
+        server.replan(Counting())
         for i, ev in enumerate(events):
             ids, probs, cum = server.entry(sim.attrs_key(ev.attributes), ev.attributes,
                                            ev.ts)
@@ -338,6 +342,36 @@ class TestServer:
             assert draw_index(cum, u) == draw_index(
                 list(accumulate(p for _, p in reference)), u)
         assert evaluated and set(evaluated.values()) == {1}
+
+    def test_replan_restores_a_dropped_contract(self):
+        graph, events = self.scenario()
+        plan = hwm.generate_hwm_plan(graph)
+        server = sim.Server(graph.contracts, graph)
+        server.replan(plan)
+        visits = [(sim.attrs_key(ev.attributes), ev.attributes, ev.ts) for ev in events]
+        visit = next(v for v in visits if len(server.entry(*v)[0]) >= 2)
+        ids = server.entry(*visit)[0]
+        server.drop(ids[0])
+        assert sorted(server.entry(*visit)[0]) == sorted(ids[1:])
+        server.replan(plan)
+        assert server.entry(*visit)[0] == ids
+
+    def test_entries_are_per_plan(self):
+        graph, events = self.scenario()
+        first = hwm.generate_hwm_plan(graph)
+        second = hwm.HwmPlan([replace(e, alpha=e.alpha / 2) for e in first.entries])
+        server = sim.Server(graph.contracts, graph)
+        server.replan(first)
+        visits = [(sim.attrs_key(ev.attributes), ev.attributes, ev.ts) for ev in events]
+        before = [server.entry(*v) for v in visits]
+        server.replan(second)
+        after = [server.entry(*v) for v in visits]
+        for (ids, probs, _), (new_ids, new_probs, new_cum) in zip(before, after):
+            # The tuples cached under the first plan give the second's slice.
+            assert new_ids == ids
+            assert list(zip(new_ids, new_probs)) == second.effective_probs(ids)
+            assert new_cum == list(accumulate(new_probs))
+        assert any(new[1] != old[1] for old, new in zip(before, after))
 
     def test_sampled_cap_mid_cycle_matches_delivered_filter(self, monkeypatch):
         spec = ScenarioSpec(num_contracts=8, num_attributes=3, seed=5, days=3,
@@ -396,8 +430,8 @@ class TestServer:
                 slices.append(tuple(cids))
                 return plan.effective_probs(cids)
 
-        server = sim.Server(Counting(), sim.EligibilityIndex(graph.contracts, graph),
-                            graph.contracts)
+        server = sim.Server(graph.contracts, graph)
+        server.replan(Counting())
         visits = [(sim.attrs_key(ev.attributes), ev.attributes, ev.ts) for ev in events]
         held = [server.entry(*visit) for visit in visits]
         # Visits with equal candidates share one entry object.
@@ -872,7 +906,7 @@ def reference_run(graph, events, cfg, algorithm):
                                       remaining, boost[c.id])
                 reported, boost[c.id] = apply_feedback(
                     state, c, start, cfg.feedback, cfg.reopt_period_hours)
-            planning.append(model.replan_contract(c, reported))
+            planning.append(replace(c, demand=reported))
         plan = None
         if planning:
             ids = {c.id for c in planning}
