@@ -36,7 +36,9 @@ def parse_ts(text: str) -> datetime:
 
     Zone-aware stamps are converted to UTC and returned naive, so inputs
     with mixed conventions stay comparable.  Anything but a string (a JSON
-    number, null) raises ValueError, which loaders report with the line.
+    number, null), and a zone-aware stamp whose UTC time is before year 1
+    or after year 9999, raises ValueError, which loaders report with the
+    line.
     """
     if type(text) is not str:
         raise ValueError(f"timestamp must be an ISO-8601 string, got {text!r}")
@@ -44,7 +46,10 @@ def parse_ts(text: str) -> datetime:
         text = text[:-1] + "+00:00"
     ts = datetime.fromisoformat(text)
     if ts.tzinfo is not None:
-        ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
+        try:
+            ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
+        except OverflowError:
+            raise ValueError(f"timestamp {text!r} is out of range in UTC") from None
     return ts
 
 

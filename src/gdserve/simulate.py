@@ -31,14 +31,17 @@ node's position in the index.
 
 A run serves through one `Server`.  It holds each impression's eligible
 contracts, the graph's edges for an attribute set that is a supply node and
-one walk of the targeting trees per other attribute set, and the flight
-instants; each cycle hands it the new plan (`Server.replan`).  Its `entry`
-gives the plan's probabilities for an impression's candidates (eligible,
-planned, in flight), one entry per distinct candidate tuple, with the
-running sums of its probabilities.  Its callers, here and in `gdserve
-serve`, keep one slot per attribute set for the current flight phase, so
-`entry` runs once per (set, phase), not per impression.  Every sampled
-decision is one `kernels.draw_index`, a bisection of those sums.
+one walk of the targeting trees per other attribute set, the flight
+instants, and per (attribute set, flight phase) the eligible contracts in
+flight, filled at the pair's first visit; each cycle hands it the new plan
+(`Server.replan`).  Its `entry` gives the plan's probabilities for an
+impression's candidates (eligible, in flight, planned), one entry per
+distinct candidate tuple, with the running sums of its probabilities.  Its
+callers, here and in `gdserve serve`, keep one slot per attribute set for
+the current flight phase, so `entry` runs once per (set, phase) and plan,
+not per impression, and only filters the in-flight contracts by the plan.
+Every sampled decision is one `kernels.draw_index`, a bisection of those
+sums.
 
 Two serving modes are supported.  No candidate list changes inside a
 flight phase, so both cut each cycle's range at the `Server`'s flight
@@ -49,19 +52,19 @@ the impression's stream position (`impression_uniform`, SplitMix64), so
 runs are reproducible and any split of the stream draws the same numbers.
 A piece keeps one slot per set id, filled at the set's first visit and
 cleared when a contract that meets its booked demand is dropped, and draws
-its uniforms from one `impression_uniforms`, which advances the counter by
-one add per impression.  In "expected" mode the fractional probabilities
-themselves are accumulated, which removes all randomness and lets tests
-reproduce analytic delivery numbers exactly: each piece adds, per
-attribute set, its count of visits times the set's slice.  The sums are
-exact: every probability is an integer number of units of 2^-1074
-(`exact_units`), and each contract's total is divided once, which rounds
-as `math.fsum` of the per-impression probabilities would.  `shards` adds
-the bounds of that many contiguous blocks of the range to the cuts, and
-the report is bit-identical for every shard count.  That is the check that
-no decision depends on another impression; it does not run blocks in
-parallel.  `gdserve serve --workers` does, over the byte ranges of
-`split_impressions`.
+its uniforms from one `impression_uniforms`, which runs the hash on blocks
+of up to 1024 positions at once, packed into one int.  In "expected" mode
+the fractional probabilities themselves are accumulated, which removes all
+randomness and lets tests reproduce analytic delivery numbers exactly:
+each piece adds, per attribute set, its count of visits times the set's
+slice.  The sums are exact: every probability is an integer number of
+units of 2^-1074 (`exact_units`), and each contract's total is divided
+once, which rounds as `math.fsum` of the per-impression probabilities
+would.  `shards` adds the bounds of that many contiguous blocks of the
+range to the cuts, and the report is bit-identical for every shard count.
+That is the check that no decision depends on another impression; it does
+not run blocks in parallel.  `gdserve serve --workers` does, over the
+byte ranges of `split_impressions`.
 """
 
 from __future__ import annotations
@@ -70,15 +73,16 @@ import json
 import math
 import os
 import re
-from bisect import bisect_left
+import sys
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat
 from operator import add, gt, mul
 from sys import intern
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Set, Tuple, Union)
 
 from . import metrics as mx
 from . import targeting as tg
@@ -245,21 +249,56 @@ def impression_uniform(seed: int, index: int) -> float:
     return next(impression_uniforms(seed, index))
 
 
+def _lanes(values: Iterable[int]) -> int:
+    """`values` packed into one int, value j in the 128-bit lane j."""
+    return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in values), "little")
+
+
+# Block sizes of `impression_uniforms`, the last repeated: for each, its
+# lane count, the int with 1 in every lane, the one with j*G in lane j, and
+# the mask of every lane's low 64 bits.
+_BLOCKS = [(n, _lanes([1] * n), _lanes(j * _GOLDEN_GAMMA for j in range(n)),
+            _lanes([_MASK64] * n)) for n in (16, 32, 64, 128, 256, 512, 1024)]
+# The low 64-bit words of the lanes in `int.to_bytes(..., sys.byteorder)`
+# read as native words: every other word from the first, or on a
+# big-endian machine, where the last lane comes first and its high word
+# before its low one, every other word from the last.
+_LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
+
+
 def impression_uniforms(seed: int, start: int) -> Iterator[float]:
     """`impression_uniform(seed, start + j)` for j = 0, 1, 2, ...
 
-    SplitMix64's counter of position n is n*G (mod 2^64), so the next
-    position's counter is one add of G, and each uniform costs the
-    finalizer alone (a counter-based generator, as in Salmon et al.,
-    "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).
+    SplitMix64's counter of position n is n*G (mod 2^64), so each uniform
+    is the finalizer of a counter known in advance (a counter-based
+    generator, as in Salmon et al., "Parallel Random Numbers: As Easy as
+    1, 2, 3", SC 2011), and the finalizer runs on a block of counters at
+    once: one int holds counter j of the block in its 128-bit lane j, and
+    each step of the finalizer is a few big-int operations on the whole
+    block.  No step carries from one lane into the next.  A lane holds
+    below 2^64 after each mask; the bits a right shift moves in from the
+    lane above are masked off before the multiply; and a value below 2^64
+    times a 64-bit constant stays below 2^128.  The last shift is not
+    masked: the bits it moves in land in the lane's high word, which is
+    not read.  Each output is an int below 2^53, so its product with
+    2^-53 is exact.  Blocks grow from 16 to 1024 lanes, so a short take
+    computes at most 16 uniforms it does not use.
     """
+    return chain.from_iterable(_uniform_blocks(seed, start))
+
+
+def _uniform_blocks(seed: int, start: int) -> Iterator[Iterator[float]]:
     mask, gamma = _MASK64, _GOLDEN_GAMMA
     n = ((seed * gamma + start + 1) * gamma) & mask
-    while True:
-        z = ((n ^ (n >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        yield ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
-        n = (n + gamma) & mask
+    scale = (2.0 ** -53).__mul__
+    for lanes, ones, steps, low in chain(_BLOCKS, repeat(_BLOCKS[-1])):
+        z = (n * ones + steps) & low
+        z = ((z ^ ((z >> 30) & low)) * 0xBF58476D1CE4E5B9) & low
+        z = ((z ^ ((z >> 27) & low)) * 0x94D049BB133111EB) & low
+        z = (z ^ (z >> 31)) >> 11
+        words = memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")
+        yield map(scale, words[_LOW_WORDS])
+        n = (n + lanes * gamma) & mask
 
 
 # Every finite double is an integer multiple of 2^-1074, the least subnormal.
@@ -353,15 +392,20 @@ class Server:
     matches a supply node of `graph` takes the node's edges
     (`graph.contracts_of`), and any other set is evaluated against the
     targeting of every contract in `contracts` the first time it is seen.
-    Ids come in no particular order; `effective_probs` orders them.  The flight phases are the intervals between `instants`, the sorted
+    Ids come in no particular order; `effective_probs` orders them.  The
+    flight phases are the intervals between `instants`, the sorted
     distinct start and end instants of `contracts`; no contract enters or
-    leaves its flight inside one.
+    leaves its flight inside one, and phase p, `bisect_right(instants,
+    ts)`, holds the times from `instants[p - 1]` to before `instants[p]`.
+    The eligible ids of a set that are in flight in a phase are kept for
+    the run, from the pair's first visit on, so `Contract.in_flight` runs
+    once per (set, eligible contract, phase).
 
     `replan` sets the plan.  An impression's candidates are its eligible
-    contracts that the plan holds, that are in flight and that are not
-    dropped; `entry` gives their slice (`plan.effective_probs`), computed
-    once per distinct candidate tuple and plan, with the running sums of
-    its probabilities (`itertools.accumulate`), so that a draw is one
+    contracts in flight that the plan holds and that are not dropped;
+    `entry` gives their slice (`plan.effective_probs`), computed once per
+    distinct candidate tuple and plan, with the running sums of its
+    probabilities (`itertools.accumulate`), so that a draw is one
     bisection (`draw_index`).  Candidates depend on the attribute set and
     the flight phase only, so a caller keeps one slot per attribute set
     for the phase it is in, and calls `entry` when the slot is empty: the
@@ -372,30 +416,38 @@ class Server:
     def __init__(self, contracts: Iterable[Contract],
                  graph: Optional[AllocationGraph] = None):
         self._contracts = list(contracts)
+        self._contract = {c.id: c for c in self._contracts}
         self._ids: Dict[AttrsKey, List[str]] = {}
         if graph is not None:
             for n in graph.supply_nodes:
                 self._ids[attrs_key(n.attributes)] = graph.contracts_of[n.id]
         self.instants = sorted({t for c in self._contracts for t in (c.start, c.end)})
+        # The eligible ids in flight per (set key, phase) visited.
+        self._flying: Dict[Tuple[AttrsKey, int], List[str]] = {}
         self._plan: Optional[ServingPlan] = None
-        self._served: Dict[str, Contract] = {}
+        self._served: Set[str] = set()
         self._entries: Dict[Candidates, Entry] = {}
 
     def replan(self, plan: ServingPlan) -> None:
         """Serve `plan` from now on, with no contract dropped."""
         self._plan = plan
-        self._served = {c.id: c for c in self._contracts if c.id in plan}
+        self._served = {c.id for c in self._contracts if c.id in plan}
         self._entries = {}
 
     def entry(self, key: AttrsKey, attrs: Mapping[str, str], ts: datetime) -> Entry:
         """The plan slice for the candidates of `attrs` (whose `attrs_key` is
         `key`) at `ts`: ids, probabilities and their running sums."""
-        ids = self._ids.get(key)
-        if ids is None:
-            ids = self._ids[key] = [c.id for c in self._contracts
-                                    if tg.eligible(attrs, c.targeting)]
-        served = self._served
-        cands = tuple(cid for cid in ids if cid in served and served[cid].in_flight(ts))
+        slot = (key, bisect_right(self.instants, ts))
+        flying = self._flying.get(slot)
+        if flying is None:
+            ids = self._ids.get(key)
+            if ids is None:
+                ids = self._ids[key] = [c.id for c in self._contracts
+                                        if tg.eligible(attrs, c.targeting)]
+            contract = self._contract
+            flying = self._flying[slot] = [cid for cid in ids
+                                           if contract[cid].in_flight(ts)]
+        cands = tuple(filter(self._served.__contains__, flying))
         entry = self._entries.get(cands)
         if entry is None:
             pairs = self._plan.effective_probs(cands)
@@ -407,7 +459,7 @@ class Server:
     def drop(self, contract_id: str) -> None:
         """Serve `contract_id` no more under this plan (it has met its booked
         demand).  The entries `entry` gave before may hold it."""
-        del self._served[contract_id]
+        self._served.remove(contract_id)
 
 
 _BASE_GAIN = 4.0
@@ -462,6 +514,12 @@ def _pieces(ts: Sequence[datetime], instants: Sequence[datetime], lo: int, hi: i
     return zip(cuts, islice(cuts, 1, None))
 
 
+# The most re-plan cycles one run may have: 2 h cycles for 22 years, or
+# 1-minute cycles for 69 days.  Each cycle keeps a row of supply counts
+# and a plan, so a tiny period over a long window would exhaust memory.
+MAX_CYCLES = 100_000
+
+
 def run_simulation(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
                    cfg: SimulationConfig) -> SimulationReport:
     """Simulate serving `impressions` against `graph` under `cfg`."""
@@ -491,12 +549,17 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
     if sim_start >= sim_end:
         raise SimulationError("simulation window is empty")
     period = timedelta(hours=cfg.reopt_period_hours)
+    whole, part = divmod(sim_end - sim_start, period)
+    n_cycles = whole + (part > timedelta(0))
+    if n_cycles > MAX_CYCLES:
+        raise SimulationError(
+            f"{n_cycles} cycles of {cfg.reopt_period_hours!r} h from {sim_start.isoformat()} "
+            f"to {sim_end.isoformat()}; a run has at most {MAX_CYCLES}")
     bounds = [sim_start]
     while bounds[-1] < sim_end:
         # A period is added only where the sum stays before sim_end, so a
         # long period never takes a date past `datetime.max`.
         bounds.append(bounds[-1] + period if sim_end - bounds[-1] > period else sim_end)
-    n_cycles = len(bounds) - 1
     cycle_hours = cfg.reopt_period_hours
 
     stream = ImpressionStream.of(impressions)
@@ -884,7 +947,8 @@ def _config_from(raw) -> SimulationConfig:
             try:
                 kwargs[key] = parse_ts(text)
             except ValueError:
-                raise ValueError(f"{key} must be an ISO-8601 timestamp, got {text!r}") from None
+                raise ValueError(f"{key} must be an ISO-8601 timestamp in years 1 to 9999 "
+                                 f"in UTC, got {text!r}") from None
     return SimulationConfig(**kwargs)
 
 

@@ -912,6 +912,9 @@ class TestBadConfig:
         ({"sim_end": 0}, "sim_end"),
         ({"sim_end": ""}, "sim_end"),
         ({"sim_end": "tomorrow"}, "sim_end"),
+        # ISO-8601, but outside datetime's years once in UTC.
+        ({"sim_start": "0001-01-01T00:00:00+01:00"}, "sim_start"),
+        ({"sim_end": "9999-12-31T23:59:59-01:00"}, "sim_end"),
     ])
     def test_bad_field_names_file_and_field(self, scen, tmp_path, capsys, cfg, field):
         path = tmp_path / "config.json"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -271,6 +272,20 @@ class TestRoundTrip:
     def test_offset_timestamps_normalized_to_utc(self):
         ts = model.parse_ts("2026-03-02T05:00:00+05:00")
         assert ts == model.parse_ts("2026-03-02T00:00:00Z")
+
+    @pytest.mark.parametrize("text", ["0001-01-01T00:00:00+01:00",
+                                      "9999-12-31T23:59:59-01:00"])
+    def test_offset_timestamp_out_of_range_in_utc_rejected(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"timestamp '{text}' is out of range")):
+            model.parse_ts(text)
+
+    def test_contract_start_out_of_range_fails_with_path_and_line(self, tmp_path):
+        path = tmp_path / "contracts.jsonl"
+        path.write_text('{"id": "c1", "targeting": "x = 1", "demand": 5, '
+                        '"start": "0001-01-01T00:00:00+01:00", "end": "2026-03-09T00:00:00"}\n')
+        with pytest.raises(model.GraphDataError,
+                           match=f"{path}:1: bad contract record: timestamp "):
+            model.load_contracts(path)
 
 
 class TestContractInvariants:

@@ -1,8 +1,11 @@
-"""Repository checks: the git checkout's hygiene and README's code."""
+"""Repository checks: the git checkout's hygiene, README's code and the
+package's imports."""
 
+import ast
 import re
 import shutil
 import subprocess
+import sys
 from datetime import timedelta
 from pathlib import Path
 
@@ -48,3 +51,19 @@ def test_readme_library_block_runs():
     # demo_graph's plan serves a {CA, age 5} visit to "california" alone.
     assert ns["chosen"] == "california"
     assert [o.contract_id for o in ns["report"].outcomes] == ["males", "california", "age5"]
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    # `dependencies = []` in pyproject.toml: numpy is a test extra only.
+    outside = []
+    for path in sorted((ROOT / "src" / "gdserve").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] not in {"gdserve", *sys.stdlib_module_names}]
+    assert outside == []

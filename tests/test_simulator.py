@@ -170,6 +170,23 @@ class TestEngineInvariants:
                                             sim.SimulationConfig(reopt_period_hours=48.0))
         assert report.cycle_bounds == [FLIGHT_START, FLIGHT_START + timedelta(days=2)]
 
+    @pytest.mark.parametrize("extra, error", [(0, RuntimeError), (1, sim.SimulationError)])
+    def test_cycle_count_bounded_before_any_cycle(self, monkeypatch, extra, error):
+        # One-minute cycles: at the bound the first re-plan is reached, one
+        # cycle over it fails before any cycle is built.
+        graph, events = uniform_single_contract(days=2, per_day=10, demand=5)
+
+        def planner(*args, **kw):
+            raise RuntimeError("planner reached")
+
+        monkeypatch.setattr(sim, "generate_hwm_plan", planner)
+        cfg = sim.SimulationConfig(
+            reopt_period_hours=1 / 60, sim_start=FLIGHT_START,
+            sim_end=FLIGHT_START + timedelta(minutes=sim.MAX_CYCLES + extra))
+        with pytest.raises(error, match=f"{sim.MAX_CYCLES + 1} cycles .* at most "
+                                        f"{sim.MAX_CYCLES}" if extra else "planner reached"):
+            sim.run_simulation(graph, events, cfg)
+
     def test_unsorted_stream_names_first_offender(self):
         graph, events = uniform_single_contract(days=2, per_day=10, demand=5)
         events[3], events[4] = events[4], events[3]
@@ -286,6 +303,32 @@ class TestEligibility:
         assert len(report.cycle_bounds) - 1 >= 12
         # Each off-graph set once per run, with every contract; no on-graph set.
         assert walked == {key: len(graph.contracts) for key in off_graph}
+
+    @pytest.mark.parametrize("algorithm, mode", [
+        ("hwm", "expected"), ("hwm", "sampled"), ("dual", "sampled")])
+    def test_flight_checked_once_per_set_contract_and_phase(self, monkeypatch,
+                                                            algorithm, mode):
+        graph, events, _ = self.scenario()
+        checked = Counter()
+        visiting = []
+        entry, in_flight = sim.Server.entry, model.Contract.in_flight
+
+        def visit(server, key, attrs, ts):
+            visiting[:] = [key, bisect.bisect_right(server.instants, ts)]
+            return entry(server, key, attrs, ts)
+
+        def counting(contract, t):
+            key, phase = visiting
+            checked[key, contract.id, phase] += 1
+            return in_flight(contract, t)
+
+        monkeypatch.setattr(sim.Server, "entry", visit)
+        monkeypatch.setattr(model.Contract, "in_flight", counting)
+        cfg = sim.SimulationConfig(algorithm=algorithm, reopt_period_hours=6.0,
+                                   mode=mode, seed=3)
+        report = sim.run_simulation(graph, events, cfg)
+        assert len(report.cycle_bounds) - 1 >= 12
+        assert checked and set(checked.values()) == {1}
 
 
 class TestServer:
@@ -701,6 +744,11 @@ class TestImpressionReader:
         (GOOD + '\n{"id": "i2", "ts": "2026-03-02T00:00:01",\n"attributes": {"a": "1"}}\n', 2),
         (GOOD + '\n{"id": "i2", "ts": 5, "attributes": {"a": "1"}}\n', 2),
         (GOOD + '\n\n{"id": "i3", "attributes": {"a": "1"}}\n', 3),
+        # Timestamps whose UTC time is outside datetime's years.
+        (GOOD + '\n{"id": "i2", "ts": "0001-01-01T00:00:00+01:00", "attributes": {"a": "1"}}\n',
+         2),
+        (GOOD + '\n{"id": "i2", "ts": "9999-12-31T23:59:59-01:00", "attributes": {"a": "1"}}\n',
+         2),
     ]
 
     @pytest.mark.parametrize("text, line", BAD_LINES)
@@ -1164,6 +1212,20 @@ class TestImpressionUniform:
             ref = _splitmix64((s * gamma * gamma) & mask)
             for i in range(1000):
                 assert self.u(s, i) == (next(ref) >> 11) * 2.0 ** -53
+
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2 ** 64 - 1, 2 ** 70 + 3])
+    def test_blocks_equal_the_reference(self, seed):
+        gamma, mask = 0x9E3779B97F4A7C15, (1 << 64) - 1
+        # Position seed*G + start + 1 is a multiple of 2^64 at start `wrap`,
+        # which lies inside the first, the third and the seventh block.
+        wrap = (-(seed * gamma + 1)) & mask
+        for start in (wrap - 5, wrap - 60, wrap - 1500):
+            ref = _splitmix64(((seed * gamma + start) * gamma) & mask)
+            want = [(next(ref) >> 11) * 2.0 ** -53 for _ in range(5000)]
+            assert list(islice(sim.impression_uniforms(seed, start), 5000)) == want
+            # Takes that end before, at and after the first blocks' ends.
+            for take in (1, 15, 16, 17, 48, 1040):
+                assert list(islice(sim.impression_uniforms(seed, start), take)) == want[:take]
 
     @pytest.mark.parametrize("seed", [0, 7, -1, 2 ** 64 - 1])
     def test_stream_is_the_uniform_of_each_position(self, seed):
