@@ -9,8 +9,7 @@ demand.  A simulator reproduces end-to-end delivery behavior.
 
 from .model import (AllocationGraph, Contract, FractionalAllocation,
                     FeasibilityReport, GraphDataError, ServingPlan, SupplyNode,
-                    build_graph, check_feasibility, forecast_allocation,
-                    validate_graph)
+                    build_graph, check_feasibility, forecast_allocation)
 from .targeting import (TargetingSyntaxError, build_edges, eligible,
                         parse_targeting, unparse)
 from .hwm import (HwmEntry, HwmPlan, generate_hwm_plan, load_hwm_plan,

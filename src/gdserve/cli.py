@@ -49,29 +49,13 @@ from . import simulate as sim
 from . import targeting as tg
 
 
-def _seed_from(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("GD_SEED")
-    return int(env) if env else 0
-
-
-def _load_graph(supply_path, contracts_path, edges_path=None) -> model.AllocationGraph:
-    supply = model.load_supply(supply_path)
-    contracts = model.load_contracts(contracts_path)
-    if edges_path:
-        graph = model.AllocationGraph(supply, contracts, model.load_edges(edges_path))
-        violations = model.validate_graph(graph)
-        if violations:
-            raise model.GraphDataError(
-                "edge override is inconsistent with targeting: "
-                + "; ".join(violations[:5]))
-        return graph
-    return model.build_graph(supply, contracts)
+def _load_graph(supply_path, contracts_path) -> model.AllocationGraph:
+    return model.build_graph(model.load_supply(supply_path),
+                             model.load_contracts(contracts_path))
 
 
 def cmd_plan(args) -> int:
-    graph = _load_graph(args.supply, args.contracts, args.edges)
+    graph = _load_graph(args.supply, args.contracts)
     if args.algorithm == "hwm":
         plan = hwm_mod.generate_hwm_plan(graph)
         hwm_mod.save_hwm_plan(plan, args.out)
@@ -119,7 +103,6 @@ def cmd_serve(args) -> int:
         if cid not in contracts:
             raise model.GraphDataError(
                 f"plan contract {cid!r} is missing from {args.contracts}")
-    seed = _seed_from(args)
     planned = [contracts[cid] for cid in plan_ids]
     server = sim.Server(planned)
     server.replan(plan)
@@ -144,7 +127,7 @@ def cmd_serve(args) -> int:
         keys, attrs = sets.keys, sets.attrs
         rows = sim.iter_impressions(args.impressions, sets, rng.start, rng.first_line,
                                     rng.lines)
-        uniforms = sim.impression_uniforms(seed, rng.first_row)
+        uniforms = sim.impression_uniforms(args.seed, rng.first_row)
         lo = hi = datetime.min
         slots: Dict[int, Tuple[Tuple[str, ...], List[float], str]] = {}
         written = 0
@@ -269,7 +252,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = sim.run_simulation(graph, impressions, cfg)
-    if args.baseline or cfg.baseline_comparator:
+    if args.baseline:
         base = sim.baseline_pacing(graph, impressions, cfg)
         try:
             report.delivery_improvement = mx.delivery_improvement(
@@ -363,7 +346,7 @@ def cmd_scenario(args) -> int:
                     f"--flight-mix item {part!r} is not class=weight") from None
     spec = scenario_mod.ScenarioSpec(
         num_contracts=args.contracts, num_attributes=args.attributes,
-        contention=args.contention, seed=_seed_from(args), days=args.days,
+        contention=args.contention, seed=args.seed, days=args.days,
         daily_traffic=args.daily_traffic, flight_mix=mix)
     graph, stream = scenario_mod.generate_scenario(spec)
     out = Path(args.out_dir)
@@ -386,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="generate an allocation plan")
     p.add_argument("--supply", required=True)
     p.add_argument("--contracts", required=True)
-    p.add_argument("--edges", help="optional explicit edge override (edges.jsonl)")
     p.add_argument("--algorithm", choices=["hwm", "dual"], default="hwm")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plan)
@@ -396,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contracts", required=True)
     p.add_argument("--impressions", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int,
                    help="processes serving byte ranges of --impressions "
                         "(default: the CPUs this process may use; 1 without os.fork)")
@@ -429,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", type=int, default=7)
     p.add_argument("--daily-traffic", type=int, default=8000)
     p.add_argument("--flight-mix", help="e.g. day=0.2,multi_day=0.4,week=0.4")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_scenario)
     return parser
 

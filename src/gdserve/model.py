@@ -118,8 +118,8 @@ class AllocationGraph:
     """The bipartite forecast graph: supply nodes, contracts, eligibility edges.
 
     Duplicate supply-node or contract ids raise GraphDataError (`by_id`).
-    The edges are taken as given, by the planners too; `validate_graph`
-    checks them.
+    The edges are taken as given, by the planners too; `build_graph`
+    derives them from targeting.
 
     Treat as immutable once built; it can then be shared freely across
     serving threads.  Re-plans neither copy nor change it: a run builds one
@@ -204,44 +204,6 @@ def build_graph(supply_nodes: List[SupplyNode],
     """Construct a graph with edges derived from targeting eligibility."""
     edges = tg.build_edges(supply_nodes, contracts)
     return AllocationGraph(supply_nodes, contracts, edges)
-
-
-def validate_graph(graph: AllocationGraph) -> List[str]:
-    """Check a graph's edges against targeting; one message per violation.
-
-    The edges must be exactly the targeting relation: no duplicate, unknown
-    or ineligible edge and no eligible pair missing.  `build_graph`'s edges
-    are by construction, so only hand-made ones (`gdserve plan --edges`)
-    need this.  An empty list means the edges are valid.
-    """
-    violations: List[str] = []
-    edge_set = set()
-    for sid, cid in graph.edges:
-        if (sid, cid) in edge_set:
-            violations.append(f"duplicate edge ({sid!r}, {cid!r})")
-        edge_set.add((sid, cid))
-        if sid not in graph.node_by_id:
-            violations.append(f"edge ({sid!r}, {cid!r}): unknown supply node")
-            continue
-        if cid not in graph.contract_by_id:
-            violations.append(f"edge ({sid!r}, {cid!r}): unknown contract")
-            continue
-        node = graph.node_by_id[sid]
-        contract = graph.contract_by_id[cid]
-        if not tg.eligible(node.attributes, contract.targeting):
-            violations.append(
-                f"edge ({sid!r}, {cid!r}): node does not satisfy contract targeting")
-    # Eligible pairs must all be present: the edge set is exactly the
-    # targeting relation.
-    for node in graph.supply_nodes:
-        for contract in graph.contracts:
-            if (node.id, contract.id) in edge_set:
-                continue
-            if tg.eligible(node.attributes, contract.targeting):
-                violations.append(
-                    f"missing edge ({node.id!r}, {contract.id!r}): "
-                    "node satisfies contract targeting")
-    return violations
 
 
 @dataclass
@@ -542,13 +504,3 @@ def save_contracts(contracts: List[Contract], path) -> None:
             if c.penalty != 10.0:
                 rec["penalty"] = c.penalty
             fh.write(json.dumps(rec) + "\n")
-
-
-def _edge(line: str) -> Edge:
-    rec = json.loads(line)
-    return str(rec["supply_id"]), str(rec["contract_id"])
-
-
-def load_edges(path) -> List[Edge]:
-    """Read an explicit edges.jsonl override: {"supply_id", "contract_id"} per line."""
-    return list(read_records(path, "edge record", _edge))

@@ -47,7 +47,8 @@ class ScenarioSpec:
     demand_share: Tuple[float, float] = (0.3, 0.7)  # of eligible flight supply
 
     def __post_init__(self):
-        if self.num_contracts < 1 or self.num_attributes < 1 or self.days < 1:
+        if (self.num_contracts < 1 or self.num_attributes < 1 or self.days < 1
+                or self.daily_traffic < 1):
             raise ValueError("scenario dimensions must be positive")
         if self.num_attributes > len(_DIMENSIONS):
             raise ValueError(f"at most {len(_DIMENSIONS)} attribute dimensions")

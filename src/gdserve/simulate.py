@@ -76,7 +76,7 @@ import re
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from itertools import accumulate, chain, islice, repeat
 from operator import add, gt, mul
@@ -120,7 +120,6 @@ class SimulationConfig:
     shards: int = 1
     sim_start: Optional[datetime] = None
     sim_end: Optional[datetime] = None
-    baseline_comparator: bool = False
 
     def __post_init__(self):
         if not self.reopt_period_hours > 0:
@@ -891,11 +890,11 @@ def save_impressions(events: Sequence[ImpressionEvent], path) -> None:
 def load_config(path) -> SimulationConfig:
     """Read the simulate config JSON (see SimulationConfig for fields).
 
-    Numbers are read through `model.record_number`, `seed` and `shards`
-    must be integers and `baseline_comparator` a JSON boolean.  `feedback`
-    absent or null is off, and a JSON object, `{}` too, turns it on with
-    each missing field at its default; `sim_start` and `sim_end` absent or
-    null are derived from the flights.  A bad field
+    Numbers are read through `model.record_number`, and `seed` and
+    `shards` must be integers.  `feedback` absent or null is off, and a
+    JSON object, `{}` too, turns it on with each missing field at its
+    default; `sim_start` and `sim_end` absent or null are derived from the
+    flights.  A bad or unknown field, at the top or inside `feedback`,
     raises SimulationError as `path: field ...`, and a file that is not
     UTF-8 or not JSON as `path: <reason>`.
     """
@@ -906,19 +905,33 @@ def load_config(path) -> SimulationConfig:
         raise SimulationError(f"{path}: {exc}") from exc
 
 
+_CONFIG_FIELDS = ("algorithm", "feedback", "reopt_period_hours",
+                  "forecast_error_multiplier", "forecast_error_per_node", "seed",
+                  "mode", "shards", "sim_start", "sim_end")
+
+
+def _known_fields(rec: dict, known: Sequence[str], what: str) -> None:
+    """Raise ValueError, naming the key first, for the first key of `rec`
+    that is not in `known`."""
+    for key in rec:
+        if key not in known:
+            raise ValueError(f"{key} is not a {what} field; the fields are "
+                             + ", ".join(known))
+
+
 def _config_from(raw) -> SimulationConfig:
     if not isinstance(raw, dict):
         raise ValueError(f"config must be a JSON object, got {raw!r}")
+    _known_fields(raw, _CONFIG_FIELDS, "config")
     fb = raw.get("feedback")
     feedback = None
     if fb is not None:
         if not isinstance(fb, dict):
             raise ValueError(f"feedback must be a JSON object, got {fb!r}")
-        feedback = FeedbackConfig(
-            delta_hours=record_number(fb, "delta_hours", 4.0),
-            boost_behind=record_number(fb, "boost_behind", 1.5),
-            damp_ahead=record_number(fb, "damp_ahead", 10.0),
-            release_within_cycles=record_number(fb, "release_within_cycles", 2.0))
+        known = fields(FeedbackConfig)
+        _known_fields(fb, [f.name for f in known], "feedback")
+        feedback = FeedbackConfig(**{f.name: record_number(fb, f.name, f.default)
+                                     for f in known})
     per_node = raw.get("forecast_error_per_node")
     if per_node is not None:
         if not isinstance(per_node, dict):
@@ -928,9 +941,6 @@ def _config_from(raw) -> SimulationConfig:
             per_node = {nid: record_number(per_node, nid) for nid in per_node}
         except ValueError as exc:
             raise ValueError(f"forecast_error_per_node: {exc}") from None
-    comparator = raw.get("baseline_comparator", False)
-    if not isinstance(comparator, bool):
-        raise ValueError(f"baseline_comparator must be true or false, got {comparator!r}")
     kwargs = dict(
         algorithm=raw.get("algorithm", "hwm"),
         feedback=feedback,
@@ -939,8 +949,7 @@ def _config_from(raw) -> SimulationConfig:
         per_node_error=per_node,
         seed=_record_int(raw, "seed", 0),
         mode=raw.get("mode", "expected"),
-        shards=_record_int(raw, "shards", 1),
-        baseline_comparator=comparator)
+        shards=_record_int(raw, "shards", 1))
     for key in ("sim_start", "sim_end"):
         text = raw.get(key)
         if text is not None:

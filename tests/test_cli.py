@@ -91,53 +91,26 @@ class TestPlanCommand:
                   "--out", tmp_path / "plan.jsonl"])
         assert rc == 1
 
-    def test_consistent_edge_override_accepted(self, tmp_path):
-        g = write_demo_inputs(tmp_path)
-        write_edges(tmp_path / "edges.jsonl", g.edges)
-        rc = run(["plan", "--supply", tmp_path / "supply.jsonl",
-                  "--contracts", tmp_path / "contracts.jsonl",
-                  "--edges", tmp_path / "edges.jsonl",
-                  "--out", tmp_path / "plan.jsonl"])
-        assert rc == 0
-
-    def test_inconsistent_edge_override_rejected(self, tmp_path, capsys):
+    def test_edges_flag_is_rejected(self, tmp_path, capsys):
+        # The edges are always derived from targeting; there is no override.
         write_demo_inputs(tmp_path)
-        (tmp_path / "edges.jsonl").write_text(
-            json.dumps({"supply_id": "nv_unknown", "contract_id": "males"}) + "\n")
-        rc = run(["plan", "--supply", tmp_path / "supply.jsonl",
-                  "--contracts", tmp_path / "contracts.jsonl",
-                  "--edges", tmp_path / "edges.jsonl",
-                  "--out", tmp_path / "plan.jsonl"])
-        assert rc == 1
-        assert "inconsistent" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("algorithm", ["hwm", "dual"])
-    def test_edge_override_missing_an_eligible_edge_rejected(self, tmp_path, capsys,
-                                                              algorithm):
-        g = write_demo_inputs(tmp_path)
-        write_edges(tmp_path / "edges.jsonl", g.edges[1:])
-        rc = run(["plan", "--supply", tmp_path / "supply.jsonl",
-                  "--contracts", tmp_path / "contracts.jsonl",
-                  "--edges", tmp_path / "edges.jsonl", "--algorithm", algorithm,
-                  "--out", tmp_path / "plan.jsonl"])
-        assert rc == 1
-        sid, cid = g.edges[0]
-        assert f"missing edge ({sid!r}, {cid!r})" in capsys.readouterr().err
+        (tmp_path / "edges.jsonl").write_text("")
+        with pytest.raises(SystemExit) as exit_info:
+            run(["plan", "--supply", tmp_path / "supply.jsonl",
+                 "--contracts", tmp_path / "contracts.jsonl",
+                 "--edges", tmp_path / "edges.jsonl", "--out", tmp_path / "plan.jsonl"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --edges" in capsys.readouterr().err
         assert not (tmp_path / "plan.jsonl").exists()
 
     @pytest.mark.parametrize("algorithm", ["hwm", "dual"])
-    @pytest.mark.parametrize("with_edges", [False, True])
-    def test_one_targeting_walk_per_plan(self, tmp_path, monkeypatch, algorithm,
-                                         with_edges):
-        # Derived edges are walked once, by build_graph; an --edges file is
-        # checked once, by validate_graph.  The planners walk nothing.
+    def test_one_targeting_walk_per_plan(self, tmp_path, monkeypatch, algorithm):
+        # The edges are derived from targeting once, by build_graph.  The
+        # planners walk nothing.
         g = write_demo_inputs(tmp_path)
         argv = ["plan", "--supply", tmp_path / "supply.jsonl",
                 "--contracts", tmp_path / "contracts.jsonl",
                 "--algorithm", algorithm, "--out", tmp_path / "plan.jsonl"]
-        if with_edges:
-            write_edges(tmp_path / "edges.jsonl", g.edges)
-            argv += ["--edges", tmp_path / "edges.jsonl"]
         calls = Counter()
         inner = tg.eligible
 
@@ -150,12 +123,6 @@ class TestPlanCommand:
         # The demo contracts target one attribute each, so the walk makes
         # exactly one call per (node, contract) pair.
         assert calls["eligible"] == len(g.supply_nodes) * len(g.contracts)
-
-
-def write_edges(path, edges):
-    with open(path, "w") as fh:
-        for sid, cid in edges:
-            fh.write(json.dumps({"supply_id": sid, "contract_id": cid}) + "\n")
 
 
 def write_impressions(path, attr_maps, spacing_s=60):
@@ -228,22 +195,36 @@ class TestServeCommand:
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
 
-    def test_seed_from_environment(self, tmp_path, monkeypatch):
+    def test_seed_defaults_to_zero(self, tmp_path):
         self.make_plan(tmp_path)
         write_impressions(tmp_path / "impressions.jsonl",
                           [{"gender": "male", "age_bucket": "5"}] * 200)
-        monkeypatch.setenv("GD_SEED", "7")
-        run(["serve", "--plan", tmp_path / "plan.jsonl",
-             "--contracts", tmp_path / "contracts.jsonl",
-             "--impressions", tmp_path / "impressions.jsonl",
-             "--out", tmp_path / "env.jsonl"])
-        monkeypatch.delenv("GD_SEED")
-        run(["serve", "--plan", tmp_path / "plan.jsonl",
-             "--contracts", tmp_path / "contracts.jsonl",
-             "--impressions", tmp_path / "impressions.jsonl",
-             "--out", tmp_path / "flag.jsonl", "--seed", 7])
-        assert (tmp_path / "env.jsonl").read_bytes() == \
-            (tmp_path / "flag.jsonl").read_bytes()
+        for name, extra in (("default.jsonl", []), ("zero.jsonl", ["--seed", 0])):
+            assert run(["serve", "--plan", tmp_path / "plan.jsonl",
+                        "--contracts", tmp_path / "contracts.jsonl",
+                        "--impressions", tmp_path / "impressions.jsonl",
+                        "--out", tmp_path / name, *extra]) == 0
+        assert (tmp_path / "default.jsonl").read_bytes() == \
+            (tmp_path / "zero.jsonl").read_bytes()
+
+    def test_seed_environment_is_ignored(self, tmp_path, monkeypatch):
+        # GD_SEED is no setting: without --seed, serve draws as --seed 0.
+        self.make_plan(tmp_path)
+        write_impressions(tmp_path / "impressions.jsonl",
+                          [{"gender": "male", "age_bucket": "5"}] * 200)
+        for name, extra in (("env.jsonl", []), ("zero.jsonl", ["--seed", 0]),
+                            ("seven.jsonl", ["--seed", 7])):
+            if not extra:
+                monkeypatch.setenv("GD_SEED", "7")
+            else:
+                monkeypatch.delenv("GD_SEED", raising=False)
+            assert run(["serve", "--plan", tmp_path / "plan.jsonl",
+                        "--contracts", tmp_path / "contracts.jsonl",
+                        "--impressions", tmp_path / "impressions.jsonl",
+                        "--out", tmp_path / name, *extra]) == 0
+        env = (tmp_path / "env.jsonl").read_bytes()
+        assert env == (tmp_path / "zero.jsonl").read_bytes()
+        assert env != (tmp_path / "seven.jsonl").read_bytes()
 
     def test_plan_contract_mismatch_names_contract(self, tmp_path, capsys):
         self.make_plan(tmp_path)
@@ -693,6 +674,34 @@ class TestScenarioAndSimulate:
         assert rc == 0
         assert (out / "baseline_report.json").exists()
 
+    def test_simulate_without_baseline_writes_no_baseline(self, tmp_path):
+        # --baseline is the one switch for the comparator.
+        scen = tmp_path / "scen"
+        run(["scenario", "--out-dir", scen, "--contracts", 3, "--attributes", 2,
+             "--days", 1, "--daily-traffic", 200, "--seed", 10])
+        (tmp_path / "config.json").write_text(json.dumps({"reopt_period_hours": 6}))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", tmp_path / "config.json",
+                    "--scenario", scen, "--out-dir", out]) == 0
+        assert (out / "report.json").exists()
+        assert not (out / "baseline_report.json").exists()
+        assert not (out / "baseline_delivery_timeseries.csv").exists()
+
+    @pytest.mark.parametrize("env", [None, "7"], ids=["unset", "GD_SEED=7"])
+    def test_scenario_seed_defaults_to_zero(self, tmp_path, monkeypatch, env):
+        # Without --seed, scenario draws as --seed 0, whatever the environment.
+        if env is not None:
+            monkeypatch.setenv("GD_SEED", env)
+        dims = ["--contracts", 3, "--attributes", 2, "--days", 1,
+                "--daily-traffic", 200]
+        assert run(["scenario", "--out-dir", tmp_path / "default", *dims]) == 0
+        monkeypatch.delenv("GD_SEED", raising=False)
+        assert run(["scenario", "--out-dir", tmp_path / "zero", *dims,
+                    "--seed", 0]) == 0
+        for name in ("supply.jsonl", "contracts.jsonl", "impressions.jsonl"):
+            assert (tmp_path / "default" / name).read_bytes() == \
+                (tmp_path / "zero" / name).read_bytes()
+
     def test_metrics_subcommand(self, tmp_path):
         scen = tmp_path / "scen"
         run(["scenario", "--out-dir", scen, "--contracts", 4, "--attributes", 2,
@@ -915,6 +924,11 @@ class TestBadConfig:
         # ISO-8601, but outside datetime's years once in UTC.
         ({"sim_start": "0001-01-01T00:00:00+01:00"}, "sim_start"),
         ({"sim_end": "9999-12-31T23:59:59-01:00"}, "sim_end"),
+        # An unknown field, at the top or inside feedback, is an error.
+        ({"algoritm": "dual", "reopt_period_hour": 2, "mode": "expected"}, "algoritm"),
+        ({"reopt_period_hour": 2}, "reopt_period_hour"),
+        ({"feedback": {"boost": 2}}, "boost"),
+        ({"feedback": {"delta_hours": 4, "boost_behind ": 2}}, "boost_behind "),
     ])
     def test_bad_field_names_file_and_field(self, scen, tmp_path, capsys, cfg, field):
         path = tmp_path / "config.json"
@@ -923,6 +937,38 @@ class TestBadConfig:
                   "--out-dir", tmp_path / "out"])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {field} ")
+
+    def test_every_field_is_known(self, scen, tmp_path):
+        # The unknown-field check rejects no field that the reader reads.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "algorithm": "hwm", "reopt_period_hours": 6,
+            "forecast_error_multiplier": 1.0, "forecast_error_per_node": {},
+            "seed": 1, "mode": "expected", "shards": 1,
+            "sim_start": None, "sim_end": None,
+            "feedback": {"delta_hours": 4, "boost_behind": 1.5, "damp_ahead": 10,
+                         "release_within_cycles": 2}}))
+        assert run(["simulate", "--config", path, "--scenario", scen,
+                    "--out-dir", tmp_path / "out"]) == 0
+        assert (tmp_path / "out" / "report.json").exists()
+
+    def test_unknown_field_lists_the_fields(self, scen, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"feedback": {}, "baseline_comparator": True}))
+        rc = run(["simulate", "--config", path, "--scenario", scen,
+                  "--out-dir", tmp_path / "out", "--baseline"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: baseline_comparator is not a config field; the fields "
+            "are algorithm, feedback, reopt_period_hours, forecast_error_multiplier, "
+            "forecast_error_per_node, seed, mode, shards, sim_start, sim_end\n")
+        assert not (tmp_path / "out").exists()
+        path.write_text(json.dumps({"feedback": {"boost": 2}}))
+        assert run(["simulate", "--config", path, "--scenario", scen,
+                    "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: boost is not a feedback field; the fields are "
+            "delta_hours, boost_behind, damp_ahead, release_within_cycles\n")
 
     def test_empty_feedback_object_is_feedback_with_defaults(self, tmp_path):
         # 2x forecast and 6 h re-plans: feedback changes the delivery.
@@ -1035,4 +1081,27 @@ class TestFlightMix:
                   "--days", 1, "--daily-traffic", 100, "--flight-mix", mix])
         assert rc == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "scen").exists()
+
+
+class TestScenarioDimensions:
+    @pytest.mark.parametrize("traffic", [-50, 0])
+    def test_non_positive_daily_traffic_fails(self, tmp_path, capsys, traffic):
+        rc = run(["scenario", "--out-dir", tmp_path / "scen", "--contracts", 2,
+                  "--days", 1, "--daily-traffic", traffic])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: scenario dimensions must be positive\n"
+        assert not (tmp_path / "scen").exists()
+
+    @pytest.mark.parametrize("flag", ["--contracts", "--attributes", "--days"])
+    def test_non_positive_dimension_fails(self, tmp_path, capsys, flag):
+        # The check that daily_traffic joined still rejects each other zero.
+        dims = {"--contracts": 2, "--attributes": 2, "--days": 1,
+                "--daily-traffic": 100, flag: 0}
+        rc = run(["scenario", "--out-dir", tmp_path / "scen",
+                  *[str(x) for item in dims.items() for x in item]])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: scenario dimensions must be positive\n"
         assert not (tmp_path / "scen").exists()

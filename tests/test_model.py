@@ -26,45 +26,6 @@ class TestAllocationGraph:
             model.AllocationGraph(nodes[:1], contracts, [])
 
 
-class TestValidateGraph:
-    def test_well_formed_graph(self):
-        assert model.validate_graph(two_node_graph()) == []
-
-    def test_unknown_contract_edge(self):
-        g = two_node_graph()
-        bad = model.AllocationGraph(g.supply_nodes, g.contracts,
-                                    g.edges + [("a", "ghost")])
-        violations = model.validate_graph(bad)
-        assert any("ghost" in v and "unknown contract" in v for v in violations)
-
-    def test_unknown_node_edge(self):
-        g = two_node_graph()
-        bad = model.AllocationGraph(g.supply_nodes, g.contracts,
-                                    g.edges + [("ghost", "c1")])
-        violations = model.validate_graph(bad)
-        assert any("ghost" in v and "unknown supply node" in v for v in violations)
-
-    def test_ineligible_edge(self):
-        g = two_node_graph()
-        bad = model.AllocationGraph(g.supply_nodes, g.contracts,
-                                    g.edges + [("b", "c1")])
-        violations = model.validate_graph(bad)
-        assert any("does not satisfy" in v and "'b'" in v for v in violations)
-
-    def test_missing_eligible_edge(self):
-        g = two_node_graph()
-        bad = model.AllocationGraph(g.supply_nodes, g.contracts, [])
-        violations = model.validate_graph(bad)
-        assert any(v.startswith("missing edge") for v in violations)
-
-    def test_idempotent_and_side_effect_free(self):
-        g = two_node_graph()
-        first = model.validate_graph(g)
-        second = model.validate_graph(g)
-        assert first == second == []
-        assert len(g.edges) == 1
-
-
 class TestFeasibility:
     def test_half_allocation_feasible(self):
         nodes = [model.SupplyNode("a", {"x": "1"}, 100)]
@@ -111,7 +72,6 @@ READERS = [
     ("contracts", '{"id": "c1", "targeting": "x = 1", "demand": 5, '
      '"start": "2026-03-02T00:00:00", "end": "2026-03-09T00:00:00"}',
      model.load_contracts),
-    ("edges", '{"supply_id": "n1", "contract_id": "c1"}', model.load_edges),
     ("impressions", '{"id": "i1", "ts": "2026-03-02T00:00:00", '
      '"attributes": {"x": "1"}}', simulate.load_impressions),
     ("hwm_plan", '{"contract_id": "c1", "eligible_supply": 5, "alpha": 0.5}',

@@ -3,6 +3,7 @@ package's imports."""
 
 import ast
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from gdserve import ImpressionEvent
+from gdserve import ImpressionEvent, cli, load_config
 from gdserve.scenario import demo_graph
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +52,30 @@ def test_readme_library_block_runs():
     # demo_graph's plan serves a {CA, age 5} visit to "california" alone.
     assert ns["chosen"] == "california"
     assert [o.contract_id for o in ns["report"].outcomes] == ["males", "california", "age5"]
+
+
+def test_readme_cli_commands_parse(tmp_path):
+    # Every `gdserve ...` command of README's CLI block, with its `\`
+    # continuations joined, parses; none is run.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S)[1]
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("gdserve ")]
+    parser = cli.build_parser()
+    bad = []
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            bad.append(command)
+    assert bad == []
+    assert sorted({shlex.split(c)[1] for c in commands}) == \
+        ["metrics", "plan", "scenario", "serve", "simulate"]
+    # The config the block writes is one that `gdserve simulate` reads.
+    config = tmp_path / "config.json"
+    config.write_text(re.search(r"<<'EOF'\n(.*?\n)EOF\n", block, re.S)[1])
+    assert load_config(config).feedback is not None
 
 
 def test_package_imports_only_itself_and_the_standard_library():

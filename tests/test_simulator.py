@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -139,6 +140,16 @@ class TestEngineInvariants:
         a = sim.run_simulation(graph, events, cfg)
         b = sim.run_simulation(graph, events, cfg)
         assert a == b
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"baseline_comparator": True}, "baseline_comparator is not a config field"),
+        ({"feedback": {"boost": 2}}, "boost is not a feedback field"),
+    ], ids=["config", "feedback"])
+    def test_load_config_rejects_unknown_field(self, tmp_path, raw, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(sim.SimulationError, match=f"^{re.escape(str(path))}: {message};"):
+            sim.load_config(path)
 
     def test_sampled_shards_rejected(self):
         with pytest.raises(sim.SimulationError, match="single worker"):
