@@ -409,15 +409,23 @@ def read_records(path, what: str, parse: Callable[[str], T], start: int = 0,
     after the items of the lines before it.
     """
     for first, block in line_blocks(path, what, start, first_line, lines):
-        for lineno, line in enumerate(block, first):
-            line = line.strip(JSON_WHITESPACE)
-            if not line:
-                continue
-            try:
-                item = parse(line)
-            except (KeyError, ValueError, TypeError) as exc:
-                raise GraphDataError(f"{path}:{lineno}: bad {what}: {exc}") from exc
-            yield item
+        yield from parse_lines(path, what, parse, first, block)
+
+
+def parse_lines(path, what: str, parse: Callable[[str], T], first: int,
+                block: Sequence[str]) -> Iterator[T]:
+    """`parse(line)` for each non-blank line of one block of `line_blocks`,
+    whose first line is line `first` of `path`, by the rule of
+    `read_records`."""
+    for lineno, line in enumerate(block, first):
+        line = line.strip(JSON_WHITESPACE)
+        if not line:
+            continue
+        try:
+            item = parse(line)
+        except (KeyError, ValueError, TypeError) as exc:
+            raise GraphDataError(f"{path}:{lineno}: bad {what}: {exc}") from exc
+        yield item
 
 
 def read_plan_file(path, parse: Callable[[dict], T]) -> List[T]:

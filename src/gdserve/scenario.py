@@ -61,7 +61,9 @@ class ScenarioSpec:
             raise ValueError(f"unknown flight class {', '.join(map(repr, unknown))}; "
                              f"expected {', '.join(_FLIGHT_CLASSES)}")
         weights = self.flight_mix.values()
-        if not all(0.0 <= w < math.inf for w in weights) or not any(weights):
+        # Their sum too: `random.choices` rejects a total that overflows.
+        if (not all(w >= 0.0 for w in weights) or not math.isfinite(sum(weights))
+                or not any(weights)):
             raise ValueError("flight mix weights must be finite, non-negative "
                              "and not all zero")
 

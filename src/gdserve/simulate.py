@@ -19,10 +19,11 @@ attribute-set id per impression, with one attribute map and one key per
 distinct set.  `load_impressions` reads a file straight into one through
 `iter_impressions`, the line reader `gdserve serve` streams from too: each
 distinct set is checked and keyed once.  The reader parses speculatively
-(as Mison does, Li et al., VLDB 2017): a line in the layout
-`save_impressions` writes whose attributes text it has seen takes that
-text's set with no JSON decode, and any other line is decoded in full, with
-the same rows as a result.  Any other sequence of `ImpressionEvent`s is
+(as Mison does, Li et al., VLDB 2017) and a block of lines at a time: lines
+in the layout `save_impressions` writes whose attributes texts it has seen
+are cut by string partitions, checked together and take those texts' sets
+with no JSON decode, and any other line is decoded in full, with the same
+rows as a result.  Any other sequence of `ImpressionEvent`s is
 turned into a stream by one pass.  Because the stream is sorted, each cycle
 is a contiguous index range, found by bisecting the timestamps at the cycle
 bounds, and a supply node's impressions in a cycle (from which re-plans
@@ -79,7 +80,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from itertools import accumulate, chain, islice, repeat
-from operator import add, gt, mul
+from operator import add, attrgetter, gt, mul
 from sys import intern
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
                     Sequence, Set, Tuple, Union)
@@ -91,8 +92,8 @@ from .feedback import DeliveryState, FeedbackConfig, apply_feedback, linear_goal
 from .hwm import HwmEntry, HwmPlan, generate_hwm_plan
 from .kernels import draw_index
 from .model import (AllocationGraph, Contract, PlanningIndex, PlanningProblem,
-                    ServingPlan, parse_ts, read_records, record_attributes,
-                    record_number)
+                    ServingPlan, line_blocks, parse_lines, parse_ts,
+                    record_attributes, record_number)
 
 
 class SimulationError(ValueError):
@@ -725,13 +726,34 @@ def load_impressions(path) -> ImpressionStream:
 
 
 _decode = json.JSONDecoder().raw_decode
+_tzinfo = attrgetter("tzinfo")
 
-# The line `save_impressions` writes: a JSON string with no quote, backslash
-# or control character for the id and the timestamp, and an attributes
-# text that closes no brace before its last character.
-_PLAIN_STR = r'"([^"\\\x00-\x1f]*)"'
-_CANONICAL_LINE = re.compile(r'\{"id": ' + _PLAIN_STR + r', "ts": ' + _PLAIN_STR
-                             + r', "attributes": (\{[^}]*\})\}')
+# The line `save_impressions` writes is _ID_START + id + _TS_START + ts +
+# _ATTRS_START + tail, where the tail is the attributes text and "}".
+_ID_START = '{"id": "'
+_TS_START = '", "ts": "'
+_ATTRS_START = '", "attributes": '
+
+# The characters a JSON string may not hold as themselves.  UTF-8 writes
+# each as its one byte, and every other character with none of these bytes.
+_NOT_PLAIN = b'"\\' + bytes(range(0x20))
+
+
+def _plain_heads(heads: Sequence[str]) -> Optional[Tuple[List[str], Tuple[str, ...]]]:
+    """The id and ts texts of `heads`, if every head is `_ID_START + id +
+    _TS_START + ts` with id and ts free of `"`, `\\` and control characters
+    (so each is a JSON string's text that decodes to itself); else None."""
+    fronts, found, tss = zip(*[head.partition(_TS_START) for head in heads])
+    skip = len(_ID_START)
+    ids = [front[skip:] for front in fronts]
+    # The joins of the fronts are equal only if every front starts with
+    # _ID_START: a shorter one makes the left join the longer.
+    if "" in found or _ID_START + _ID_START.join(ids) != "".join(fronts):
+        return None
+    text = ("".join(ids) + "".join(tss)).encode()
+    if len(text.translate(None, _NOT_PLAIN)) != len(text):
+        return None
+    return ids, tss
 
 
 def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: int = 1,
@@ -739,44 +761,77 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
     """Rows (id, ts, set id) of impressions.jsonl, one per non-blank line.
 
     A line holds one JSON object {"id", "ts", "attributes"}, and nothing
-    else, as `json.loads` requires.  The file is read by
+    else, as `json.loads` requires.  The file is read by the rule of
     `model.read_records`: lines, blank lines and a bad line (one that is
-    not UTF-8 included, reported as `path:line: bad impression`) are as it
-    reads them.  The set id indexes `sets.attrs` and `sets.keys`: a set
-    first seen is checked by `model.record_attributes` and added to `sets`,
-    and a later line with the same items in the same order is matched to
-    it without a check.
+    not UTF-8 included, reported as `path:line: bad impression` after the
+    rows of the lines before it) are as it reads them.  The set id indexes
+    `sets.attrs` and `sets.keys`: a set first seen is checked by
+    `model.record_attributes` and added to `sets`, and a later line with
+    the same items in the same order is matched to it without a check.
 
     By default the whole file is read.  A byte range of it is read from
-    `start`, which must be 0 or just after a `\n`, for `lines` lines (to
+    `start`, which must be 0 or just after a `\\n`, for `lines` lines (to
     the end when None), numbering the first one `first_line`; the ranges
     of `split_impressions` give their rows, and each line its number in
     the whole file.
 
-    The JSON decoder runs once per distinct attributes text of the lines in
-    the layout `save_impressions` writes, `{"id": "<s>", "ts": "<s>",
-    "attributes": {...}}`, where each <s> holds no `"`, `\\` or control
-    character and the attributes text no `}` but its last character.  One
-    regex checks a line against that layout; if its attributes text was
-    decoded before in this call, the row is its id text, `parse_ts` of its
-    ts text and the set id remembered for that text.  Any other line, and
-    the first line of each text, is decoded in full, as above.  This is
-    exact.  In such a line each <s> decodes to itself.  The attributes
-    value must end at a `}`, and the only two left are the text's last
-    character and the line's: ending at the line's leaves the outer object
-    open.  So if one such line decodes, the value is the attributes text
-    alone, no key follows it, and every such line with the same text
-    decodes, to the same set, with id and ts as read.
+    Lines are parsed a block of `model.line_blocks` at a time, and
+    speculatively (as Mison does, Li et al., VLDB 2017).  Two
+    `str.partition`s cut each line at `", "attributes": ` and at
+    `", "ts": "`.  The tail after the first cut (the attributes text and
+    `}`) is looked up in a table of the tails learned in this call, and
+    the block is cut into runs at each line whose tail is not known.  For
+    each run, one check covers its joined ids and timestamps
+    (`_plain_heads`) and one `map(datetime.fromisoformat, ...)` parses
+    its timestamps, which must all be naive; a run that passes gives its
+    rows from those columns.  A line with an unknown tail, and each line
+    of a run that fails, is read on its own: as above if it passes the
+    same checks alone, else decoded in full (`parse_ts`,
+    `record_attributes`), after which a line in the layout with a new
+    attributes text teaches its tail.  On a file in that layout the JSON
+    decoder runs about once per distinct attributes text.
+
+    This is exact.  A tail is learned only from a line that decoded in
+    full and is `{"id": "<id>", "ts": "<ts>", "attributes": <text>}`,
+    with id and ts free of `"`, `\\` and control characters, and a text
+    that starts with `{` and holds no `}` but its last character.  The
+    value after `"attributes": ` then starts at that `{` and must end at a
+    `}`; it cannot end at the line's last one, since that would leave the
+    outer object open.  So the value is the text alone, no key follows
+    it, and every line made of a plain id, a plain ts and that tail
+    decodes to that id, that ts and the same set.  For a naive timestamp
+    (Python 3.10 and later) `fromisoformat` gives what `parse_ts` gives,
+    and a timestamp that it rejects or reads as zone-aware sends its line
+    to the full decode.
     """
     known = sets._set_of_items
-    set_of_text: Dict[str, int] = {}
-    canonical = _CANONICAL_LINE.fullmatch
+    # The set of each learned tail, with and without the "\n" that ends
+    # every line of a block but the last line of the file.
+    set_of_tail: Dict[str, int] = {}
+    tail_set = set_of_tail.get
+
+    def columns(heads: Sequence[str], sids: Sequence[int]):
+        """The ids, timestamps and set ids of the lines cut into `heads`
+        and tails of the sets `sids`, or None if one of them fails a check."""
+        plain = _plain_heads(heads)
+        if plain is None:
+            return None
+        ids, tss = plain
+        try:
+            ts = list(map(datetime.fromisoformat, tss))
+        except ValueError:
+            return None
+        if any(map(_tzinfo, ts)):       # not every timestamp is naive
+            return None
+        return ids, ts, sids
 
     def row(line: str) -> Tuple[str, datetime, int]:
-        m = canonical(line)
-        sid = None if m is None else set_of_text.get(m[3])
-        if sid is not None:
-            return m[1], parse_ts(m[2]), sid
+        head, _, tail = line.partition(_ATTRS_START)
+        known_sid = tail_set(tail)
+        if known_sid is not None:
+            cols = columns((head,), (known_sid,))
+            if cols is not None:
+                return cols[0][0], cols[1][0], known_sid
         rec, end = _decode(line)
         if end != len(line):
             raise json.JSONDecodeError("Extra data", line, end)
@@ -788,10 +843,40 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
             sid = sets.set_id({intern(name): intern(value) for name, value
                                in record_attributes(rec).items()})
         item = (str(rec["id"]), parse_ts(rec["ts"]), sid)
-        if m is not None:
-            set_of_text[m[3]] = sid
+        if (known_sid is None and tail[:1] == "{" and tail.find("}") == len(tail) - 2
+                and _plain_heads((head,)) is not None):
+            set_of_tail[tail] = set_of_tail[tail + "\n"] = sid
         return item
-    return read_records(path, "impression", row, start, first_line, lines)
+
+    def runs() -> Iterator[Iterable[Tuple[str, datetime, int]]]:
+        """The rows of each run of lines, one iterable per run, each made
+        when the one before it has been read."""
+        for first, block in line_blocks(path, "impression", start, first_line, lines):
+            heads, _, tails = zip(*[line.partition(_ATTRS_START) for line in block])
+            sids = list(map(tail_set, tails))
+            i = 0
+            while i < len(block):
+                if sids[i] is None:
+                    # Lines with unknown tails, each read on its own; one
+                    # may teach its tail to the lines after it.
+                    k = i + 1
+                    while k < len(block) and sids[k] is None:
+                        k += 1
+                    yield parse_lines(path, "impression", row, first + i, block[i:k])
+                else:
+                    try:
+                        k = sids.index(None, i)
+                    except ValueError:
+                        k = len(block)
+                    cols = columns(heads[i:k], sids[i:k])
+                    yield (zip(*cols) if cols is not None else
+                           parse_lines(path, "impression", row, first + i, block[i:k]))
+                i = k
+            # Dropped before the next block is read, so that no two blocks'
+            # lines and cuts are held at once.
+            del block, heads, tails, sids
+
+    return chain.from_iterable(runs())
 
 
 class ImpressionRange(NamedTuple):

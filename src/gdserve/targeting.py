@@ -11,6 +11,10 @@ Grammar (whitespace-insensitive, keywords are reserved words):
             | attr 'IN' '{' value (',' value)* '}'
     attr, value := [A-Za-z0-9_]+
 
+An expression nests at most `MAX_NESTING` levels: each 'NOT' and each
+'(' not yet closed is one level.  This bounds the recursion of the parser
+and of every walk of the tree.
+
 Evaluation is over attribute maps (string -> string).  An attribute that is
 absent from the map is "unknown" and fails every positive predicate, so a
 user of unknown gender is not eligible for a male-targeted contract; NOT is
@@ -73,6 +77,8 @@ class Or:
 
 TargetingExpr = Union[TrueExpr, Equals, In, Not, And, Or]
 
+MAX_NESTING = 100
+
 _KEYWORDS = {"AND", "OR", "NOT", "IN", "TRUE"}
 _TOKEN_RE = re.compile(r"\s*(?:(?P<word>[A-Za-z0-9_]+)|(?P<punct>[=(){},]))")
 
@@ -107,6 +113,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0          # the 'NOT's and open '('s around the next factor
 
     def peek(self):
         return self.tokens[self.idx]
@@ -149,13 +156,18 @@ class _Parser:
 
     def factor(self) -> TargetingExpr:
         tok = self.peek()
-        if tok[0] == "NOT":
+        if tok[0] in ("NOT", "("):
+            if self.depth == MAX_NESTING:
+                raise TargetingSyntaxError(
+                    f"{tok[1]!r} nests deeper than {MAX_NESTING} levels", tok[2])
             self.advance()
-            return Not(self.factor())
-        if tok[0] == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")", ")")
+            self.depth += 1
+            if tok[0] == "NOT":
+                node = Not(self.factor())
+            else:
+                node = self.expr()
+                self.expect(")", ")")
+            self.depth -= 1
             return node
         if tok[0] == "TRUE":
             self.advance()
@@ -188,8 +200,11 @@ def parse_targeting(text: str) -> TargetingExpr:
     """Parse targeting text into an expression tree.
 
     Raises TargetingSyntaxError (with byte offset and expected-token set)
-    on malformed input.
+    on malformed input, nesting deeper than `MAX_NESTING` included, and
+    TypeError if `text` is not a string.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"targeting must be a string, got {text!r}")
     return _Parser(text).parse()
 
 
@@ -212,7 +227,8 @@ def _render(expr: TargetingExpr, parent_prec: int) -> str:
         return f"{expr.attr} IN {{{vals}}}"
     prec = _PREC[type(expr)]
     if isinstance(expr, Not):
-        body = f"NOT {_render(expr.child, prec)}"
+        # 'NOT NOT x' needs no parentheses, which would count as nesting.
+        body = f"NOT {_render(expr.child, prec - 1)}"
     else:
         sep = " OR " if isinstance(expr, Or) else " AND "
         body = sep.join(_render(c, prec) for c in expr.children)

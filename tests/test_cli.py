@@ -1083,6 +1083,17 @@ class TestFlightMix:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "scen").exists()
 
+    @pytest.mark.parametrize("mix", ["week=1e308,day=1e308", "day=inf", "day=nan,week=1"])
+    def test_weights_or_total_not_finite_fail(self, tmp_path, capsys, mix):
+        # Two finite weights whose sum overflows used to fail inside
+        # random.choices, with a message that names no flag.
+        rc = run(["scenario", "--out-dir", tmp_path / "scen", "--contracts", 2,
+                  "--days", 1, "--daily-traffic", 100, "--flight-mix", mix])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: flight mix weights must be finite, "
+                                           "non-negative and not all zero\n")
+        assert not (tmp_path / "scen").exists()
+
 
 class TestScenarioDimensions:
     @pytest.mark.parametrize("traffic", [-50, 0])

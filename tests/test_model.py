@@ -224,6 +224,22 @@ class TestRoundTrip:
                                  ".* at offset 9"):
             model.load_contracts(path)
 
+    @pytest.mark.parametrize("targeting, reason", [
+        ("(" * 400 + "TRUE" + ")" * 400, "targeting: '\\(' nests deeper than 100 levels "
+                                         "at offset 100"),
+        ("NOT " * 5000 + "TRUE", "targeting: 'NOT' nests deeper than 100 levels at offset 400"),
+        (5, "targeting must be a string, got 5"),
+    ])
+    def test_unparseable_targeting_reports_line(self, tmp_path, targeting, reason):
+        path = tmp_path / "contracts.jsonl"
+        path.write_text("".join(json.dumps({
+            "id": cid, "targeting": text, "demand": 5, "start": "2026-03-02T00:00:00",
+            "end": "2026-03-09T00:00:00"}) + "\n" for cid, text in
+            [("c1", "x = 1"), ("c2", targeting)]))
+        with pytest.raises(model.GraphDataError,
+                           match=f"^{path}:2: bad contract record: {reason}$"):
+            model.load_contracts(path)
+
     def test_zulu_timestamps_accepted(self):
         ts = model.parse_ts("2026-03-02T00:00:00Z")
         assert ts.year == 2026

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -49,6 +50,34 @@ class TestParser:
             tg.parse_targeting("a = 1 b = 2")
         assert err.value.offset == 6
         assert "OR" in err.value.expected or "AND" in err.value.expected
+
+    @pytest.mark.parametrize("text, offset", [
+        ("(" * 400 + "TRUE" + ")" * 400, tg.MAX_NESTING),
+        ("NOT " * 5000 + "TRUE", 4 * tg.MAX_NESTING),
+        ("NOT (" * (tg.MAX_NESTING // 2) + "(a = 1" + ")" * (tg.MAX_NESTING // 2 + 1),
+         5 * (tg.MAX_NESTING // 2)),
+    ])
+    def test_nesting_beyond_limit_fails_at_offset(self, text, offset):
+        # It used to overflow Python's stack with a RecursionError.
+        with pytest.raises(tg.TargetingSyntaxError, match="nests deeper than") as err:
+            tg.parse_targeting(text)
+        assert err.value.offset == offset
+
+    def test_nesting_at_limit_parses(self):
+        depth = tg.MAX_NESTING
+        assert tg.parse_targeting("(" * depth + "TRUE" + ")" * depth) == tg.TrueExpr()
+        expr = tg.parse_targeting("NOT " * depth + "a = 1")
+        assert tg.unparse(expr) == "NOT " * depth + "a = 1"
+        assert tg.parse_targeting(tg.unparse(expr)) == expr
+        assert tg.eligible({"a": "1"}, expr) is (depth % 2 == 0)
+        mixed = "(NOT " * (depth // 2) + "a = 1" + ")" * (depth // 2)
+        assert tg.parse_targeting(mixed) == tg.parse_targeting("NOT " * (depth // 2) + "a = 1")
+
+    @pytest.mark.parametrize("text", [5, None, ["TRUE"]])
+    def test_non_string_rejected(self, text):
+        with pytest.raises(TypeError,
+                           match=re.escape(f"targeting must be a string, got {text!r}")):
+            tg.parse_targeting(text)
 
     def test_unparse_reparse_identity(self):
         rng = random.Random(7)
