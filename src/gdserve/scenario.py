@@ -5,11 +5,19 @@ flows from the seed, so a scenario regenerates bit-identically.  Traffic is
 modulated by hour of day (nights are quiet) and day of week (weekends are
 lighter), and each supply node's forecast equals its actual event count, so
 the base graph is a perfect forecast; error is injected at simulation time.
+
+Targeting is evaluated in bulk (`targeting.AttributeIndex`), which gives
+exactly what `targeting.eligible` gives map by map: a contract's demand
+counts, over the stream's distinct attribute sets that its targeting
+matches, each set's events inside the flight, and high contention tests
+whether two contracts share a supply node by intersecting their bitsets
+of nodes.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from random import Random
@@ -134,13 +142,21 @@ def generate_scenario(spec: ScenarioSpec) -> Tuple[AllocationGraph, List[Impress
     supply_nodes = [SupplyNode(f"n{ni:04d}", attrs, node_counts[ni])
                     for ni, attrs in enumerate(nodes_attrs)]
 
-    # Demands: a share of the eligible actual supply inside the flight.
+    # Demands: a share of the eligible actual supply inside the flight,
+    # counted by bisecting each matched attribute set's times (stream order
+    # is time order).
+    times_of: Dict[tuple, List[datetime]] = {}
+    for ev in stream:
+        times_of.setdefault(tuple(sorted(ev.attributes.items())), []).append(ev.ts)
+    set_times = list(times_of.values())
+    sets = tg.AttributeIndex([dict(key) for key in times_of])
     contracts = []
     for meta in contracts_meta:
         cid, expr, start, end = meta
-        eligible_flight = sum(
-            1 for ev in stream
-            if start <= ev.ts < end and tg.eligible(ev.attributes, expr))
+        eligible_flight = 0
+        for k in tg.members(sets.matches(expr)):
+            times = set_times[k]
+            eligible_flight += bisect_left(times, end) - bisect_left(times, start)
         share = rng.uniform(*spec.demand_share)
         demand = max(1, int(eligible_flight * share))
         contracts.append(Contract(cid, expr, demand, start, end))
@@ -203,25 +219,29 @@ def _contract_meta(rng: Random, spec: ScenarioSpec, dims, index: int):
 
 
 def _ensure_shared_nodes(rng, dims, nodes_attrs, contracts_meta, combos):
-    """High contention requires every contract to share a node with another."""
-    def sharers(meta):
-        expr = meta[1]
-        return [
-            other for other in contracts_meta if other is not meta
-            and any(tg.eligible(attrs, expr) and tg.eligible(attrs, other[1])
-                    for attrs in nodes_attrs)]
+    """High contention requires every contract to share a node with another.
 
-    for meta in contracts_meta:
-        if sharers(meta):
+    `targeted[j]` is the bitset of the nodes contract j targets, kept
+    current as nodes are appended; contracts i and j share a node when
+    `targeted[i] & targeted[j]` is not zero.
+    """
+    index = tg.AttributeIndex(nodes_attrs)
+    targeted = [index.matches(meta[1]) for meta in contracts_meta]
+    for j, meta in enumerate(contracts_meta):
+        if any(targeted[j] & nodes for i, nodes in enumerate(targeted) if i != j):
             continue
         # Add one node satisfying this contract and some other one.
-        for other in contracts_meta:
-            if other is meta:
+        for i, other in enumerate(contracts_meta):
+            if i == j:
                 continue
             attrs = _joint_witness(rng, dims, meta[1], other[1])
             if attrs is not None and tuple(sorted(attrs.items())) not in combos:
                 combos.add(tuple(sorted(attrs.items())))
+                bit = 1 << len(nodes_attrs)
                 nodes_attrs.append(attrs)
+                for h, (_, expr, _, _) in enumerate(contracts_meta):
+                    if tg.eligible(attrs, expr):
+                        targeted[h] |= bit
                 break
 
 

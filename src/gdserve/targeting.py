@@ -20,15 +20,30 @@ absent from the map is "unknown" and fails every positive predicate, so a
 user of unknown gender is not eligible for a male-targeted contract; NOT is
 classical negation of that result.
 
-Everything here is a pure function over immutable trees: safe for
-unrestricted concurrent use.
+`eligible` walks one tree for one map.  `AttributeIndex` evaluates a tree
+once for a whole list of maps, as set algebra over int bitsets (a bitmap
+index): bit k of a set stands for map k, and each (attribute, value) item
+has the set of the maps that hold it.  `Equals` is its item's set, `In` the
+union of its items' sets, `And`/`Or` the intersection/union of the
+children's sets, `Not` the complement within all maps, and `TRUE` all maps.
+This is exact: a map holds `attr = v` if and only if its bit is in the set
+of the item (attr, v), and a map without `attr` is in no set of `attr`, so
+each predicate's set is the maps for which `eligible` returns True, and the
+connectives are the set forms of AND, OR and NOT on those results.
+`build_edges` evaluates each contract's targeting once over the supply
+nodes this way.
+
+Everything here is a pure function over immutable trees, and an
+`AttributeIndex` is not changed once built: safe for unrestricted
+concurrent use.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, List, Mapping, Sequence, Union
 
 
 class TargetingSyntaxError(ValueError):
@@ -262,16 +277,89 @@ def eligible(attrs: Mapping[str, str], expr: TargetingExpr) -> bool:
     raise TypeError(f"not a targeting expression: {expr!r}")
 
 
+class AttributeIndex:
+    """One int bitset per (attribute, value) item of a list of attribute
+    maps: bit k is set when map k holds the item.
+
+    `matches(expr)` is the bitset of the maps that satisfy `expr`: bit k is
+    `eligible(maps[k], expr)` (see the module docstring for why).  Building
+    the index and each evaluation cost time linear in the number of maps.
+    """
+
+    def __init__(self, maps: Sequence[Mapping[str, str]]):
+        holders = defaultdict(list)
+        for k, attrs in enumerate(maps):
+            for item in attrs.items():
+                holders[item].append(k)
+        nbytes = (len(maps) + 7) >> 3
+        self.all = (1 << len(maps)) - 1
+        self.bits = {item: _bitset(ks, nbytes) for item, ks in holders.items()}
+
+    def matches(self, expr: TargetingExpr) -> int:
+        """The bitset of the maps that satisfy `expr`.  Raises TypeError
+        on any node that is not an expression, wherever it sits."""
+        kind = type(expr)
+        if kind is Equals:
+            return self.bits.get((expr.attr, expr.value), 0)
+        if kind is In:
+            acc = 0
+            for value in expr.values:
+                acc |= self.bits.get((expr.attr, value), 0)
+            return acc
+        if kind is And:
+            acc = self.all
+            for child in expr.children:
+                acc &= self.matches(child)
+            return acc
+        if kind is Or:
+            acc = 0
+            for child in expr.children:
+                acc |= self.matches(child)
+            return acc
+        if kind is Not:
+            return self.all & ~self.matches(expr.child)
+        if kind is TrueExpr:
+            return self.all
+        raise TypeError(f"not a targeting expression: {expr!r}")
+
+
+def _bitset(positions: List[int], nbytes: int) -> int:
+    """The int whose set bits are `positions`, built in one pass over a
+    byte buffer (OR-ing bits one at a time into an int is quadratic)."""
+    buf = bytearray(nbytes)
+    for k in positions:
+        buf[k >> 3] |= 1 << (k & 7)
+    return int.from_bytes(buf, "little")
+
+
+def members(bits: int) -> List[int]:
+    """The positions of the set bits of `bits` >= 0, ascending."""
+    digits = bin(bits)[:1:-1]       # bit k is digits[k]
+    out = []
+    k = digits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = digits.find("1", k + 1)
+    return out
+
+
 def build_edges(supply_nodes, contracts):
     """Compute the eligibility edge set between supply nodes and contracts.
 
     Returns [(supply_id, contract_id)] sorted by id pair, containing exactly
     the pairs for which the node's attributes satisfy the contract targeting.
+    Each contract's targeting is evaluated once over all the nodes
+    (`AttributeIndex`); both arguments are read in one pass.
     """
-    edges = []
-    for node in supply_nodes:
-        for contract in contracts:
-            if eligible(node.attributes, contract.targeting):
-                edges.append((node.id, contract.id))
+    nodes = list(supply_nodes)
+    index = AttributeIndex([node.attributes for node in nodes])
+    of_node = [[] for _ in nodes]
+    for contract in contracts:
+        cid = contract.id
+        for k in members(index.matches(contract.targeting)):
+            of_node[k].append(cid)
+    # Node by node, as a double loop would list them: inputs in id order
+    # give an already sorted list.
+    edges = [(node.id, cid) for node, cids in zip(nodes, of_node) for cid in cids]
     edges.sort()
     return edges

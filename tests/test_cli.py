@@ -11,6 +11,7 @@ import pytest
 from gdserve import cli, kernels, model, simulate as sim, targeting as tg
 from gdserve.scenario import demo_graph
 from conftest import FLIGHT_START
+import test_simulator
 
 
 def write_demo_inputs(tmp_path):
@@ -105,24 +106,35 @@ class TestPlanCommand:
 
     @pytest.mark.parametrize("algorithm", ["hwm", "dual"])
     def test_one_targeting_walk_per_plan(self, tmp_path, monkeypatch, algorithm):
-        # The edges are derived from targeting once, by build_graph.  The
+        # The edges are derived from targeting once, by build_graph: one
+        # evaluation of each contract's targeting over all the nodes.  The
         # planners walk nothing.
         g = write_demo_inputs(tmp_path)
         argv = ["plan", "--supply", tmp_path / "supply.jsonl",
                 "--contracts", tmp_path / "contracts.jsonl",
                 "--algorithm", algorithm, "--out", tmp_path / "plan.jsonl"]
         calls = Counter()
-        inner = tg.eligible
+        walk, matches = tg.eligible, tg.AttributeIndex.matches
+        depth = [0]
 
-        def counted(attrs, expr):
+        def counted_walk(attrs, expr):
             calls["eligible"] += 1
-            return inner(attrs, expr)
+            return walk(attrs, expr)
 
-        monkeypatch.setattr(tg, "eligible", counted)
+        def counted_matches(index, expr):
+            if depth[0] == 0:       # count the top-level evaluations only
+                calls["matches"] += 1
+                calls["maps"] = max(calls["maps"], index.all.bit_length())
+            depth[0] += 1
+            try:
+                return matches(index, expr)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(tg, "eligible", counted_walk)
+        monkeypatch.setattr(tg.AttributeIndex, "matches", counted_matches)
         assert run(argv) == 0
-        # The demo contracts target one attribute each, so the walk makes
-        # exactly one call per (node, contract) pair.
-        assert calls["eligible"] == len(g.supply_nodes) * len(g.contracts)
+        assert calls == {"matches": len(g.contracts), "maps": len(g.supply_nodes)}
 
 
 def write_impressions(path, attr_maps, spacing_s=60):
@@ -261,13 +273,14 @@ class TestServeCommand:
 
 
 def reference_decisions(contracts_path, plan_path, impressions_path, seed):
-    """The decisions file of `gdserve serve`, made row by row: targeting,
-    plan membership, flight, `effective_probs`, and `draw_index` with
+    """The decisions file of `gdserve serve`, made row by row from the
+    impressions read one `json.loads` per line: targeting, plan membership,
+    flight, `effective_probs`, and `draw_index` with
     `impression_uniform(seed, row)`."""
     contracts = model.load_contracts(contracts_path)
     plan = cli._load_plan(plan_path)
     lines = []
-    for n, ev in enumerate(sim.load_impressions(impressions_path)):
+    for n, ev in enumerate(test_simulator.reference_events(impressions_path)):
         cands = [c.id for c in contracts if c.id in plan and c.in_flight(ev.ts)
                  and tg.eligible(ev.attributes, c.targeting)]
         u = sim.impression_uniform(seed, n)

@@ -136,6 +136,42 @@ class TestEligibility:
                      tg.Not(("gender", "male"))):
             with pytest.raises(TypeError, match="not a targeting expression"):
                 tg.eligible({"gender": "male"}, expr)
+            with pytest.raises(TypeError, match="not a targeting expression"):
+                tg.AttributeIndex([{"gender": "male"}]).matches(expr)
+
+
+class TestAttributeIndex:
+    """`AttributeIndex.matches` is `eligible` for every map of a batch at once."""
+
+    def test_bit_k_is_eligible_of_map_k(self):
+        rng = random.Random(12)
+        for _ in range(2000):
+            expr = random_targeting(rng)
+            roll = rng.random()
+            if roll < 0.2:
+                expr = rng.choice([tg.And, tg.Or])((expr,))
+            elif roll < 0.22:
+                expr = rng.choice([tg.And, tg.Or])(())
+            # At least 130 maps, so a bitset spans several int digits; some
+            # maps have no attributes at all.
+            maps = [random_attrs(rng) if rng.random() < 0.95 else {}
+                    for _ in range(rng.randint(130, 200))]
+            got = tg.AttributeIndex(maps).matches(expr)
+            want = [k for k, attrs in enumerate(maps) if tg.eligible(attrs, expr)]
+            assert 0 <= got < 1 << len(maps)
+            assert tg.members(got) == want
+
+    def test_empty_batch_matches_nothing(self):
+        rng = random.Random(13)
+        index = tg.AttributeIndex([])
+        for expr in [tg.TrueExpr(), tg.Not(tg.Equals("gender", "male"))] + \
+                [random_targeting(rng) for _ in range(200)]:
+            assert index.matches(expr) == 0
+
+    def test_members(self):
+        assert tg.members(0) == []
+        assert tg.members(1) == [0]
+        assert tg.members(0b1011 << 200) == [200, 201, 203]
 
 
 def _reference_eligible(attrs, expr) -> bool:
@@ -183,6 +219,33 @@ class TestBuildEdges:
         want = {(n.id, c.id) for n in nodes for c in contracts
                 if tg.eligible(n.attributes, c.targeting)}
         assert got == want
+
+    def test_random_trees_equal_sorted_double_loop(self):
+        from gdserve.model import SupplyNode
+        from conftest import make_contract
+        rng = random.Random(14)
+        # Ids out of order, so the result must be sorted, not listed.
+        nodes = [SupplyNode(f"n{i:03d}", random_attrs(rng), 10) for i in range(150)]
+        rng.shuffle(nodes)
+        contracts = []
+        for j in range(60):
+            expr = random_targeting(rng)
+            if rng.random() < 0.2:
+                expr = rng.choice([tg.And, tg.Or])((expr,))
+            c = make_contract(f"c{j:02d}", "TRUE", 10)
+            contracts.append(type(c)(c.id, expr, c.demand, c.start, c.end))
+        rng.shuffle(contracts)
+        want = sorted((n.id, c.id) for n in nodes for c in contracts
+                      if tg.eligible(n.attributes, c.targeting))
+        assert tg.build_edges(nodes, contracts) == want
+
+    def test_one_pass_iterables(self, three_contract_graph):
+        # Contracts were iterated once per node, so a generator gave the
+        # edges of the first node only.
+        g = three_contract_graph
+        edges = tg.build_edges(iter(g.supply_nodes), (c for c in g.contracts))
+        assert len(edges) == 11
+        assert edges == tg.build_edges(g.supply_nodes, g.contracts)
 
     def test_deterministic_order(self):
         from gdserve.model import SupplyNode
