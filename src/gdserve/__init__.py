@@ -7,9 +7,9 @@ periodic re-optimization and an optional feedback adjustment of reported
 demand.  A simulator reproduces end-to-end delivery behavior.
 """
 
-from .model import (AllocationGraph, Contract, FractionalAllocation,
-                    FeasibilityReport, GraphDataError, ServingPlan, SupplyNode,
-                    build_graph, check_feasibility, forecast_allocation)
+from .model import (AllocationGraph, Contract, FeasibilityReport, GraphDataError,
+                    ServingPlan, SupplyNode, build_graph, check_feasibility,
+                    forecast_allocation)
 from .targeting import (TargetingSyntaxError, build_edges, eligible,
                         parse_targeting, unparse)
 from .hwm import (HwmEntry, HwmPlan, generate_hwm_plan, load_hwm_plan,
@@ -17,11 +17,10 @@ from .hwm import (HwmEntry, HwmPlan, generate_hwm_plan, load_hwm_plan,
 from .dual import (DualConvergenceError, DualEntry, DualObjectiveSpec, DualPlan,
                    dual_objective, load_dual_plan, reconstruct_primal,
                    save_dual_plan, solve_dual_offline)
-from .feedback import (DeliveryState, FeedbackConfig, apply_feedback,
-                       hours_behind, linear_goal)
-from .metrics import (MetricsError, SmoothnessSeries, TimeseriesRow,
-                      build_smoothness, delivery_improvement, nearest_rank,
-                      smoothness_quantile, underdelivery_fraction)
+from .feedback import FeedbackConfig, apply_feedback, hours_behind, linear_goal
+from .metrics import (MetricsError, TimeseriesRow, build_smoothness,
+                      delivery_improvement, nearest_rank, smoothness_quantile,
+                      underdelivery_fraction)
 from .simulate import (ImpressionEvent, ImpressionStream, Server,
                        SimulationConfig, SimulationError, SimulationReport,
                        baseline_pacing, load_config, load_impressions,

@@ -37,6 +37,7 @@ import tempfile
 from bisect import bisect_right
 from dataclasses import replace
 from datetime import datetime
+from functools import cache
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -46,7 +47,6 @@ from . import metrics as mx
 from . import model
 from . import scenario as scenario_mod
 from . import simulate as sim
-from . import targeting as tg
 
 
 def _load_graph(supply_path, contracts_path) -> model.AllocationGraph:
@@ -371,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contracts", required=True)
     p.add_argument("--algorithm", choices=["hwm", "dual"], default="hwm")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("serve", help="serve an impression stream from a plan")
     p.add_argument("--plan", required=True)
@@ -382,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int,
                    help="processes serving byte ranges of --impressions "
                         "(default: the CPUs this process may use; 1 without os.fork)")
-    p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("simulate", help="run an end-to-end delivery simulation")
     p.add_argument("--config", required=True)
@@ -393,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--baseline", action="store_true",
                    help="also run the reactive comparator and report improvement")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("metrics", help="summarize a delivery timeseries")
     p.add_argument("--timeseries", required=True)
@@ -401,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", help="baseline timeseries for improvement")
     p.add_argument("--positive-part", action="store_true",
                    help="score over-delivery only")
-    p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("scenario", help="generate a synthetic scenario directory")
     p.add_argument("--out-dir", required=True)
@@ -412,17 +408,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--daily-traffic", type=int, default=8000)
     p.add_argument("--flight-mix", help="e.g. day=0.2,multi_day=0.4,week=0.4")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_scenario)
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # `cmd_<command>` is looked up per call, so a replaced one is the one
+    # that runs.  Every input error (GraphDataError, TargetingSyntaxError,
+    # SimulationError, MetricsError) is a ValueError.
     try:
-        return args.func(args)
-    except (model.GraphDataError, tg.TargetingSyntaxError, sim.SimulationError,
-            mx.MetricsError, dual_mod.DualConvergenceError, OSError,
-            ValueError) as exc:
+        return globals()[f"cmd_{args.command}"](args)
+    except (dual_mod.DualConvergenceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -53,8 +53,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import kernels
-from .model import (AllocationGraph, FractionalAllocation, GraphDataError,
-                    PlanningProblem, read_plan_file, record_number)
+from .model import (AllocationGraph, Edge, GraphDataError, PlanningProblem,
+                    read_plan_file, record_number)
 
 
 class DualConvergenceError(RuntimeError):
@@ -137,16 +137,17 @@ class DualPlan:
         return reconstruct_primal(triples)
 
 
-def dual_objective(graph: AllocationGraph, alloc: FractionalAllocation,
+def dual_objective(graph: AllocationGraph, alloc: Dict[Edge, float],
                    underdelivery: Dict[str, float],
                    tol: float = 1e-9) -> float:
-    """Evaluate the relaxed objective for a feasible (x, u) pair.
+    """Evaluate the relaxed objective for a feasible (x, u) pair; x is sparse
+    (an absent edge has x = 0).
 
     Raises GraphDataError when u_j < 0, an edge fraction is negative, or a
     relaxed demand constraint is violated beyond `tol`.
     """
     spec = DualObjectiveSpec.from_graph(graph)
-    for (sid, cid), x in alloc.values.items():
+    for (sid, cid), x in alloc.items():
         if x < -tol:
             raise GraphDataError(f"edge ({sid!r}, {cid!r}): negative allocation {x}")
     total = 0.0
@@ -154,7 +155,8 @@ def dual_objective(graph: AllocationGraph, alloc: FractionalAllocation,
         u = underdelivery.get(c.id, 0.0)
         if u < -tol:
             raise GraphDataError(f"contract {c.id}: negative underdelivery {u}")
-        delivered = sum(alloc.get(sid, c.id) * graph.node_by_id[sid].forecast_supply
+        delivered = sum(alloc.get((sid, c.id), 0.0)
+                        * graph.node_by_id[sid].forecast_supply
                         for sid in graph.nodes_of[c.id])
         if delivered + u < c.demand - tol * max(1.0, c.demand):
             raise GraphDataError(
@@ -166,7 +168,7 @@ def dual_objective(graph: AllocationGraph, alloc: FractionalAllocation,
         th = spec.theta[c.id]
         for sid in graph.nodes_of[c.id]:
             s = graph.node_by_id[sid].forecast_supply
-            x = alloc.get(sid, c.id)
+            x = alloc.get((sid, c.id), 0.0)
             total += s * (x - th) ** 2 / th
     return total
 

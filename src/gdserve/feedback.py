@@ -43,16 +43,6 @@ class FeedbackConfig:
             raise GraphDataError("release_within_cycles must be non-negative")
 
 
-@dataclass
-class DeliveryState:
-    """Per-contract pacing snapshot at one instant."""
-
-    delivered: float
-    linear_goal: float
-    remaining_demand: float
-    boost_active: bool = False
-
-
 def linear_goal(contract: Contract, t: datetime) -> float:
     """Smooth delivery target at time t: booked demand prorated over the
     flight, clamped to [0, booked] outside it."""
@@ -76,21 +66,24 @@ def hours_behind(contract: Contract, delivered: float, t: datetime) -> float:
             * contract.flight_hours / contract.booked_demand)
 
 
-def apply_feedback(state: DeliveryState, contract: Contract, t: datetime,
-                   cfg: FeedbackConfig, cycle_hours: float) -> Tuple[float, bool]:
-    """Adjusted remaining demand and the new boost flag.
+def apply_feedback(contract: Contract, delivered: float, boost_active: bool,
+                   t: datetime, cfg: FeedbackConfig,
+                   cycle_hours: float) -> Tuple[float, bool]:
+    """Adjusted remaining demand (booked minus `delivered`) and the new
+    boost flag.
 
     Pure function of its inputs; `cycle_hours` is the re-optimization period,
     needed because the boost-release threshold is measured in cycle lengths.
     """
-    h = hours_behind(contract, state.delivered, t)
+    remaining = contract.booked_demand - delivered
+    h = hours_behind(contract, delivered, t)
     release_h = cfg.release_within_cycles * cycle_hours
     if h > cfg.delta_hours:
-        return state.remaining_demand * cfg.boost_behind, True
-    if state.boost_active and h > release_h:
+        return remaining * cfg.boost_behind, True
+    if boost_active and h > release_h:
         # Hysteresis: keep boosting until delivery is back within the
         # release window, even once the lag has dropped below delta.
-        return state.remaining_demand * cfg.boost_behind, True
+        return remaining * cfg.boost_behind, True
     if h < -cfg.delta_hours:
-        return state.remaining_demand / cfg.damp_ahead, False
-    return state.remaining_demand, False
+        return remaining / cfg.damp_ahead, False
+    return remaining, False

@@ -95,18 +95,15 @@ def dual_probs(thetas: Sequence[float], alphas: Sequence[float]) -> List[float]:
     order = sorted(range(n), key=lambda k: alphas[k])
     a_sum = 0.0   # sum of theta_j * (1 + alpha_j) over active terms
     b_sum = 0.0   # sum of theta_j over active terms
-    x_val = None
+    # The last bound (pos == 0) is -inf, so the scan always stops on an X.
     for pos in range(n - 1, -1, -1):
         k = order[pos]
         a_sum += thetas[k] * (1.0 + alphas[k])
         b_sum += thetas[k]
         low = (1.0 + alphas[order[pos - 1]]) if pos > 0 else float("-inf")
-        cand = (a_sum - 1.0) / b_sum
-        if cand >= low:
-            x_val = cand
-            break
-    if x_val is None:  # defensive; unreachable for positive thetas
         x_val = (a_sum - 1.0) / b_sum
+        if x_val >= low:
+            break
     beta = x_val if x_val > 0.0 else 0.0
     return [max(0.0, thetas[k] * (1.0 + alphas[k] - beta)) for k in range(n)]
 

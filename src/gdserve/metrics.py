@@ -31,16 +31,11 @@ class TimeseriesRow:
     linear_goal: float
 
 
-@dataclass
-class SmoothnessSeries:
-    """sigma_j(t) samples: one (time, {contract: sigma}) entry per sample time."""
-
-    samples: List[Tuple[datetime, Dict[str, float]]]
-
-
 def build_smoothness(rows: Sequence[TimeseriesRow],
-                     booked: Dict[str, float]) -> SmoothnessSeries:
-    """Assemble the smoothness series from delivery timeseries rows.
+                     booked: Dict[str, float],
+                     ) -> List[Tuple[datetime, Dict[str, float]]]:
+    """The sigma_j(t) samples of delivery timeseries rows: one (time,
+    {contract: sigma}) entry per sample time, in time order.
 
     Every row is a sample; the simulator writes a contract's rows only at
     times within its flight.
@@ -49,7 +44,7 @@ def build_smoothness(rows: Sequence[TimeseriesRow],
     for row in rows:
         sigma = 100.0 * (row.delivered - row.linear_goal) / booked[row.contract_id]
         by_time.setdefault(row.t, {})[row.contract_id] = sigma
-    return SmoothnessSeries(sorted(by_time.items()))
+    return sorted(by_time.items())
 
 
 def nearest_rank(values: Sequence[float], f: float) -> float:
@@ -63,13 +58,14 @@ def nearest_rank(values: Sequence[float], f: float) -> float:
     return ordered[rank - 1]
 
 
-def smoothness_quantile(series: SmoothnessSeries, f: float,
-                        positive_part: bool = False) -> float:
-    """sigma^f: max over sample times of the f-th percentile across contracts."""
-    if not series.samples:
+def smoothness_quantile(series: Sequence[Tuple[datetime, Dict[str, float]]],
+                        f: float, positive_part: bool = False) -> float:
+    """sigma^f of a `build_smoothness` series: max over sample times of the
+    f-th percentile across contracts."""
+    if not series:
         raise MetricsError("empty smoothness series")
     best = -math.inf
-    for _, sigmas in series.samples:
+    for _, sigmas in series:
         if not sigmas:
             continue
         vals = list(sigmas.values())

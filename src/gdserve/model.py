@@ -206,16 +206,6 @@ def build_graph(supply_nodes: List[SupplyNode],
     return AllocationGraph(supply_nodes, contracts, edges)
 
 
-@dataclass
-class FractionalAllocation:
-    """Sparse edge allocation: x values in [0, 1]; absent edges are 0."""
-
-    values: Dict[Edge, float] = field(default_factory=dict)
-
-    def get(self, sid: str, cid: str) -> float:
-        return self.values.get((sid, cid), 0.0)
-
-
 class ServingPlan(Protocol):
     """What serving needs of a plan (`HwmPlan`, `DualPlan`)."""
 
@@ -228,12 +218,13 @@ class ServingPlan(Protocol):
 
 
 def forecast_allocation(graph: AllocationGraph, plan: ServingPlan
-                        ) -> Tuple[FractionalAllocation, Dict[str, float]]:
+                        ) -> Tuple[Dict[Edge, float], Dict[str, float]]:
     """Replay the forecast through any plan: edge fractions and delivery.
 
     Each supply node's planned contracts take the plan's serve-time
     probabilities; a contract's expected delivery is the sum of s_i times
-    its probability at node i.  No sampling is involved.
+    its probability at node i.  The fractions are sparse: an edge that is
+    absent has x = 0.  No sampling is involved.
     """
     values = {}
     delivered = {c.id: 0.0 for c in graph.contracts}
@@ -245,7 +236,7 @@ def forecast_allocation(graph: AllocationGraph, plan: ServingPlan
             if p > 0.0:
                 values[(node.id, cid)] = p
                 delivered[cid] += node.forecast_supply * p
-    return FractionalAllocation(values), delivered
+    return values, delivered
 
 
 @dataclass
@@ -256,27 +247,29 @@ class FeasibilityReport:
     negative_entries: List[Edge]
 
 
-def check_feasibility(graph: AllocationGraph, alloc: FractionalAllocation,
+def check_feasibility(graph: AllocationGraph, alloc: Dict[Edge, float],
                       tol: float = 1e-9) -> FeasibilityReport:
-    """Evaluate the demand, supply, and non-negativity constraint families.
+    """Evaluate the demand, supply, and non-negativity constraint families
+    for sparse edge fractions x (an absent edge has x = 0).
 
     demand_slack[j] = sum_i x_ij * s_i - d_j   (feasible iff >= -tol)
     supply_excess[i] = sum_j x_ij - 1          (feasible iff <= tol)
     """
-    for sid, cid in alloc.values:
+    for sid, cid in alloc:
         if (sid not in graph.node_by_id or cid not in graph.contract_by_id
                 or cid not in graph.contracts_of.get(sid, [])):
             raise GraphDataError(f"allocation references unknown edge ({sid!r}, {cid!r})")
     demand_slack = {}
     for c in graph.contracts:
-        delivered = sum(alloc.get(sid, c.id) * graph.node_by_id[sid].forecast_supply
+        delivered = sum(alloc.get((sid, c.id), 0.0)
+                        * graph.node_by_id[sid].forecast_supply
                         for sid in graph.nodes_of[c.id])
         demand_slack[c.id] = delivered - c.demand
     supply_excess = {}
     for node in graph.supply_nodes:
-        total = sum(alloc.get(node.id, cid) for cid in graph.contracts_of[node.id])
+        total = sum(alloc.get((node.id, cid), 0.0) for cid in graph.contracts_of[node.id])
         supply_excess[node.id] = total - 1.0
-    negative = sorted(edge for edge, x in alloc.values.items() if x < -tol)
+    negative = sorted(edge for edge, x in alloc.items() if x < -tol)
     feasible = (all(s >= -tol for s in demand_slack.values())
                 and all(e <= tol for e in supply_excess.values())
                 and not negative)
@@ -397,18 +390,17 @@ def _decoded_lines(path, what: str, start: int, first_line: int,
                 n += 1
 
 
-def read_records(path, what: str, parse: Callable[[str], T], start: int = 0,
-                 first_line: int = 1, lines: Optional[int] = None) -> Iterator[T]:
+def read_records(path, what: str, parse: Callable[[str], T]) -> Iterator[T]:
     """`parse(line)` for each non-blank line of a UTF-8 text file.
 
     The one reading rule of every line file: lines are read by
-    `line_blocks` (with its `start`, `first_line` and `lines`), each is
-    stripped of JSON whitespace, and one left empty is skipped.  A line
-    that `parse` rejects (KeyError, ValueError or TypeError), or that is
-    not UTF-8, raises GraphDataError as `path:line: bad <what>: <reason>`,
-    after the items of the lines before it.
+    `line_blocks`, each is stripped of JSON whitespace, and one left empty
+    is skipped.  A line that `parse` rejects (KeyError, ValueError or
+    TypeError), or that is not UTF-8, raises GraphDataError as
+    `path:line: bad <what>: <reason>`, after the items of the lines before
+    it.
     """
-    for first, block in line_blocks(path, what, start, first_line, lines):
+    for first, block in line_blocks(path, what):
         yield from parse_lines(path, what, parse, first, block)
 
 
@@ -488,9 +480,7 @@ def _contract(line: str) -> Contract:
 def load_contracts(path) -> List[Contract]:
     """Read contracts.jsonl: {"id", "targeting", "demand", "start", "end"[, "penalty", "booked"]}.
 
-    "booked" (default: the demand) may not be below the demand.  `Contract`
-    allows it, since feedback plans with a demand above the booked total.
-    A targeting text that does not parse fails as `bad contract record:
+    "booked" (default: the demand) may not be below the demand.  A targeting text that does not parse fails as `bad contract record:
     targeting: <reason>`.
     """
     return list(read_records(path, "contract record", _contract))

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import targeting as tg
 from .model import AllocationGraph, Contract, SupplyNode, build_graph
-from .simulate import ImpressionEvent
+from .simulate import ImpressionEvent, attrs_key
 
 _DIMENSIONS: List[Tuple[str, List[str]]] = [
     ("gender", ["male", "female"]),
@@ -94,7 +94,7 @@ def generate_scenario(spec: ScenarioSpec) -> Tuple[AllocationGraph, List[Impress
             if rng.random() < 0.15:
                 continue  # unknown attribute
             attrs[name] = rng.choice(values)
-        key = tuple(sorted(attrs.items()))
+        key = attrs_key(attrs)
         if key in combos or not attrs:
             continue
         combos.add(key)
@@ -130,7 +130,7 @@ def generate_scenario(spec: ScenarioSpec) -> Tuple[AllocationGraph, List[Impress
     n_extra = max(1, len(events) // 50)
     for _ in range(n_extra):
         attrs = {name: rng.choice(values) for name, values in dims}
-        if tuple(sorted(attrs.items())) in combos:
+        if attrs_key(attrs) in combos:
             continue
         h = rng.randrange(hours)
         base = spec.start + timedelta(hours=h)
@@ -147,7 +147,7 @@ def generate_scenario(spec: ScenarioSpec) -> Tuple[AllocationGraph, List[Impress
     # is time order).
     times_of: Dict[tuple, List[datetime]] = {}
     for ev in stream:
-        times_of.setdefault(tuple(sorted(ev.attributes.items())), []).append(ev.ts)
+        times_of.setdefault(attrs_key(ev.attributes), []).append(ev.ts)
     set_times = list(times_of.values())
     sets = tg.AttributeIndex([dict(key) for key in times_of])
     contracts = []
@@ -235,8 +235,8 @@ def _ensure_shared_nodes(rng, dims, nodes_attrs, contracts_meta, combos):
             if i == j:
                 continue
             attrs = _joint_witness(rng, dims, meta[1], other[1])
-            if attrs is not None and tuple(sorted(attrs.items())) not in combos:
-                combos.add(tuple(sorted(attrs.items())))
+            if attrs is not None and attrs_key(attrs) not in combos:
+                combos.add(attrs_key(attrs))
                 bit = 1 << len(nodes_attrs)
                 nodes_attrs.append(attrs)
                 for h, (_, expr, _, _) in enumerate(contracts_meta):

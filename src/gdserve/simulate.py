@@ -88,7 +88,7 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optiona
 from . import metrics as mx
 from . import targeting as tg
 from .dual import solve_dual_offline
-from .feedback import DeliveryState, FeedbackConfig, apply_feedback, linear_goal
+from .feedback import FeedbackConfig, apply_feedback, linear_goal
 from .hwm import HwmEntry, HwmPlan, generate_hwm_plan
 from .kernels import draw_index
 from .model import (AllocationGraph, Contract, PlanningIndex, PlanningProblem,
@@ -362,7 +362,7 @@ class ImpressionStream(Sequence[ImpressionEvent]):
         if sid is None:
             sid = self._set_of_items[items] = len(self.attrs)
             self.attrs.append(attrs)
-            self.keys.append(tuple(sorted(items)))      # attrs_key(attrs)
+            self.keys.append(attrs_key(attrs))
         return sid
 
     def __len__(self) -> int:
@@ -624,10 +624,9 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
                 continue
             reported = remaining
             if cfg.feedback is not None:
-                state = DeliveryState(delivered[c.id], linear_goal(c, cycle_start),
-                                      remaining, boost[c.id])
                 reported, boost[c.id] = apply_feedback(
-                    state, c, cycle_start, cfg.feedback, cycle_hours)
+                    c, delivered[c.id], boost[c.id], cycle_start, cfg.feedback,
+                    cycle_hours)
             demand[j] = reported
         plan = None
         if demand:

@@ -136,6 +136,37 @@ class TestPlanCommand:
         assert run(argv) == 0
         assert calls == {"matches": len(g.contracts), "maps": len(g.supply_nodes)}
 
+    def test_parser_built_once_and_command_looked_up_per_call(self, tmp_path,
+                                                              monkeypatch):
+        # main builds its parser once, and finds cmd_<command> when it runs:
+        # a cmd_plan replaced after the first call is the one that runs.
+        write_demo_inputs(tmp_path)
+        argv = ["plan", "--supply", tmp_path / "supply.jsonl",
+                "--contracts", tmp_path / "contracts.jsonl",
+                "--out", tmp_path / "plan.jsonl"]
+        built = []
+        build = cli.build_parser
+
+        def counted_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted_build)
+        cli._parser.cache_clear()
+        assert run(argv) == 0
+        seen = []
+        plan = cli.cmd_plan
+
+        def traced_plan(args):
+            seen.append(args.algorithm)
+            return plan(args)
+
+        monkeypatch.setattr(cli, "cmd_plan", traced_plan)
+        assert run(argv) == 0
+        assert run([*argv, "--algorithm", "dual"]) == 0
+        assert seen == ["hwm", "dual"]
+        assert len(built) == 1
+
 
 def write_impressions(path, attr_maps, spacing_s=60):
     with open(path, "w") as fh:
@@ -699,6 +730,28 @@ class TestScenarioAndSimulate:
         assert (out / "report.json").exists()
         assert not (out / "baseline_report.json").exists()
         assert not (out / "baseline_delivery_timeseries.csv").exists()
+
+    def test_simulate_seed_flag_overrides_config_seed(self, tmp_path):
+        # A seed-0 sampled config run with --seed 7 reports what the same
+        # config with seed 7 reports, not what seed 0 reports.
+        scen = tmp_path / "scen"
+        assert run(["scenario", "--out-dir", scen, "--contracts", 4,
+                    "--attributes", 2, "--days", 2, "--daily-traffic", 600,
+                    "--seed", 4]) == 0
+        outputs = {}
+        for name, seed, flag in (("flag7", 0, ["--seed", 7]), ("config7", 7, []),
+                                 ("config0", 0, [])):
+            cfg = {"algorithm": "hwm", "reopt_period_hours": 6,
+                   "mode": "sampled", "seed": seed}
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+            out = tmp_path / name
+            assert run(["simulate", "--config", tmp_path / f"{name}.json",
+                        "--scenario", scen, "--out-dir", out, *flag]) == 0
+            outputs[name] = [(out / f).read_bytes()
+                             for f in ("report.json", "delivery_timeseries.csv")]
+        assert outputs["flag7"] == outputs["config7"]
+        assert outputs["flag7"][0] != outputs["config0"][0]
+        assert outputs["flag7"][1] != outputs["config0"][1]
 
     @pytest.mark.parametrize("env", [None, "7"], ids=["unset", "GD_SEED=7"])
     def test_scenario_seed_defaults_to_zero(self, tmp_path, monkeypatch, env):

@@ -18,28 +18,28 @@ def single_edge_graph(supply=100, demand=50, penalty=10.0):
 class TestObjective:
     def test_target_allocation_scores_zero(self):
         g = single_edge_graph(100, 50)   # theta = 0.5
-        alloc = model.FractionalAllocation({("a", "c1"): 0.5})
+        alloc = {("a", "c1"): 0.5}
         assert dual.dual_objective(g, alloc, {"c1": 0.0}) == pytest.approx(0.0)
 
     def test_full_allocation_quadratic_term(self):
         g = single_edge_graph(100, 50)   # theta = 0.5; 100*(1-0.5)^2/0.5 = 50
-        alloc = model.FractionalAllocation({("a", "c1"): 1.0})
+        alloc = {("a", "c1"): 1.0}
         assert dual.dual_objective(g, alloc, {"c1": 0.0}) == pytest.approx(50.0)
 
     def test_pure_underdelivery(self):
         g = single_edge_graph(20, 10)    # theta = 0.5; 20*0.25/0.5 + 10*10 = 110
-        alloc = model.FractionalAllocation()
+        alloc = {}
         assert dual.dual_objective(g, alloc, {"c1": 10.0}) == pytest.approx(110.0)
 
     def test_violated_relaxed_demand_rejected(self):
         g = single_edge_graph(100, 50)
-        alloc = model.FractionalAllocation({("a", "c1"): 0.2})
+        alloc = {("a", "c1"): 0.2}
         with pytest.raises(model.GraphDataError, match="c1"):
             dual.dual_objective(g, alloc, {"c1": 0.0})
 
     def test_negative_underdelivery_rejected(self):
         g = single_edge_graph(100, 50)
-        alloc = model.FractionalAllocation({("a", "c1"): 0.6})
+        alloc = {("a", "c1"): 0.6}
         with pytest.raises(model.GraphDataError, match="negative"):
             dual.dual_objective(g, alloc, {"c1": -1.0})
 
@@ -82,7 +82,7 @@ class TestOfflineSolver:
         plan = dual.solve_dual_offline(single_edge_graph(100, 150))
         assert plan.entries[0].alpha == pytest.approx(5.0)
         alloc, under = forecast_replay(single_edge_graph(100, 150), plan)
-        assert alloc.get("a", "c1") == pytest.approx(1.0)
+        assert alloc.get(("a", "c1"), 0.0) == pytest.approx(1.0)
         assert under["c1"] == pytest.approx(50.0)
 
     def test_zero_supply_contract_excluded(self):
@@ -107,7 +107,7 @@ class TestOfflineSolver:
         plan = dual.solve_dual_offline(g)
         alloc, under = forecast_replay(g, plan)
         for e in plan.entries:
-            delivered = sum(alloc.get(nid, e.contract_id) * n.forecast_supply
+            delivered = sum(alloc.get((nid, e.contract_id), 0.0) * n.forecast_supply
                             for nid, n in zip(["a", "b"], nodes))
             d = g.contract_by_id[e.contract_id].demand
             assert (delivered >= d * (1 - 1e-6)

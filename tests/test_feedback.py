@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
@@ -53,18 +54,16 @@ class TestApplyFeedback:
     def test_behind_boosts_remaining_demand(self):
         c = self.contract()
         t = c.start + timedelta(hours=50)
-        state = fb.DeliveryState(delivered=40.0, linear_goal=50.0,
-                                 remaining_demand=128.0, boost_active=False)
-        adjusted, active = fb.apply_feedback(state, c, t, self.CFG, cycle_hours=2.0)
+        adjusted, active = fb.apply_feedback(c, delivered=40.0, boost_active=False,
+                                             t=t, cfg=self.CFG, cycle_hours=2.0)
         assert adjusted == pytest.approx(128.0 * 1.5)
         assert active
 
     def test_ahead_damps_remaining_demand(self):
         c = self.contract()
         t = c.start + timedelta(hours=50)
-        state = fb.DeliveryState(delivered=56.0, linear_goal=50.0,
-                                 remaining_demand=112.0, boost_active=False)
-        adjusted, active = fb.apply_feedback(state, c, t, self.CFG, cycle_hours=2.0)
+        adjusted, active = fb.apply_feedback(c, delivered=56.0, boost_active=False,
+                                             t=t, cfg=self.CFG, cycle_hours=2.0)
         assert adjusted == pytest.approx(112.0 / 10.0)
         assert not active
 
@@ -72,9 +71,8 @@ class TestApplyFeedback:
         c = self.contract()
         t = c.start + timedelta(hours=50)
         for delivered in (47.0, 50.0, 53.0):    # lag within +-4h
-            state = fb.DeliveryState(delivered, 50.0, 168.0 - delivered, False)
-            adjusted, active = fb.apply_feedback(state, c, t, self.CFG, 2.0)
-            assert adjusted == state.remaining_demand
+            adjusted, active = fb.apply_feedback(c, delivered, False, t, self.CFG, 2.0)
+            assert adjusted == 168.0 - delivered
             assert not active
 
     def test_boost_persists_until_release_window(self):
@@ -85,13 +83,12 @@ class TestApplyFeedback:
         # lag between release and delta: delta=8 config.
         cfg = fb.FeedbackConfig(delta_hours=8.0, boost_behind=1.5,
                                 damp_ahead=10.0, release_within_cycles=2.0)
-        state = fb.DeliveryState(45.0, 50.0, 123.0, boost_active=True)   # 5h behind
-        adjusted, active = fb.apply_feedback(state, c, t, cfg, cycle_hours=1.0)
+        adjusted, active = fb.apply_feedback(c, 45.0, True, t, cfg,    # 5h behind
+                                             cycle_hours=1.0)
         assert active
         assert adjusted == pytest.approx(123.0 * 1.5)
         # Same lag without the flag: inside the delta band, no adjustment.
-        state = fb.DeliveryState(45.0, 50.0, 123.0, boost_active=False)
-        adjusted, active = fb.apply_feedback(state, c, t, cfg, cycle_hours=1.0)
+        adjusted, active = fb.apply_feedback(c, 45.0, False, t, cfg, cycle_hours=1.0)
         assert adjusted == 123.0
         assert not active
 
@@ -100,24 +97,30 @@ class TestApplyFeedback:
         t = c.start + timedelta(hours=50)
         cfg = fb.FeedbackConfig(delta_hours=8.0, boost_behind=1.5,
                                 damp_ahead=10.0, release_within_cycles=2.0)
-        state = fb.DeliveryState(48.5, 50.0, 119.5, boost_active=True)   # 1.5h behind
-        adjusted, active = fb.apply_feedback(state, c, t, cfg, cycle_hours=1.0)
+        adjusted, active = fb.apply_feedback(c, 48.5, True, t, cfg,    # 1.5h behind
+                                             cycle_hours=1.0)
         assert adjusted == 119.5
+        assert not active
+
+    def test_remainder_is_booked_minus_delivered(self):
+        # Not the demand the contract was last planned with.
+        c = replace(self.contract(), demand=100.0)
+        t = c.start + timedelta(hours=50)
+        adjusted, active = fb.apply_feedback(c, 50.0, False, t, self.CFG, 2.0)
+        assert adjusted == 168.0 - 50.0
         assert not active
 
     def test_pure_function_is_idempotent(self):
         c = self.contract()
         t = c.start + timedelta(hours=30)
-        state = fb.DeliveryState(10.0, 30.0, 158.0, False)
-        first = fb.apply_feedback(state, c, t, self.CFG, 2.0)
-        second = fb.apply_feedback(state, c, t, self.CFG, 2.0)
+        first = fb.apply_feedback(c, 10.0, False, t, self.CFG, 2.0)
+        second = fb.apply_feedback(c, 10.0, False, t, self.CFG, 2.0)
         assert first == second
 
     def test_adjustment_bounded_by_booked_times_boost(self):
         c = self.contract()
         t = c.start + timedelta(hours=100)
-        state = fb.DeliveryState(0.0, 100.0, 168.0, False)
-        adjusted, _ = fb.apply_feedback(state, c, t, self.CFG, 2.0)
+        adjusted, _ = fb.apply_feedback(c, 0.0, False, t, self.CFG, 2.0)
         assert 0 < adjusted <= c.booked_demand * self.CFG.boost_behind
 
     def test_config_validation(self):

@@ -72,13 +72,13 @@ class TestSmoothness:
 
     def test_empty_series_is_an_error(self):
         with pytest.raises(mx.MetricsError):
-            mx.smoothness_quantile(mx.SmoothnessSeries([]), 75)
+            mx.smoothness_quantile([], 75)
 
     def test_sigma_bounded(self):
         rows, booked = rows_for({"a": [(1, 100.0, 0.0), (2, 0.0, 100.0)]},
                                 {"a": 100.0})
         series = mx.build_smoothness(rows, booked)
-        for _, sigmas in series.samples:
+        for _, sigmas in series:
             for v in sigmas.values():
                 assert -100.0 <= v <= 100.0
 

@@ -31,7 +31,7 @@ class TestFeasibility:
         nodes = [model.SupplyNode("a", {"x": "1"}, 100)]
         contracts = [make_contract("c1", "x = 1", 50)]
         g = model.build_graph(nodes, contracts)
-        alloc = model.FractionalAllocation({("a", "c1"): 0.5})
+        alloc = {("a", "c1"): 0.5}
         report = model.check_feasibility(g, alloc)
         assert report.feasible
         assert report.demand_slack["c1"] == pytest.approx(0.0)
@@ -39,7 +39,7 @@ class TestFeasibility:
 
     def test_zero_allocation_infeasible(self):
         g = two_node_graph()
-        report = model.check_feasibility(g, model.FractionalAllocation())
+        report = model.check_feasibility(g, {})
         assert not report.feasible
         assert report.demand_slack["c1"] == -50
 
@@ -53,13 +53,13 @@ class TestFeasibility:
 
     def test_unknown_edge_rejected(self):
         g = two_node_graph()
-        alloc = model.FractionalAllocation({("b", "c1"): 0.1})
+        alloc = {("b", "c1"): 0.1}
         with pytest.raises(model.GraphDataError, match="'b'.*'c1'"):
             model.check_feasibility(g, alloc)
 
     def test_negative_entry_reported(self):
         g = two_node_graph()
-        alloc = model.FractionalAllocation({("a", "c1"): -0.2})
+        alloc = {("a", "c1"): -0.2}
         report = model.check_feasibility(g, alloc)
         assert report.negative_entries == [("a", "c1")]
         assert not report.feasible

@@ -2,6 +2,7 @@
 package's imports."""
 
 import ast
+import importlib.util
 import re
 import shlex
 import shutil
@@ -92,3 +93,25 @@ def test_package_imports_only_itself_and_the_standard_library():
             outside += [f"{path.name}:{node.lineno}: {name}" for name in names
                         if name.split(".")[0] not in {"gdserve", *sys.stdlib_module_names}]
     assert outside == []
+
+
+# Names perfbench patches that gdserve does not have.  The benchmark skips
+# a missing name, so its layer reads 0: `serve_hwm` has no caller in
+# serving, and `simulate` never imports `effective_probs` by name.
+MISSING_PATCH_TARGETS = {("hwm", "serve_hwm"), ("simulate", "effective_probs")}
+
+
+def test_perfbench_patch_targets_exist():
+    # perfbench's traced rounds wrap each listed function in its home module
+    # and in every module listed as importing it by name; a name that has
+    # moved would leave its layer silently at zero.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = set()
+    for home, func, importers in spans.SPANS + spans.AGGREGATES + spans.ITERATORS:
+        for name in (home, *importers):
+            if not hasattr(importlib.import_module(f"gdserve.{name}"), func):
+                missing.add((name, func))
+    assert missing == MISSING_PATCH_TARGETS

@@ -16,7 +16,7 @@ import pytest
 from gdserve import hwm, metrics as mx, model, simulate as sim, targeting as tg
 from gdserve.dual import DualPlan, solve_dual_offline
 from gdserve.kernels import draw_index
-from gdserve.feedback import DeliveryState, FeedbackConfig, apply_feedback, linear_goal
+from gdserve.feedback import FeedbackConfig, apply_feedback, linear_goal
 from gdserve.scenario import ScenarioSpec, generate_scenario
 from conftest import FLIGHT_START, make_contract
 from _scenarios import daily_reopt_config, sold_out_future, uniform_single_contract
@@ -961,10 +961,9 @@ def reference_run(graph, events, cfg, algorithm):
                 continue
             reported = remaining
             if cfg.feedback is not None:
-                state = DeliveryState(delivered[c.id], linear_goal(c, start),
-                                      remaining, boost[c.id])
                 reported, boost[c.id] = apply_feedback(
-                    state, c, start, cfg.feedback, cfg.reopt_period_hours)
+                    c, delivered[c.id], boost[c.id], start, cfg.feedback,
+                    cfg.reopt_period_hours)
             planning.append(replace(c, demand=reported))
         plan = None
         if planning:
