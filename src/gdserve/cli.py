@@ -104,7 +104,8 @@ def cmd_serve(args) -> int:
             raise model.GraphDataError(
                 f"plan contract {cid!r} is missing from {args.contracts}")
     planned = [contracts[cid] for cid in plan_ids]
-    server = sim.Server(planned)
+    # No supply nodes: each attribute set is checked against targeting.
+    server = sim.Server(model.AllocationGraph([], planned, []))
     server.replan(plan)
     # Each line is the bytes json.dumps writes for the decision dict
     # {"impression_id", "chosen", "probs", "u"}, put together from the

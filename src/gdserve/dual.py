@@ -146,18 +146,19 @@ def dual_objective(graph: AllocationGraph, alloc: Dict[Edge, float],
     Raises GraphDataError when u_j < 0, an edge fraction is negative, or a
     relaxed demand constraint is violated beyond `tol`.
     """
-    spec = DualObjectiveSpec.from_graph(graph)
+    problem = PlanningProblem.of(graph)
+    spec = DualObjectiveSpec.from_graph(problem)
     for (sid, cid), x in alloc.items():
         if x < -tol:
             raise GraphDataError(f"edge ({sid!r}, {cid!r}): negative allocation {x}")
     total = 0.0
-    for c in graph.contracts:
+    for c, nodes in zip(graph.contracts, problem.index.nodes_of):
         u = underdelivery.get(c.id, 0.0)
         if u < -tol:
             raise GraphDataError(f"contract {c.id}: negative underdelivery {u}")
-        delivered = sum(alloc.get((sid, c.id), 0.0)
-                        * graph.node_by_id[sid].forecast_supply
-                        for sid in graph.nodes_of[c.id])
+        xs = [(problem.supply[i], alloc.get((problem.index.node_ids[i], c.id), 0.0))
+              for i in nodes]
+        delivered = sum(x * s for s, x in xs)
         if delivered + u < c.demand - tol * max(1.0, c.demand):
             raise GraphDataError(
                 f"contract {c.id}: relaxed demand constraint violated "
@@ -166,9 +167,7 @@ def dual_objective(graph: AllocationGraph, alloc: Dict[Edge, float],
         if c.id not in spec.theta:
             continue
         th = spec.theta[c.id]
-        for sid in graph.nodes_of[c.id]:
-            s = graph.node_by_id[sid].forecast_supply
-            x = alloc.get((sid, c.id), 0.0)
+        for s, x in xs:
             total += s * (x - th) ** 2 / th
     return total
 
@@ -305,7 +304,6 @@ def solve_dual_offline(graph: Union[AllocationGraph, PlanningProblem],
 
     A graph is solved as `model.PlanningProblem.of(graph)`, so `gdserve
     plan` and the simulator's re-plans run this one solve over positions.
-    The graph's edges are taken as given (see `model.AllocationGraph`).
     """
     problem = PlanningProblem.of(graph)
     spec = DualObjectiveSpec.from_graph(problem)

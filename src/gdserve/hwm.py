@@ -66,8 +66,7 @@ def generate_hwm_plan(graph: Union[AllocationGraph, PlanningProblem]) -> HwmPlan
     nodes (rate 1 when the demand cannot be met), and the consumed supply is
     deducted before the next contract is handled.  A graph is planned as
     `model.PlanningProblem.of(graph)`, so `gdserve plan` and the simulator's
-    re-plans run this one pass over positions.  The graph's edges are taken
-    as given (see `model.AllocationGraph`).
+    re-plans run this one pass over positions.
     """
     problem = PlanningProblem.of(graph)
     supply, demand = problem.supply, problem.demand

@@ -11,7 +11,7 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional, Protocol,
                     Sequence, Tuple, TypeVar)
@@ -117,9 +117,9 @@ def by_id(kind: str, items: Sequence[T]) -> Dict[str, T]:
 class AllocationGraph:
     """The bipartite forecast graph: supply nodes, contracts, eligibility edges.
 
-    Duplicate supply-node or contract ids raise GraphDataError (`by_id`).
-    The edges are taken as given, by the planners too; `build_graph`
-    derives them from targeting.
+    Duplicate supply-node or contract ids raise GraphDataError (`by_id`),
+    and so does an edge that names no node or no contract of the graph, or
+    that is listed twice.  `build_graph` derives the edges from targeting.
 
     Treat as immutable once built; it can then be shared freely across
     serving threads.  Re-plans neither copy nor change it: a run builds one
@@ -130,21 +130,17 @@ class AllocationGraph:
     supply_nodes: List[SupplyNode]
     contracts: List[Contract]
     edges: List[Edge]
-    node_by_id: Dict[str, SupplyNode] = field(init=False, repr=False)
-    contract_by_id: Dict[str, Contract] = field(init=False, repr=False)
-    contracts_of: Dict[str, List[str]] = field(init=False, repr=False)
-    nodes_of: Dict[str, List[str]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.contract_by_id = by_id("contract", self.contracts)
-        self.node_by_id = by_id("supply node", self.supply_nodes)
-        self.contracts_of = {n.id: [] for n in self.supply_nodes}
-        self.nodes_of = {c.id: [] for c in self.contracts}
+        contracts = by_id("contract", self.contracts)
+        nodes = by_id("supply node", self.supply_nodes)
         for sid, cid in self.edges:
-            if sid in self.contracts_of:
-                self.contracts_of[sid].append(cid)
-            if cid in self.nodes_of:
-                self.nodes_of[cid].append(sid)
+            if sid not in nodes or cid not in contracts:
+                what = "supply node" if sid not in nodes else "contract"
+                raise GraphDataError(f"edge ({sid!r}, {cid!r}) names no {what} of the graph")
+        if len(set(self.edges)) != len(self.edges):
+            twice = next(e for e, n in Counter(self.edges).items() if n > 1)
+            raise GraphDataError(f"edge {twice!r} is listed twice")
 
 
 class PlanningIndex:
@@ -153,8 +149,7 @@ class PlanningIndex:
 
     `nodes_of[j]` lists the positions of contract j's supply nodes and
     `contracts_of[i]` those of node i's contracts, each in the graph's edge
-    order, as `AllocationGraph.nodes_of` and `contracts_of` list the ids.
-    An edge naming no node or no contract of the graph is left out.
+    order.
     """
 
     def __init__(self, graph: AllocationGraph):
@@ -165,10 +160,9 @@ class PlanningIndex:
         self.nodes_of: List[List[int]] = [[] for _ in self.contracts]
         self.contracts_of: List[List[int]] = [[] for _ in self.node_ids]
         for sid, cid in graph.edges:
-            i, j = node_pos.get(sid), contract_pos.get(cid)
-            if i is not None and j is not None:
-                self.nodes_of[j].append(i)
-                self.contracts_of[i].append(j)
+            i, j = node_pos[sid], contract_pos[cid]
+            self.nodes_of[j].append(i)
+            self.contracts_of[i].append(j)
 
 
 @dataclass(frozen=True)
@@ -226,16 +220,19 @@ def forecast_allocation(graph: AllocationGraph, plan: ServingPlan
     its probability at node i.  The fractions are sparse: an edge that is
     absent has x = 0.  No sampling is involved.
     """
+    problem = PlanningProblem.of(graph)
+    index = problem.index
+    ids = [c.id for c in index.contracts]
     values = {}
-    delivered = {c.id: 0.0 for c in graph.contracts}
-    for node in graph.supply_nodes:
-        cids = [cid for cid in graph.contracts_of[node.id] if cid in plan]
+    delivered = dict.fromkeys(ids, 0.0)
+    for sid, s, js in zip(index.node_ids, problem.supply, index.contracts_of):
+        cids = [ids[j] for j in js if ids[j] in plan]
         if not cids:
             continue
         for cid, p in plan.effective_probs(cids):
             if p > 0.0:
-                values[(node.id, cid)] = p
-                delivered[cid] += node.forecast_supply * p
+                values[(sid, cid)] = p
+                delivered[cid] += s * p
     return values, delivered
 
 
@@ -255,20 +252,19 @@ def check_feasibility(graph: AllocationGraph, alloc: Dict[Edge, float],
     demand_slack[j] = sum_i x_ij * s_i - d_j   (feasible iff >= -tol)
     supply_excess[i] = sum_j x_ij - 1          (feasible iff <= tol)
     """
-    for sid, cid in alloc:
-        if (sid not in graph.node_by_id or cid not in graph.contract_by_id
-                or cid not in graph.contracts_of.get(sid, [])):
-            raise GraphDataError(f"allocation references unknown edge ({sid!r}, {cid!r})")
-    demand_slack = {}
-    for c in graph.contracts:
-        delivered = sum(alloc.get((sid, c.id), 0.0)
-                        * graph.node_by_id[sid].forecast_supply
-                        for sid in graph.nodes_of[c.id])
-        demand_slack[c.id] = delivered - c.demand
-    supply_excess = {}
-    for node in graph.supply_nodes:
-        total = sum(alloc.get((node.id, cid), 0.0) for cid in graph.contracts_of[node.id])
-        supply_excess[node.id] = total - 1.0
+    edges = set(graph.edges)
+    for edge in alloc:
+        if edge not in edges:
+            raise GraphDataError(f"allocation references unknown edge {edge!r}")
+    supply = {n.id: n.forecast_supply for n in graph.supply_nodes}
+    delivered = {c.id: 0.0 for c in graph.contracts}
+    used = {n.id: 0.0 for n in graph.supply_nodes}
+    for sid, cid in graph.edges:
+        x = alloc.get((sid, cid), 0.0)
+        delivered[cid] += x * supply[sid]
+        used[sid] += x
+    demand_slack = {c.id: delivered[c.id] - c.demand for c in graph.contracts}
+    supply_excess = {sid: total - 1.0 for sid, total in used.items()}
     negative = sorted(edge for edge, x in alloc.items() if x < -tol)
     feasible = (all(s >= -tol for s in demand_slack.values())
                 and all(e <= tol for e in supply_excess.values())

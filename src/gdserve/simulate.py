@@ -91,9 +91,8 @@ from .dual import solve_dual_offline
 from .feedback import FeedbackConfig, apply_feedback, linear_goal
 from .hwm import HwmEntry, HwmPlan, generate_hwm_plan
 from .kernels import draw_index
-from .model import (AllocationGraph, Contract, PlanningIndex, PlanningProblem,
-                    ServingPlan, line_blocks, parse_lines, parse_ts,
-                    record_attributes, record_number)
+from .model import (AllocationGraph, PlanningIndex, PlanningProblem, ServingPlan,
+                    line_blocks, parse_lines, parse_ts, record_attributes, record_number)
 
 
 class SimulationError(ValueError):
@@ -389,14 +388,15 @@ class Server:
     """Serving state of one run: eligibility, flight phases and one plan.
 
     Eligible contract ids per attribute set are built once: a set that
-    matches a supply node of `graph` takes the node's edges
-    (`graph.contracts_of`), and any other set is evaluated against the
-    targeting of every contract in `contracts` the first time it is seen.
-    Ids come in no particular order; `effective_probs` orders them.  The
-    flight phases are the intervals between `instants`, the sorted
-    distinct start and end instants of `contracts`; no contract enters or
-    leaves its flight inside one, and phase p, `bisect_right(instants,
-    ts)`, holds the times from `instants[p - 1]` to before `instants[p]`.
+    matches a supply node of `graph` takes the node's edges, in edge order
+    (of nodes with equal attributes, the last), and any other set is
+    evaluated against the targeting of every contract of `graph` the first
+    time it is seen.  Ids come in no particular order; `effective_probs`
+    orders them.  The flight phases are the intervals between `instants`,
+    the sorted distinct start and end instants of the contracts; no
+    contract enters or leaves its flight inside one, and phase p,
+    `bisect_right(instants, ts)`, holds the times from `instants[p - 1]`
+    to before `instants[p]`.
     The eligible ids of a set that are in flight in a phase are kept for
     the run, from the pair's first visit on, so `Contract.in_flight` runs
     once per (set, eligible contract, phase).
@@ -413,14 +413,14 @@ class Server:
     serve` keeps the slots of the last row's phase.
     """
 
-    def __init__(self, contracts: Iterable[Contract],
-                 graph: Optional[AllocationGraph] = None):
-        self._contracts = list(contracts)
+    def __init__(self, graph: AllocationGraph):
+        self._contracts = list(graph.contracts)
         self._contract = {c.id: c for c in self._contracts}
-        self._ids: Dict[AttrsKey, List[str]] = {}
-        if graph is not None:
-            for n in graph.supply_nodes:
-                self._ids[attrs_key(n.attributes)] = graph.contracts_of[n.id]
+        ids_of = {n.id: [] for n in graph.supply_nodes}
+        for sid, cid in graph.edges:
+            ids_of[sid].append(cid)
+        self._ids: Dict[AttrsKey, List[str]] = {
+            attrs_key(n.attributes): ids_of[n.id] for n in graph.supply_nodes}
         self.instants = sorted({t for c in self._contracts for t in (c.start, c.end)})
         # The eligible ids in flight per (set key, phase) visited.
         self._flying: Dict[Tuple[AttrsKey, int], List[str]] = {}
@@ -540,7 +540,9 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
     runs set one) sees every call."""
     if not graph.contracts:
         raise SimulationError("no contracts to simulate")
-    unknown = sorted(set(cfg.per_node_error or ()) - set(graph.node_by_id))
+    # Re-plans restate supply and demand vectors over one index of the graph.
+    planning = PlanningIndex(graph)
+    unknown = sorted(set(cfg.per_node_error or ()) - set(planning.node_ids))
     if unknown:
         raise SimulationError("forecast_error_per_node names no supply node: "
                               + ", ".join(unknown))
@@ -570,9 +572,6 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
         raise SimulationError(
             f"impression {stream.ids[i]} at {ts[i].isoformat()} is out of order")
 
-    # Re-plans restate supply and demand vectors over one index of the graph.
-    planning = PlanningIndex(graph)
-
     # The stream is sorted, so cycle k is the index range
     # [starts[k], starts[k + 1]); counts[k][i] is supply node i's impressions
     # in it, and supply_from[k][i] those from cycle k on, as floats.
@@ -593,7 +592,7 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
     multipliers = [per_node.get(nid, cfg.forecast_error_multiplier)
                    for nid in planning.node_ids]
 
-    server = Server(graph.contracts, graph)
+    server = Server(graph)
     booked_of = {c.id: c.booked_demand for c in graph.contracts}
     n_sets = len(keys)
     delivered: Dict[str, float] = {c.id: 0.0 for c in graph.contracts}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from datetime import datetime, timedelta
 from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +32,21 @@ def decide(plan, eligible_ids, u):
     probs = plan.effective_probs(eligible_ids)
     sel = kernels.draw_index(list(accumulate(p for _, p in probs)), u)
     return probs[sel][0] if sel >= 0 else None
+
+
+def graph_maps(graph):
+    """The id lookups and id-keyed neighbour lists of `graph`, read straight
+    from its lists, not through the code under test: `node_by_id`,
+    `contract_by_id`, and `contracts_of[node id]` and `nodes_of[contract
+    id]`, each in edge order."""
+    contracts_of = {n.id: [] for n in graph.supply_nodes}
+    nodes_of = {c.id: [] for c in graph.contracts}
+    for sid, cid in graph.edges:
+        contracts_of[sid].append(cid)
+        nodes_of[cid].append(sid)
+    return SimpleNamespace(node_by_id={n.id: n for n in graph.supply_nodes},
+                           contract_by_id={c.id: c for c in graph.contracts},
+                           contracts_of=contracts_of, nodes_of=nodes_of)
 
 
 def forecast_replay(graph, plan):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gdserve import dual, kernels, model, simulate as sim
-from conftest import FLIGHT_START, forecast_replay, make_contract
+from conftest import FLIGHT_START, forecast_replay, graph_maps, make_contract
 from _qp_oracle import (QpInstance, kkt_residuals, random_instance,
                         solve_reference)
 
@@ -106,10 +106,11 @@ class TestOfflineSolver:
         # The full solve converges and satisfies the exit contract.
         plan = dual.solve_dual_offline(g)
         alloc, under = forecast_replay(g, plan)
+        contract_by_id = graph_maps(g).contract_by_id
         for e in plan.entries:
             delivered = sum(alloc.get((nid, e.contract_id), 0.0) * n.forecast_supply
                             for nid, n in zip(["a", "b"], nodes))
-            d = g.contract_by_id[e.contract_id].demand
+            d = contract_by_id[e.contract_id].demand
             assert (delivered >= d * (1 - 1e-6)
                     or e.alpha >= e.penalty / 2 - 1e-6)
 
@@ -202,7 +203,7 @@ class TestServe:
         plan = dual.solve_dual_offline(graph)
         probs = plan.effective_probs(["c2", "c1"])
         assert [cid for cid, _ in probs] == ["c1", "c2"]
-        server = sim.Server(contracts, graph)
+        server = sim.Server(graph)
         server.replan(plan)
         attrs, ts = {"x": "1"}, FLIGHT_START
         ids, ps, cum = server.entry(sim.attrs_key(attrs), attrs, ts)
@@ -225,8 +226,9 @@ def _reference_ascent(graph, step, tol=1e-6, max_iters=10000):
     alpha = {c.id: 0.0 for c in included}
     history = {cid: [0.0] for cid in alpha}
     views = {c.id: [] for c in included}
+    contracts_of = graph_maps(graph).contracts_of
     for n in graph.supply_nodes:
-        lst = [cid for cid in graph.contracts_of[n.id] if cid in alpha]
+        lst = [cid for cid in contracts_of[n.id] if cid in alpha]
         if lst and n.forecast_supply > 0:
             ths = [spec.theta[cid] for cid in lst]
             for slot, cid in enumerate(lst):
@@ -292,11 +294,12 @@ def _knot_reference(graph, tol=1e-6, max_iters=10000):
 def _knot_nodes(graph, theta, alpha, cid):
     """(s_i, the (1 + alpha_k, theta_k, k) of the node's planned contracts,
     cid's own included, sorted afresh) per node of cid."""
-    return [(float(graph.node_by_id[nid].forecast_supply),
-             sorted((1.0 + alpha[k], theta[k], k) for k in graph.contracts_of[nid]
+    m = graph_maps(graph)
+    return [(float(m.node_by_id[nid].forecast_supply),
+             sorted((1.0 + alpha[k], theta[k], k) for k in m.contracts_of[nid]
                     if k in theta))
-            for nid in graph.nodes_of[cid]
-            if graph.node_by_id[nid].forecast_supply > 0]
+            for nid in m.nodes_of[cid]
+            if m.node_by_id[nid].forecast_supply > 0]
 
 
 def _curve(knots, a):
@@ -385,7 +388,7 @@ class TestExactStep:
                 # left end and bisection a point that rounding picks.
                 knots = dual.delivery_knots(
                     cid, spec.theta[cid], _knot_nodes(g, spec.theta, alpha, cid))
-                d = g.contract_by_id[cid].demand
+                d = graph_maps(g).contract_by_id[cid].demand
                 assert a < ref[cid]
                 assert _curve(knots, a) == pytest.approx(d, rel=1e-9)
                 assert _curve(knots, ref[cid]) == pytest.approx(d, rel=1e-9)
@@ -472,14 +475,15 @@ class TestKeptOrder:
             # crossings the solve computes, not read from the solve.
             alpha = {cid: 0.0 for cid in theta}
             stepping = []
+            contracts_of = graph_maps(g).contracts_of
 
             def checked_knots(j, theta_j, nodes):
                 expected = [
                     (float(n.forecast_supply),
                      sorted((1.0 + alpha[k], theta[k], k)
-                            for k in g.contracts_of[n.id] if k in theta))
+                            for k in contracts_of[n.id] if k in theta))
                     for n in g.supply_nodes
-                    if j in g.contracts_of[n.id] and n.forecast_supply > 0]
+                    if j in contracts_of[n.id] and n.forecast_supply > 0]
                 assert [(s, sorted(order)) for s, order in nodes] == expected
                 for _, order in nodes:
                     walk = [(c, t) for c, t, k in reversed(order) if k != j]

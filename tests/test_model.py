@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import re
 
 import pytest
 
 from gdserve import cli, dual, hwm, model, simulate
+from gdserve.scenario import demo_graph
 from conftest import make_contract
 
 
@@ -24,6 +26,32 @@ class TestAllocationGraph:
                      make_contract("c1", "x = 2", 5)]
         with pytest.raises(model.GraphDataError, match="duplicate contract ids: c1$"):
             model.AllocationGraph(nodes[:1], contracts, [])
+
+    def test_edge_naming_no_node_or_contract(self):
+        # Planning and serving read the edges through separate structures,
+        # so an edge they could read differently fails where it is built.
+        g = demo_graph()
+        with pytest.raises(model.GraphDataError,
+                           match=r"^edge \('ca_male', 'ghost'\) names no contract"):
+            model.AllocationGraph(g.supply_nodes, g.contracts,
+                                  g.edges + [("ca_male", "ghost")])
+        with pytest.raises(model.GraphDataError,
+                           match=r"^edge \('ghost', 'age5'\) names no supply node"):
+            model.AllocationGraph(g.supply_nodes, g.contracts,
+                                  [("ghost", "age5")] + g.edges)
+
+    def test_edge_listed_twice(self):
+        # A repeated edge would count its node's supply twice in a
+        # contract's eligible supply (700 in place of 640 for age5).
+        g = demo_graph()
+        with pytest.raises(model.GraphDataError,
+                           match=r"^edge \('ca_male', 'age5'\) is listed twice$"):
+            model.AllocationGraph(g.supply_nodes, g.contracts,
+                                  g.edges + [("ca_male", "age5")])
+
+    def test_holds_only_its_data(self):
+        assert ([f.name for f in dataclasses.fields(model.AllocationGraph)]
+                == ["supply_nodes", "contracts", "edges"])
 
 
 class TestFeasibility:

@@ -14,7 +14,7 @@ import pytest
 from gdserve import dual, hwm, kernels, model, simulate as sim
 from gdserve.feedback import FeedbackConfig
 from gdserve.scenario import ScenarioSpec, generate_scenario
-from conftest import FLIGHT_START, make_contract
+from conftest import FLIGHT_START, graph_maps, make_contract
 from test_dual import _edge_cases_graph
 
 
@@ -70,18 +70,19 @@ def cases():
 def reference_hwm(graph):
     """The HWM pass written over the graph's ids, as it was before the
     planners read positions: (id, eligible supply, alpha) per entry."""
-    eligible = {c.id: sum(graph.node_by_id[sid].forecast_supply
-                          for sid in graph.nodes_of[c.id]) for c in graph.contracts}
+    m = graph_maps(graph)
+    eligible = {c.id: sum(m.node_by_id[sid].forecast_supply
+                          for sid in m.nodes_of[c.id]) for c in graph.contracts}
     remaining = {n.id: float(n.forecast_supply) for n in graph.supply_nodes}
     entries = []
     for c in sorted(graph.contracts, key=lambda c: (eligible[c.id], c.id)):
         alpha = 1.0
-        if graph.nodes_of[c.id]:
-            rem = [remaining[sid] for sid in graph.nodes_of[c.id]]
-            sup = [float(graph.node_by_id[sid].forecast_supply)
-                   for sid in graph.nodes_of[c.id]]
+        if m.nodes_of[c.id]:
+            rem = [remaining[sid] for sid in m.nodes_of[c.id]]
+            sup = [float(m.node_by_id[sid].forecast_supply)
+                   for sid in m.nodes_of[c.id]]
             alpha = kernels.solve_rate(rem, sup, float(c.demand))
-            for sid, s in zip(graph.nodes_of[c.id], sup):
+            for sid, s in zip(m.nodes_of[c.id], sup):
                 remaining[sid] -= min(remaining[sid], s * alpha)
         entries.append((c.id, float(eligible[c.id]).hex(), alpha.hex()))
     return entries
@@ -90,8 +91,9 @@ def reference_hwm(graph):
 def reference_theta(graph):
     """DUAL's target fractions over the graph's ids: demand over eligible
     supply, for the contracts that have any."""
-    totals = {c.id: sum(graph.node_by_id[sid].forecast_supply
-                        for sid in graph.nodes_of[c.id]) for c in graph.contracts}
+    m = graph_maps(graph)
+    totals = {c.id: sum(m.node_by_id[sid].forecast_supply
+                        for sid in m.nodes_of[c.id]) for c in graph.contracts}
     return {c.id: c.demand / totals[c.id] for c in graph.contracts if totals[c.id] > 0}
 
 
@@ -112,14 +114,15 @@ class TestIndex:
             graph = model.AllocationGraph(graph.supply_nodes, graph.contracts,
                                           graph.edges[::-1])
             index = model.PlanningIndex(graph)
+            m = graph_maps(graph)
             assert index.node_ids == [n.id for n in graph.supply_nodes]
             assert index.contracts == graph.contracts
             for j, c in enumerate(graph.contracts):
                 assert ([index.node_ids[i] for i in index.nodes_of[j]]
-                        == graph.nodes_of[c.id])
+                        == m.nodes_of[c.id])
             for i, nid in enumerate(index.node_ids):
                 assert ([index.contracts[j].id for j in index.contracts_of[i]]
-                        == graph.contracts_of[nid])
+                        == m.contracts_of[nid])
         assert model.PlanningIndex(edge_cases_graph()).nodes_of[-1] == []   # the orphan
 
     def test_problem_of_graph(self):
@@ -140,7 +143,8 @@ class TestSamePlans:
         for graph, problem in cases():
             plan = dual.solve_dual_offline(graph)
             excluded += len(plan.diagnostics)
-            no_nodes += any(not graph.nodes_of[c.id] for c in graph.contracts)
+            nodes_of = graph_maps(graph).nodes_of
+            no_nodes += any(not nodes_of[c.id] for c in graph.contracts)
             zero_supply += any(n.forecast_supply == 0 for n in graph.supply_nodes)
         assert excluded and no_nodes and zero_supply
 

@@ -18,7 +18,7 @@ from gdserve.dual import DualPlan, solve_dual_offline
 from gdserve.kernels import draw_index
 from gdserve.feedback import FeedbackConfig, apply_feedback, linear_goal
 from gdserve.scenario import ScenarioSpec, generate_scenario
-from conftest import FLIGHT_START, make_contract
+from conftest import FLIGHT_START, graph_maps, make_contract
 from _scenarios import daily_reopt_config, sold_out_future, uniform_single_contract
 
 
@@ -276,7 +276,7 @@ class TestEligibility:
         graph, events, _ = self.scenario()
         # A plan holding every other contract exercises the membership filter.
         plan = hwm.HwmPlan([hwm.HwmEntry(c.id, 1.0, 0.5) for c in graph.contracts[::2]])
-        server = sim.Server(graph.contracts, graph)
+        server = sim.Server(graph)
         server.replan(plan)
         for ev in events:
             # The same set with its attributes inserted in reverse order.
@@ -382,7 +382,7 @@ class TestServer:
                 evaluated[tuple(cids)] += 1
                 return plan.effective_probs(cids)
 
-        server = sim.Server(graph.contracts, graph)
+        server = sim.Server(graph)
         server.replan(Counting())
         for i, ev in enumerate(events):
             ids, probs, cum = server.entry(sim.attrs_key(ev.attributes), ev.attributes,
@@ -400,7 +400,7 @@ class TestServer:
     def test_replan_restores_a_dropped_contract(self):
         graph, events = self.scenario()
         plan = hwm.generate_hwm_plan(graph)
-        server = sim.Server(graph.contracts, graph)
+        server = sim.Server(graph)
         server.replan(plan)
         visits = [(sim.attrs_key(ev.attributes), ev.attributes, ev.ts) for ev in events]
         visit = next(v for v in visits if len(server.entry(*v)[0]) >= 2)
@@ -414,7 +414,7 @@ class TestServer:
         graph, events = self.scenario()
         first = hwm.generate_hwm_plan(graph)
         second = hwm.HwmPlan([replace(e, alpha=e.alpha / 2) for e in first.entries])
-        server = sim.Server(graph.contracts, graph)
+        server = sim.Server(graph)
         server.replan(first)
         visits = [(sim.attrs_key(ev.attributes), ev.attributes, ev.ts) for ev in events]
         before = [server.entry(*v) for v in visits]
@@ -484,7 +484,7 @@ class TestServer:
                 slices.append(tuple(cids))
                 return plan.effective_probs(cids)
 
-        server = sim.Server(graph.contracts, graph)
+        server = sim.Server(graph)
         server.replan(Counting())
         visits = [(sim.attrs_key(ev.attributes), ev.attributes, ev.ts) for ev in events]
         held = [server.entry(*visit) for visit in visits]
@@ -937,6 +937,7 @@ def reference_run(graph, events, cfg, algorithm):
 
     counts = [Counter(node_of(ev.attributes) for _, ev in bucket) for bucket in buckets]
     contracts = graph.contracts
+    m = graph_maps(graph)
     instants = sorted({t for c in contracts for t in (c.start, c.end)})
     delivered = {c.id: 0.0 for c in contracts}
     boost = {c.id: False for c in contracts}
@@ -949,7 +950,7 @@ def reference_run(graph, events, cfg, algorithm):
         if not 0 <= k < n_cycles:
             return {}
         hours = (bounds[k + 1] - bounds[k]).total_seconds() / 3600.0
-        return {c.id: sum(counts[k][nid] for nid in graph.nodes_of[c.id]) / hours
+        return {c.id: sum(counts[k][nid] for nid in m.nodes_of[c.id]) / hours
                 for c in contracts}
 
     for k, bucket in enumerate(buckets):
@@ -1006,14 +1007,14 @@ def reference_run(graph, events, cfg, algorithm):
                     if sel >= 0:
                         cid = probs[sel][0]
                         delivered[cid] += 1.0
-                        if delivered[cid] >= graph.contract_by_id[cid].booked_demand:
+                        if delivered[cid] >= m.contract_by_id[cid].booked_demand:
                             capped_at[cid] = ev.ts
                 else:
                     for cid, p in probs:
                         if p > 0.0:
                             contribs[cid].append(p)
             for c in planning:
-                booked = graph.contract_by_id[c.id].booked_demand
+                booked = m.contract_by_id[c.id].booked_demand
                 delivered[c.id] = min(booked, delivered[c.id] + math.fsum(contribs[c.id]))
         for c in contracts:
             if c.start <= end <= c.end:
@@ -1050,11 +1051,12 @@ class TestRangeServingMatchesReference:
                                      .attributes)
                  for i, t in enumerate(edges) for j in range(3)]
         # On each flight's start and end, visits from each of its nodes.
+        m = graph_maps(graph)
         extra += [sim.ImpressionEvent(f"{c.id}-{which}-{nid}", t,
-                                      graph.node_by_id[nid].attributes)
+                                      m.node_by_id[nid].attributes)
                   for c in graph.contracts
                   for which, t in (("start", c.start), ("end", c.end))
-                  for nid in graph.nodes_of[c.id]]
+                  for nid in m.nodes_of[c.id]]
         stream = sorted((ev for ev in events + extra
                          if not empty[0] <= ev.ts < empty[1]), key=lambda ev: ev.ts)
         # Flight starts or ends strictly inside a cycle, with visits on them.
@@ -1294,9 +1296,10 @@ class TestScenarioGeneration:
         spec = ScenarioSpec(num_contracts=8, num_attributes=3, seed=13,
                             contention="high", days=2, daily_traffic=500)
         graph, _ = generate_scenario(spec)
+        nodes_of = graph_maps(graph).nodes_of
         for c in graph.contracts:
-            mine = set(graph.nodes_of[c.id])
-            assert any(mine & set(graph.nodes_of[other.id])
+            mine = set(nodes_of[c.id])
+            assert any(mine & set(nodes_of[other.id])
                        for other in graph.contracts if other.id != c.id), c.id
 
     def test_flight_mix_produces_flights_within_horizon(self):
