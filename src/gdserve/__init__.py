@@ -14,9 +14,9 @@ from .targeting import (TargetingSyntaxError, build_edges, eligible,
                         parse_targeting, unparse)
 from .hwm import (HwmEntry, HwmPlan, generate_hwm_plan, load_hwm_plan,
                   save_hwm_plan)
-from .dual import (DualConvergenceError, DualEntry, DualObjectiveSpec, DualPlan,
-                   dual_objective, load_dual_plan, reconstruct_primal,
-                   save_dual_plan, solve_dual_offline)
+from .dual import (DualConvergenceError, DualEntry, DualPlan, dual_objective,
+                   load_dual_plan, reconstruct_primal, save_dual_plan,
+                   solve_dual_offline)
 from .feedback import FeedbackConfig, apply_feedback, hours_behind, linear_goal
 from .metrics import (MetricsError, TimeseriesRow, build_smoothness,
                       delivery_improvement, nearest_rank, smoothness_quantile,

@@ -57,38 +57,26 @@ from .model import (AllocationGraph, Edge, GraphDataError, PlanningProblem,
                     read_plan_file, record_number)
 
 
+TOL = 1e-6              # the solve's convergence tolerance (see solve_dual_offline)
+MAX_SWEEPS = 10_000     # the sweeps a solve may run before it gives up
+
+
 class DualConvergenceError(RuntimeError):
-    """Offline solve failed to converge; carries the worst violation."""
-
-    def __init__(self, message: str, worst_contract: str, worst_violation: float):
-        super().__init__(message)
-        self.worst_contract = worst_contract
-        self.worst_violation = worst_violation
+    """The offline solve did not converge within `MAX_SWEEPS` sweeps; the
+    message names the worst contract and its relative shortfall."""
 
 
-@dataclass(frozen=True)
-class DualObjectiveSpec:
-    """Objective data: target fraction and underdelivery price per contract."""
-
-    theta: Dict[str, float]
-    penalty: Dict[str, float]
-
-    @classmethod
-    def from_graph(cls, graph: Union[AllocationGraph, PlanningProblem]
-                   ) -> "DualObjectiveSpec":
-        """The spec of every live contract of `model.PlanningProblem.of(graph)`;
-        one with no eligible forecast supply has a price but no theta."""
-        problem = PlanningProblem.of(graph)
-        contracts = problem.index.contracts
-        theta = {}
-        penalty = {}
-        for j, demand in problem.demand.items():
-            c = contracts[j]
-            total = problem.eligible_supply(j)
-            if total > 0:
-                theta[c.id] = demand / total
-            penalty[c.id] = c.penalty
-        return cls(theta, penalty)
+def target_fractions(graph: Union[AllocationGraph, PlanningProblem]) -> Dict[str, float]:
+    """theta_j = d_j / (j's eligible forecast supply) for each live contract
+    of `model.PlanningProblem.of(graph)` that has some eligible supply."""
+    problem = PlanningProblem.of(graph)
+    contracts = problem.index.contracts
+    theta = {}
+    for j, demand in problem.demand.items():
+        total = problem.eligible_supply(j)
+        if total > 0:
+            theta[contracts[j].id] = demand / total
+    return theta
 
 
 @dataclass(frozen=True)
@@ -97,6 +85,12 @@ class DualEntry:
     theta: float
     alpha: float
     penalty: float
+
+    def __post_init__(self):
+        if self.theta <= 0 or self.penalty <= 0:
+            raise ValueError("theta and penalty must be positive")
+        if not 0.0 <= self.alpha <= self.penalty / 2.0:
+            raise ValueError(f"alpha {self.alpha} is outside [0, penalty/2]")
 
 
 @dataclass(frozen=True)
@@ -147,7 +141,7 @@ def dual_objective(graph: AllocationGraph, alloc: Dict[Edge, float],
     relaxed demand constraint is violated beyond `tol`.
     """
     problem = PlanningProblem.of(graph)
-    spec = DualObjectiveSpec.from_graph(problem)
+    theta = target_fractions(problem)
     for (sid, cid), x in alloc.items():
         if x < -tol:
             raise GraphDataError(f"edge ({sid!r}, {cid!r}): negative allocation {x}")
@@ -163,10 +157,10 @@ def dual_objective(graph: AllocationGraph, alloc: Dict[Edge, float],
             raise GraphDataError(
                 f"contract {c.id}: relaxed demand constraint violated "
                 f"({delivered:.6g} + {u:.6g} < {c.demand:.6g})")
-        total += spec.penalty[c.id] * u
-        if c.id not in spec.theta:
+        total += c.penalty * u
+        if c.id not in theta:
             continue
-        th = spec.theta[c.id]
+        th = theta[c.id]
         for s, x in xs:
             total += s * (x - th) ** 2 / th
     return total
@@ -267,20 +261,20 @@ def _first_crossing(knots: Sequence[Tuple[float, float]], demand: float,
     return min(max(root, 0.0), hi)
 
 
-def solve_dual_offline(graph: Union[AllocationGraph, PlanningProblem],
-                       tol: float = 1e-6, max_iters: int = 10000) -> DualPlan:
+def solve_dual_offline(graph: Union[AllocationGraph, PlanningProblem]) -> DualPlan:
     """Compute per-contract dual values by cyclic coordinate ascent.
 
     For each contract in turn the dual is set to the smallest value at which
     the reconstructed expected delivery over the forecast meets the demand,
     clamped to [0, penalty/2]; the value is found exactly by a breakpoint
     scan over the knots of the delivery curve (`delivery_knots`).  Sweeps
-    repeat until the largest per-contract change falls below `tol`.  On
-    return every contract either delivers at least d_j * (1 - tol) in
+    repeat until the largest per-contract change falls below `TOL`.  On
+    return every contract either delivers at least d_j * (1 - TOL) in
     reconstruction or sits at the cap (its underdelivery is priced at the
-    penalty); otherwise DualConvergenceError is raised with the worst
-    violator.  The plan's `stats` record the sweeps run, the coordinate
-    steps computed, the contracts at the cap and the final worst residual.
+    penalty); a solve that does not get there within `MAX_SWEEPS` sweeps
+    raises DualConvergenceError, naming the worst violator.  The plan's
+    `stats` record the sweeps run, the coordinate steps computed, the
+    contracts at the cap and the final worst residual.
 
     The solve starts from alpha = 0 and skips the step of a contract whose
     dual already sits at its cap.  The skip is exact: with the other duals
@@ -306,22 +300,23 @@ def solve_dual_offline(graph: Union[AllocationGraph, PlanningProblem],
     plan` and the simulator's re-plans run this one solve over positions.
     """
     problem = PlanningProblem.of(graph)
-    spec = DualObjectiveSpec.from_graph(problem)
-    theta = spec.theta
+    theta = target_fractions(problem)
     contracts = problem.index.contracts
     diagnostics = []
     included: List[Tuple[str, float]] = []      # (id, demand), by id
     planned = set()                             # their positions
+    penalty = {}
     for j, d in problem.demand.items():
-        cid = contracts[j].id
-        if cid in theta:
-            included.append((cid, float(d)))
+        c = contracts[j]
+        if c.id in theta:
+            included.append((c.id, float(d)))
             planned.add(j)
+            penalty[c.id] = c.penalty
         else:
             diagnostics.append(
-                f"contract {cid}: no eligible forecast supply; excluded from plan")
+                f"contract {c.id}: no eligible forecast supply; excluded from plan")
     included.sort()
-    cap = {cid: spec.penalty[cid] / 2.0 for cid, _ in included}
+    cap = {cid: penalty[cid] / 2.0 for cid, _ in included}
     alpha = {cid: 0.0 for cid, _ in included}
 
     # Per-node (supply, planned contracts, thetas) for delivery evaluation,
@@ -343,7 +338,7 @@ def solve_dual_offline(graph: Union[AllocationGraph, PlanningProblem],
 
     def worst_violation() -> Tuple[str, float]:
         # Complementarity residual: a contract must either deliver d_j within
-        # tol*d_j or sit at the cap (underdelivery priced at the penalty).
+        # TOL*d_j or sit at the cap (underdelivery priced at the penalty).
         # Each node is evaluated once; a contract's delivery adds s * x over
         # its nodes in node order.
         delivered = {cid: 0.0 for cid, _ in included}
@@ -352,7 +347,7 @@ def solve_dual_offline(graph: Union[AllocationGraph, PlanningProblem],
                 delivered[cid] += s * x
         cid_w, rel_w = "", 0.0
         for cid, d in included:
-            if alpha[cid] >= cap[cid] - tol:
+            if alpha[cid] >= cap[cid] - TOL:
                 continue
             short = max(0.0, d - delivered[cid])
             rel = short / d
@@ -362,7 +357,7 @@ def solve_dual_offline(graph: Union[AllocationGraph, PlanningProblem],
 
     converged = False
     steps = 0
-    for sweeps in range(1, max_iters + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         max_change = 0.0
         for cid, d in included:
             hi = cap[cid]
@@ -378,22 +373,21 @@ def solve_dual_offline(graph: Union[AllocationGraph, PlanningProblem],
                 for _, order in orders[cid]:
                     del order[bisect_left(order, was)]
                     insort(order, now)
-        if max_change < tol:
+        if max_change < TOL:
             _, rel_w = worst_violation()
-            if rel_w <= tol:
+            if rel_w <= TOL:
                 converged = True
                 break
 
     if not converged:
         cid_w, rel_w = worst_violation()
         raise DualConvergenceError(
-            f"dual solve did not converge within {max_iters} sweeps; "
-            f"worst contract {cid_w or 'n/a'} short by {rel_w:.3g} of demand",
-            cid_w, rel_w)
+            f"dual solve did not converge within {MAX_SWEEPS} sweeps; "
+            f"worst contract {cid_w or 'n/a'} short by {rel_w:.3g} of demand")
 
-    entries = [DualEntry(cid, theta[cid], alpha[cid], spec.penalty[cid])
+    entries = [DualEntry(cid, theta[cid], alpha[cid], penalty[cid])
                for cid, _ in included]
-    capped = sum(1 for cid, _ in included if alpha[cid] >= cap[cid] - tol)
+    capped = sum(1 for cid, _ in included if alpha[cid] >= cap[cid] - TOL)
     return DualPlan(entries, diagnostics, DualSolveStats(sweeps, steps, capped, rel_w))
 
 
@@ -409,10 +403,6 @@ def _dual_entry(rec) -> DualEntry:
     theta = float(record_number(rec, "theta"))
     alpha = float(record_number(rec, "alpha"))
     penalty = float(record_number(rec, "penalty", 10.0))
-    if theta <= 0 or penalty <= 0:
-        raise ValueError("theta and penalty must be positive")
-    if not 0.0 <= alpha <= penalty / 2.0:
-        raise ValueError(f"alpha {alpha} is outside [0, penalty/2]")
     return DualEntry(str(rec["contract_id"]), theta, alpha, penalty)
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, Union
 
 from . import kernels
-from .model import AllocationGraph, PlanningProblem, read_plan_file, record_number
+from .model import (AllocationGraph, PlanningProblem, json_number, read_plan_file,
+                    record_number)
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,12 @@ class HwmEntry:
     contract_id: str
     eligible_supply: float
     alpha: float
+
+    def __post_init__(self):
+        if self.eligible_supply < 0:
+            raise ValueError(f"eligible_supply {self.eligible_supply} is negative")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha {self.alpha} is outside [0, 1]")
 
 
 @dataclass
@@ -105,20 +112,14 @@ def save_hwm_plan(plan: HwmPlan, path) -> None:
     preserved by consumers."""
     with open(path, "w", encoding="utf-8") as fh:
         for e in plan.entries:
-            supply = int(e.eligible_supply) if float(e.eligible_supply).is_integer() \
-                else e.eligible_supply
             fh.write(json.dumps({"contract_id": e.contract_id,
-                                 "eligible_supply": supply,
+                                 "eligible_supply": json_number(e.eligible_supply),
                                  "alpha": e.alpha}) + "\n")
 
 
 def _hwm_entry(rec) -> HwmEntry:
     supply = float(record_number(rec, "eligible_supply"))
     alpha = float(record_number(rec, "alpha"))
-    if supply < 0:
-        raise ValueError(f"eligible_supply {supply} is negative")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha {alpha} is outside [0, 1]")
     return HwmEntry(str(rec["contract_id"]), supply, alpha)
 
 

@@ -72,7 +72,8 @@ class Contract:
 
     `demand` is the currently reported remaining demand used for planning;
     `booked_demand` is the originally sold total, retained for metrics (the
-    demand when not given).
+    demand when not given).  Both must be positive; feedback may report a
+    demand above the booked total.
     `penalty` is the per-impression underdelivery price used by the
     dual-based planner.
     """
@@ -94,6 +95,9 @@ class Contract:
             raise GraphDataError(f"contract {self.id}: start must precede end")
         if self.penalty <= 0:
             raise GraphDataError(f"contract {self.id}: penalty must be positive")
+        if self.booked_demand <= 0:
+            raise GraphDataError(
+                f"contract {self.id}: booked {self.booked_demand} must be positive")
 
     @property
     def flight_hours(self) -> float:
@@ -276,6 +280,12 @@ def check_feasibility(graph: AllocationGraph, alloc: Dict[Edge, float],
 # JSON-lines file formats
 # ---------------------------------------------------------------------------
 
+def json_number(x: float) -> float:
+    """`x` as the files write it: an int when it is integral, so a count
+    reads back as the count."""
+    return int(x) if float(x).is_integer() else x
+
+
 def record_number(rec, key: str, default: Optional[float] = None) -> float:
     """Field `key` of a JSON record, checked to be a finite number.
 
@@ -446,10 +456,8 @@ def load_supply(path) -> List[SupplyNode]:
 def save_supply(nodes: List[SupplyNode], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for n in nodes:
-            supply = int(n.forecast_supply) if float(n.forecast_supply).is_integer() \
-                else n.forecast_supply
             fh.write(json.dumps({"id": n.id, "attributes": dict(n.attributes),
-                                 "supply": supply}) + "\n")
+                                 "supply": json_number(n.forecast_supply)}) + "\n")
 
 
 def _contract(line: str) -> Contract:
@@ -458,25 +466,22 @@ def _contract(line: str) -> Contract:
         targeting = tg.parse_targeting(rec["targeting"])
     except tg.TargetingSyntaxError as exc:
         raise ValueError(f"targeting: {exc}") from exc
-    contract = Contract(
-        id=str(rec["id"]),
-        targeting=targeting,
-        demand=record_number(rec, "demand"),
-        start=parse_ts(rec["start"]),
-        end=parse_ts(rec["end"]),
-        booked_demand=record_number(rec, "booked") if "booked" in rec else None,
-        penalty=record_number(rec, "penalty", 10.0),
-    )
-    if contract.booked_demand < contract.demand:
-        raise ValueError(f"booked {contract.booked_demand} is below "
-                         f"demand {contract.demand}")
-    return contract
+    cid, demand = str(rec["id"]), record_number(rec, "demand")
+    start, end = parse_ts(rec["start"]), parse_ts(rec["end"])
+    booked = record_number(rec, "booked", demand)
+    penalty = record_number(rec, "penalty", 10.0)
+    # Before the contract is built: booked >= demand > 0 implies booked > 0,
+    # so a booked total of 0 is reported as below the demand.
+    if booked < demand:
+        raise ValueError(f"booked {booked} is below demand {demand}")
+    return Contract(cid, targeting, demand, start, end, booked, penalty)
 
 
 def load_contracts(path) -> List[Contract]:
     """Read contracts.jsonl: {"id", "targeting", "demand", "start", "end"[, "penalty", "booked"]}.
 
-    "booked" (default: the demand) may not be below the demand.  A targeting text that does not parse fails as `bad contract record:
+    "booked" (default: the demand) may not be below the demand.  A
+    targeting text that does not parse fails as `bad contract record:
     targeting: <reason>`.
     """
     return list(read_records(path, "contract record", _contract))
@@ -488,13 +493,12 @@ def save_contracts(contracts: List[Contract], path) -> None:
             rec = {
                 "id": c.id,
                 "targeting": tg.unparse(c.targeting),
-                "demand": int(c.demand) if float(c.demand).is_integer() else c.demand,
+                "demand": json_number(c.demand),
                 "start": c.start.isoformat(),
                 "end": c.end.isoformat(),
             }
             if c.booked_demand != c.demand:
-                rec["booked"] = int(c.booked_demand) \
-                    if float(c.booked_demand).is_integer() else c.booked_demand
+                rec["booked"] = json_number(c.booked_demand)
             if c.penalty != 10.0:
                 rec["penalty"] = c.penalty
             fh.write(json.dumps(rec) + "\n")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from random import Random
 from typing import Dict, List, Optional, Tuple
@@ -38,6 +38,8 @@ _DIMENSIONS: List[Tuple[str, List[str]]] = [
 
 _FLIGHT_CLASSES = ("day", "multi_day", "week")
 
+START = datetime(2026, 3, 2)    # the first hour of every scenario
+
 _NIGHT_FACTOR = 0.35    # midnight-8am and 10pm-midnight
 _WEEKEND_FACTOR = 0.6
 
@@ -49,7 +51,6 @@ class ScenarioSpec:
     contention: str = "medium"            # "low" | "medium" | "high"
     seed: int = 0
     days: int = 7
-    start: datetime = field(default_factory=lambda: datetime(2026, 3, 2))
     daily_traffic: int = 8000
     flight_mix: Optional[Dict[str, float]] = None   # day / multi_day / week
     demand_share: Tuple[float, float] = (0.3, 0.7)  # of eligible flight supply
@@ -112,7 +113,7 @@ def generate_scenario(spec: ScenarioSpec) -> Tuple[AllocationGraph, List[Impress
     # Hourly event counts per node, then the event stream.
     total_weight = sum(weights)
     hours = spec.days * 24
-    hour_shape = [_hour_factor(spec.start + timedelta(hours=h)) for h in range(hours)]
+    hour_shape = [_hour_factor(START + timedelta(hours=h)) for h in range(hours)]
     shape_total = sum(hour_shape)
     events: List[Tuple[datetime, Dict[str, str]]] = []
     node_counts = [0] * len(nodes_attrs)
@@ -122,7 +123,7 @@ def generate_scenario(spec: ScenarioSpec) -> Tuple[AllocationGraph, List[Impress
             lam = node_total * hour_shape[h] / shape_total
             count = int(lam) + (1 if rng.random() < lam - int(lam) else 0)
             node_counts[ni] += count
-            base = spec.start + timedelta(hours=h)
+            base = START + timedelta(hours=h)
             for _ in range(count):
                 events.append((base + timedelta(seconds=rng.uniform(0, 3600)), attrs))
     # A thin stream of off-graph visits: attribute combinations that exist in
@@ -133,7 +134,7 @@ def generate_scenario(spec: ScenarioSpec) -> Tuple[AllocationGraph, List[Impress
         if attrs_key(attrs) in combos:
             continue
         h = rng.randrange(hours)
-        base = spec.start + timedelta(hours=h)
+        base = START + timedelta(hours=h)
         events.append((base + timedelta(seconds=rng.uniform(0, 3600)), attrs))
     events.sort(key=lambda e: e[0])
     stream = [ImpressionEvent(f"imp-{i:07d}", ts, dict(attrs))
@@ -214,8 +215,8 @@ def _contract_meta(rng: Random, spec: ScenarioSpec, dims, index: int):
     else:
         start, end = 0, spec.days
     return (cid, expr,
-            spec.start + timedelta(days=start),
-            spec.start + timedelta(days=end))
+            START + timedelta(days=start),
+            START + timedelta(days=end))
 
 
 def _ensure_shared_nodes(rng, dims, nodes_attrs, contracts_meta, combos):
@@ -262,8 +263,7 @@ def demo_graph() -> AllocationGraph:
     {male, age 5} visit to the male contract with probability 1/4, the age
     contract with probability 5/8, leaving 1/8 unallocated.
     """
-    start = datetime(2026, 3, 2)
-    end = start + timedelta(days=7)
+    start, end = START, START + timedelta(days=7)
     nodes = [
         SupplyNode("ca_male", {"state": "CA", "gender": "male", "age_bucket": "5"}, 60),
         SupplyNode("ca_unknown", {"state": "CA", "age_bucket": "5"}, 100),

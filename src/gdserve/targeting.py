@@ -95,37 +95,29 @@ TargetingExpr = Union[TrueExpr, Equals, In, Not, And, Or]
 MAX_NESTING = 100
 
 _KEYWORDS = {"AND", "OR", "NOT", "IN", "TRUE"}
-_TOKEN_RE = re.compile(r"\s*(?:(?P<word>[A-Za-z0-9_]+)|(?P<punct>[=(){},]))")
+_TOKEN_RE = re.compile(r"(?P<word>[A-Za-z0-9_]+)|(?P<punct>[=(){},])|(?P<bad>\S)")
 
 
 def _tokenize(text: str):
+    """(kind, text, offset) per token, then an EOF token; whitespace
+    separates tokens and is otherwise skipped."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise TargetingSyntaxError(
-                f"unexpected character {stripped[0]!r}", bad_at,
-                ["identifier", "(", ")", "{", "}", ",", "="])
-        if m.group("word") is not None:
-            word = m.group("word")
-            kind = word if word in _KEYWORDS else "WORD"
-            tokens.append((kind, word, m.start("word")))
+    for m in _TOKEN_RE.finditer(text):
+        tok, group = m.group(), m.lastgroup
+        if group == "word":
+            tokens.append((tok if tok in _KEYWORDS else "WORD", tok, m.start()))
+        elif group == "punct":
+            tokens.append((tok, tok, m.start()))
         else:
-            p = m.group("punct")
-            tokens.append((p, p, m.start("punct")))
-        pos = m.end()
+            raise TargetingSyntaxError(
+                f"unexpected character {tok!r}", m.start(),
+                ["identifier", "(", ")", "{", "}", ",", "="])
     tokens.append(("EOF", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
         self.depth = 0          # the 'NOT's and open '('s around the next factor

@@ -11,6 +11,7 @@ import pytest
 from gdserve import cli, kernels, model, simulate as sim, targeting as tg
 from gdserve.scenario import demo_graph
 from conftest import FLIGHT_START
+from _scenarios import uniform_single_contract
 import test_simulator
 
 
@@ -718,6 +719,28 @@ class TestScenarioAndSimulate:
         assert rc == 0
         assert (out / "baseline_report.json").exists()
 
+    def test_baseline_delivering_in_full_leaves_improvement_undefined(self, tmp_path,
+                                                                     capsys):
+        # A demand far below the supply: both runs deliver it in full.
+        graph, events = uniform_single_contract(days=2, per_day=500, demand=100)
+        scen = tmp_path / "scen"
+        scen.mkdir()
+        model.save_supply(graph.supply_nodes, scen / "supply.jsonl")
+        model.save_contracts(graph.contracts, scen / "contracts.jsonl")
+        sim.save_impressions(events, scen / "impressions.jsonl")
+        (tmp_path / "config.json").write_text("{}")
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", tmp_path / "config.json",
+                    "--scenario", scen, "--out-dir", out, "--baseline"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("note: baseline underdelivery is zero; "
+                              "improvement undefined\n")
+        for name in ("report.json", "delivery_timeseries.csv",
+                     "baseline_report.json", "baseline_delivery_timeseries.csv"):
+            assert (out / name).exists()
+        assert json.loads((out / "baseline_report.json").read_text())[
+            "total_underdelivery_frac"] == 0.0
+
     def test_simulate_without_baseline_writes_no_baseline(self, tmp_path):
         # --baseline is the one switch for the comparator.
         scen = tmp_path / "scen"
@@ -1069,6 +1092,43 @@ class TestBadConfig:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"forecast_error_multiplier": 0}, "forecast error multiplier must be positive"),
+        ({"forecast_error_per_node": {"n0000": 0}},
+         "node n0000: error multiplier must be positive"),
+        ({"forecast_error_per_node": [1]},
+         "forecast_error_per_node must be a JSON object, got [1]"),
+        ({"algorithm": "lp"}, "unknown algorithm 'lp'"),
+        ({"mode": "exact"}, "unknown mode 'exact'"),
+        ({"shards": 0}, "shards must be at least 1"),
+    ])
+    def test_bad_value_fails_with_message(self, scen, tmp_path, capsys, cfg, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        rc = run(["simulate", "--config", path, "--scenario", scen,
+                  "--out-dir", tmp_path / "out"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cfg, no_contracts, message", [
+        ({"sim_start": "2026-03-02T06:00:00", "sim_end": "2026-03-02T06:00:00"},
+         False, "simulation window is empty"),
+        ({}, True, "no contracts to simulate"),
+    ])
+    def test_nothing_to_simulate_fails(self, scen, tmp_path, capsys, cfg, no_contracts,
+                                       message):
+        copy = copy_scenario(scen, tmp_path / "scen")
+        if no_contracts:
+            (copy / "contracts.jsonl").write_text("")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        rc = run(["simulate", "--config", path, "--scenario", copy,
+                  "--out-dir", tmp_path / "out"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_period_under_half_a_microsecond_rejected_on_load(self, tmp_path):
         # Its timedelta is zero, so the cycle loop would never end: this
         # must fail in the config, before any engine runs.
@@ -1169,6 +1229,13 @@ class TestScenarioDimensions:
         assert rc == 1
         assert capsys.readouterr().err == \
             "error: scenario dimensions must be positive\n"
+        assert not (tmp_path / "scen").exists()
+
+    def test_too_many_attributes_fails(self, tmp_path, capsys):
+        rc = run(["scenario", "--out-dir", tmp_path / "scen", "--contracts", 2,
+                  "--days", 1, "--daily-traffic", 100, "--attributes", 7])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: at most 6 attribute dimensions\n"
         assert not (tmp_path / "scen").exists()
 
     @pytest.mark.parametrize("flag", ["--contracts", "--attributes", "--days"])

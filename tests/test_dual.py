@@ -93,7 +93,7 @@ class TestOfflineSolver:
         assert "orphan" not in plan
         assert any("orphan" in line for line in plan.diagnostics)
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
         # Heavy contention on the shared node (sum of target fractions well
         # above 1) forces several sweeps; one is not enough.
         nodes = [model.SupplyNode("a", {"seg": "both"}, 100),
@@ -101,8 +101,9 @@ class TestOfflineSolver:
         contracts = [make_contract("c1", "seg = both", 95),
                      make_contract("c2", "seg IN {both, solo}", 170)]
         g = model.build_graph(nodes, contracts)
-        with pytest.raises(dual.DualConvergenceError):
-            dual.solve_dual_offline(g, max_iters=1)
+        with monkeypatch.context() as m, pytest.raises(dual.DualConvergenceError):
+            m.setattr(dual, "MAX_SWEEPS", 1)
+            dual.solve_dual_offline(g)
         # The full solve converges and satisfies the exit contract.
         plan = dual.solve_dual_offline(g)
         alloc, under = forecast_replay(g, plan)
@@ -192,6 +193,18 @@ class TestPlanFile:
         loaded = dual.load_dual_plan(tmp_path / "dual_plan.jsonl")
         assert loaded.entries == plan.entries
 
+    @pytest.mark.parametrize("theta, alpha, penalty, message", [
+        (0.5, 9.0, 10.0, r"alpha 9.0 is outside \[0, penalty/2\]"),
+        (0.5, -1.0, 10.0, r"alpha -1.0 is outside \[0, penalty/2\]"),
+        (0.0, 0.0, 10.0, "theta and penalty must be positive"),
+        (0.5, 0.0, -1.0, "theta and penalty must be positive"),
+    ])
+    def test_entry_the_loader_rejects_is_not_built(self, theta, alpha, penalty,
+                                                   message):
+        # Served from memory, the first would give probability 1.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dual.DualEntry("c", theta, alpha, penalty)
+
 
 class TestServe:
     def test_one_serve_function_for_every_plan(self):
@@ -220,8 +233,8 @@ def _reference_ascent(graph, step, tol=1e-6, max_iters=10000):
     `step(cid, d, hi, delivery, alpha)` returns one contract's new dual.
     Returns the duals, the sweep count, each contract's sequence of duals,
     starting at 0, and the final worst residual."""
-    spec = dual.DualObjectiveSpec.from_graph(graph)
-    included = sorted((c for c in graph.contracts if c.id in spec.theta),
+    theta = dual.target_fractions(graph)
+    included = sorted((c for c in graph.contracts if c.id in theta),
                       key=lambda c: c.id)
     alpha = {c.id: 0.0 for c in included}
     history = {cid: [0.0] for cid in alpha}
@@ -230,7 +243,7 @@ def _reference_ascent(graph, step, tol=1e-6, max_iters=10000):
     for n in graph.supply_nodes:
         lst = [cid for cid in contracts_of[n.id] if cid in alpha]
         if lst and n.forecast_supply > 0:
-            ths = [spec.theta[cid] for cid in lst]
+            ths = [theta[cid] for cid in lst]
             for slot, cid in enumerate(lst):
                 views[cid].append((lst, ths, float(n.forecast_supply), slot))
 
@@ -243,12 +256,12 @@ def _reference_ascent(graph, step, tol=1e-6, max_iters=10000):
         return max([0.0] + [
             max(0.0, c.demand - delivery(c.id, alpha[c.id])) / c.demand
             for c in included
-            if alpha[c.id] < spec.penalty[c.id] / 2.0 - tol])
+            if alpha[c.id] < c.penalty / 2.0 - tol])
 
     for sweeps in range(1, max_iters + 1):
         max_change = 0.0
         for c in included:
-            cid, hi = c.id, spec.penalty[c.id] / 2.0
+            cid, hi = c.id, c.penalty / 2.0
             new = step(cid, float(c.demand), hi, delivery, alpha)
             max_change = max(max_change, abs(new - alpha[cid]) / max(1.0, hi))
             alpha[cid] = new
@@ -282,7 +295,7 @@ def _bisection_reference(graph, tol=1e-6, max_iters=10000):
 def _knot_reference(graph, tol=1e-6, max_iters=10000):
     """The exact coordinate step (`delivery_knots`, `_first_crossing`) at
     every contract in every sweep, capped or not."""
-    theta = dual.DualObjectiveSpec.from_graph(graph).theta
+    theta = dual.target_fractions(graph)
 
     def step(cid, d, hi, delivery, alpha):
         knots = dual.delivery_knots(cid, theta[cid], _knot_nodes(graph, theta, alpha, cid))
@@ -332,17 +345,17 @@ class TestExactStep:
         for trial in range(40):
             g = _instance_to_graph(random_instance(rng, max_nodes=12,
                                                    max_contracts=7))
-            spec = dual.DualObjectiveSpec.from_graph(g)
-            theta = spec.theta
+            theta = dual.target_fractions(g)
+            penalty = {c.id: c.penalty for c in g.contracts}
             # Draw the duals from a small pool so that ties, zeros and
             # penalty/2 caps all occur.
             pool = [0.0, 0.3, 1.0, rng.uniform(0.0, 3.0)]
-            alpha = {cid: min(rng.choice(pool), spec.penalty[cid] / 2.0)
+            alpha = {cid: min(rng.choice(pool), penalty[cid] / 2.0)
                      for cid in theta}
             for cid in theta:
                 nodes = _knot_nodes(g, theta, alpha, cid)
                 knots = dual.delivery_knots(cid, theta[cid], nodes)
-                points = ([0.0, spec.penalty[cid] / 2.0]
+                points = ([0.0, penalty[cid] / 2.0]
                           + [rng.uniform(0.0, 5.0) for _ in range(5)]
                           + [a for a, _ in knots if a >= 0.0] + pool)
                 for a in points:
@@ -378,7 +391,7 @@ class TestExactStep:
                                                    max_contracts=6))
             plan = dual.solve_dual_offline(g)
             ref = _bisection_reference(g)
-            spec = dual.DualObjectiveSpec.from_graph(g)
+            theta = dual.target_fractions(g)
             alpha = {e.contract_id: e.alpha for e in plan.entries}
             for cid, a in alpha.items():
                 if abs(a - ref[cid]) <= 1e-9:
@@ -387,7 +400,7 @@ class TestExactStep:
                 # in the flat meets the demand, the exact step returns its
                 # left end and bisection a point that rounding picks.
                 knots = dual.delivery_knots(
-                    cid, spec.theta[cid], _knot_nodes(g, spec.theta, alpha, cid))
+                    cid, theta[cid], _knot_nodes(g, theta, alpha, cid))
                 d = graph_maps(g).contract_by_id[cid].demand
                 assert a < ref[cid]
                 assert _curve(knots, a) == pytest.approx(d, rel=1e-9)
@@ -470,7 +483,7 @@ class TestKeptOrder:
             _instance_to_graph(_tie_heavy_instance(random.Random(seed)))
             for seed in (1, 2)]
         for g in graphs:
-            theta = dual.DualObjectiveSpec.from_graph(g).theta
+            theta = dual.target_fractions(g)
             # The duals as the steps set them, followed through the
             # crossings the solve computes, not read from the solve.
             alpha = {cid: 0.0 for cid in theta}
@@ -505,8 +518,8 @@ class TestKeptOrder:
         rng = random.Random(1313)
         for trial in range(5):
             g = _instance_to_graph(_tie_heavy_instance(rng))
-            spec = dual.DualObjectiveSpec.from_graph(g)
-            assert len(set(spec.theta.values())) <= 4
+            penalty = {c.id: c.penalty for c in g.contracts}
+            assert len(set(dual.target_fractions(g).values())) <= 4
             plan = dual.solve_dual_offline(g)
             ref, sweeps, history, residual = _knot_reference(g)
             assert {e.contract_id: e.alpha for e in plan.entries} == ref
@@ -515,7 +528,7 @@ class TestKeptOrder:
             # The solve computes the steps of duals below their cap.
             assert plan.stats.steps == sum(
                 1 for cid, seq in history.items() for a in seq[:-1]
-                if a < spec.penalty[cid] / 2.0)
+                if a < penalty[cid] / 2.0)
             duals = list(ref.values())
             assert len(set(duals)) < len(duals)
-            assert any(0.0 < a < spec.penalty[cid] / 2.0 for cid, a in ref.items())
+            assert any(0.0 < a < penalty[cid] / 2.0 for cid, a in ref.items())

@@ -217,6 +217,16 @@ class TestPlanFile:
         order = [cid for cid, _ in loaded.effective_probs(["age5", "males", "california"])]
         assert order == [e.contract_id for e in plan.entries]
 
+    @pytest.mark.parametrize("supply, alpha, message", [
+        (1.0, 1.5, r"alpha 1.5 is outside \[0, 1\]"),
+        (1.0, -0.5, r"alpha -0.5 is outside \[0, 1\]"),
+        (-1.0, 0.5, "eligible_supply -1.0 is negative"),
+    ])
+    def test_entry_the_loader_rejects_is_not_built(self, supply, alpha, message):
+        # Such an entry could be saved but not loaded back.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hwm.HwmEntry("c", supply, alpha)
+
     def test_bad_line_reports_position(self, tmp_path):
         path = tmp_path / "hwm_plan.jsonl"
         path.write_text('{"contract_id": "a", "eligible_supply": 1, "alpha": 0.5}\n'

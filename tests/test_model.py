@@ -238,8 +238,29 @@ class TestRoundTrip:
         with pytest.raises(model.GraphDataError,
                            match=f"{path}:1: bad contract record: booked 0 is below demand 5"):
             model.load_contracts(path)
-        assert make_contract("c1", "x = 1", 5, booked_demand=0).booked_demand == 0
+        with pytest.raises(model.GraphDataError,
+                           match="^contract c1: booked 0 must be positive$"):
+            make_contract("c1", "x = 1", 5, booked_demand=0)
         assert make_contract("c1", "x = 1", 5).booked_demand == 5
+
+    @pytest.mark.parametrize("name, record, message", [
+        ("supply", {"id": "n0000", "attributes": {}, "supply": -5},
+         "supply node n0000: negative supply"),
+        ("contract", {"penalty": 0}, "contract c000: penalty must be positive"),
+        ("contract", {"targeting": "gender male"},
+         "targeting: got 'male' at offset 7 (expected one of: =, IN)"),
+    ])
+    def test_bad_value_reports_line_and_message(self, tmp_path, name, record, message):
+        path = tmp_path / f"{name}.jsonl"
+        if name == "contract":
+            record = {"id": "c000", "targeting": "x = 1", "demand": 5,
+                      "start": "2026-03-02T00:00:00", "end": "2026-03-09T00:00:00",
+                      **record}
+        path.write_text(json.dumps(record) + "\n")
+        load = model.load_supply if name == "supply" else model.load_contracts
+        with pytest.raises(model.GraphDataError) as err:
+            load(path)
+        assert str(err.value) == f"{path}:1: bad {name} record: {message}"
 
     def test_bad_targeting_reports_line_and_offset(self, tmp_path):
         path = tmp_path / "contracts.jsonl"
@@ -296,6 +317,15 @@ class TestContractInvariants:
     def test_demand_positive(self):
         with pytest.raises(model.GraphDataError, match="demand"):
             make_contract("c1", "x = 1", 0)
+
+    @pytest.mark.parametrize("booked", [0, -3])
+    def test_booked_positive(self, booked):
+        # A booked total is the divisor of the smoothness metric.
+        with pytest.raises(model.GraphDataError,
+                           match=f"^contract c1: booked {booked} must be positive$"):
+            make_contract("c1", "x = 1", 5, booked_demand=booked)
+        # Feedback may report a demand above the booked total.
+        assert make_contract("c1", "x = 1", 9, booked_demand=5).booked_demand == 5
 
     def test_flight_ordering(self):
         with pytest.raises(model.GraphDataError, match="start"):

@@ -2,7 +2,9 @@
 package's imports."""
 
 import ast
+import dataclasses
 import importlib.util
+import inspect
 import re
 import shlex
 import shutil
@@ -13,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from gdserve import ImpressionEvent, cli, load_config
-from gdserve.scenario import demo_graph
+import gdserve
+from gdserve import ImpressionEvent, cli, dual, load_config
+from gdserve.scenario import ScenarioSpec, demo_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -115,3 +118,13 @@ def test_perfbench_patch_targets_exist():
             if not hasattr(importlib.import_module(f"gdserve.{name}"), func):
                 missing.add((name, func))
     assert missing == MISSING_PATCH_TARGETS
+
+
+def test_deleted_knobs_and_wrappers_stay_deleted():
+    # The solve's tolerance and sweep limit are the module's TOL and
+    # MAX_SWEEPS, every scenario starts at scenario.START, and a contract's
+    # penalty is read from the contract.
+    assert list(inspect.signature(dual.solve_dual_offline).parameters) == ["graph"]
+    assert "start" not in [f.name for f in dataclasses.fields(ScenarioSpec)]
+    assert not hasattr(gdserve, "DualObjectiveSpec")
+    assert not hasattr(dual, "DualObjectiveSpec")

@@ -17,7 +17,7 @@ from gdserve import hwm, metrics as mx, model, simulate as sim, targeting as tg
 from gdserve.dual import DualPlan, solve_dual_offline
 from gdserve.kernels import draw_index
 from gdserve.feedback import FeedbackConfig, apply_feedback, linear_goal
-from gdserve.scenario import ScenarioSpec, generate_scenario
+from gdserve.scenario import START, ScenarioSpec, generate_scenario
 from conftest import FLIGHT_START, graph_maps, make_contract
 from _scenarios import daily_reopt_config, sold_out_future, uniform_single_contract
 
@@ -1040,9 +1040,9 @@ class TestRangeServingMatchesReference:
                             daily_traffic=1200)
         graph, events = generate_scenario(spec)
         period = timedelta(hours=cls.PERIOD_H)
-        sim_start = spec.start + timedelta(hours=1)
+        sim_start = START + timedelta(hours=1)
         # 69 h: off the 7 h grid, so the last cycle is 6 h long.
-        sim_end = spec.start + timedelta(days=3, hours=-2)
+        sim_end = START + timedelta(days=3, hours=-2)
         empty = (sim_start + 4 * period, sim_start + 5 * period)
         grid = [sim_start + k * period for k in range(10)] + [sim_end]
         instants = sorted({t for c in graph.contracts for t in (c.start, c.end)})
@@ -1306,9 +1306,9 @@ class TestScenarioGeneration:
         spec = ScenarioSpec(num_contracts=10, num_attributes=2, seed=14, days=7,
                             daily_traffic=500)
         graph, stream = generate_scenario(spec)
-        horizon_end = spec.start + timedelta(days=7)
+        horizon_end = START + timedelta(days=7)
         for c in graph.contracts:
-            assert spec.start <= c.start < c.end <= horizon_end
+            assert START <= c.start < c.end <= horizon_end
         assert all(stream[i].ts <= stream[i + 1].ts
                    for i in range(len(stream) - 1))
 
@@ -1328,7 +1328,7 @@ class TestScenarioGeneration:
         _, stream = generate_scenario(spec)
         by_day = [0] * 7
         for ev in stream:
-            by_day[(ev.ts - spec.start).days] += 1
+            by_day[(ev.ts - START).days] += 1
         weekday = sum(by_day[:5]) / 5
         weekend = sum(by_day[5:]) / 2
         assert weekend < weekday * 0.8
