@@ -38,6 +38,7 @@ from bisect import bisect_right
 from dataclasses import replace
 from datetime import datetime
 from functools import cache
+from itertools import chain, starmap
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -117,17 +118,19 @@ def cmd_serve(args) -> int:
 
     def serve(rng: sim.ImpressionRange, path) -> int:
         """Write the decisions of the rows of `rng` to `path`; returns their
-        number.  Impressions are read row by row; only their attribute sets
-        are kept.  Row n of the file draws `impression_uniform(seed, n)`, the
-        uniforms of the range coming from one `impression_uniforms`.
+        number.  Impressions are read a run at a time, and each run is
+        zipped into rows; only their attribute sets are kept.  Row n of the
+        file draws `impression_uniform(seed, n)`, the uniforms of the range
+        coming from one `impression_uniforms`.
 
         The slots hold each set's slice (with its "probs" JSON) for the
         flight phase [lo, hi) of the last row.  A row outside it, as in an
         unsorted file, finds its phase by bisection and empties the slots."""
         sets = sim.ImpressionStream()
         keys, attrs = sets.keys, sets.attrs
-        rows = sim.iter_impressions(args.impressions, sets, rng.start, rng.first_line,
+        runs = sim.iter_impressions(args.impressions, sets, rng.start, rng.first_line,
                                     rng.lines)
+        rows = chain.from_iterable(starmap(zip, runs))
         uniforms = sim.impression_uniforms(args.seed, rng.first_row)
         lo = hi = datetime.min
         slots: Dict[int, Tuple[Tuple[str, ...], List[float], str]] = {}

@@ -11,7 +11,8 @@ exactly what `targeting.eligible` gives map by map: a contract's demand
 counts, over the stream's distinct attribute sets that its targeting
 matches, each set's events inside the flight, and high contention tests
 whether two contracts share a supply node by intersecting their bitsets
-of nodes.
+of nodes.  A contract with no eligible impression in its flight is drawn
+again, so no contract is booked supply that no visit can deliver.
 """
 
 from __future__ import annotations
@@ -145,21 +146,27 @@ def generate_scenario(spec: ScenarioSpec) -> Tuple[AllocationGraph, List[Impress
 
     # Demands: a share of the eligible actual supply inside the flight,
     # counted by bisecting each matched attribute set's times (stream order
-    # is time order).
+    # is time order).  A contract with none is drawn again (`_redraw`).
     times_of: Dict[tuple, List[datetime]] = {}
     for ev in stream:
         times_of.setdefault(attrs_key(ev.attributes), []).append(ev.ts)
     set_times = list(times_of.values())
     sets = tg.AttributeIndex([dict(key) for key in times_of])
+
+    def eligible_flight(meta) -> int:
+        _, expr, start, end = meta
+        return sum(bisect_left(set_times[k], end) - bisect_left(set_times[k], start)
+                   for k in tg.members(sets.matches(expr)))
+
     contracts = []
-    for meta in contracts_meta:
+    for j, meta in enumerate(contracts_meta):
+        eligible = eligible_flight(meta)
+        if not eligible:
+            meta, eligible = _redraw(rng, spec, dims, j, contracts_meta, nodes_attrs,
+                                     eligible_flight)
         cid, expr, start, end = meta
-        eligible_flight = 0
-        for k in tg.members(sets.matches(expr)):
-            times = set_times[k]
-            eligible_flight += bisect_left(times, end) - bisect_left(times, start)
         share = rng.uniform(*spec.demand_share)
-        demand = max(1, int(eligible_flight * share))
+        demand = max(1, int(eligible * share))
         contracts.append(Contract(cid, expr, demand, start, end))
     graph = build_graph(supply_nodes, contracts)
     return graph, stream
@@ -219,6 +226,45 @@ def _contract_meta(rng: Random, spec: ScenarioSpec, dims, index: int):
             START + timedelta(days=end))
 
 
+# The most times `_redraw` draws a contract again.
+_REDRAWS = 100
+
+
+def _redraw(rng: Random, spec: ScenarioSpec, dims, j: int, contracts_meta,
+            nodes_attrs, eligible_flight) -> Tuple[tuple, int]:
+    """Contract j, which has no eligible impression in its flight, drawn
+    again (targeting and flight) until `eligible_flight` of it is positive,
+    at most `_REDRAWS` times; returns it and that count, and puts it in
+    `contracts_meta`.  Under high contention a draw is kept only if the
+    contract shares a supply node with another, and every contract that
+    shared one still does.  Raises ValueError naming the contract if no
+    draw is kept."""
+    high = spec.contention == "high"
+    if high:
+        index = tg.AttributeIndex(nodes_attrs)
+        targeted = [index.matches(meta[1]) for meta in contracts_meta]
+        sharing = {i for i in range(len(targeted)) if _shares(targeted, i)} | {j}
+    for _ in range(_REDRAWS):
+        meta = _contract_meta(rng, spec, dims, j)
+        eligible = eligible_flight(meta)
+        if not eligible:
+            continue
+        if high:
+            targeted[j] = index.matches(meta[1])
+            if not all(_shares(targeted, i) for i in sharing):
+                continue
+        contracts_meta[j] = meta
+        return meta, eligible
+    raise ValueError(f"contract {contracts_meta[j][0]} has no eligible impression in "
+                     f"its flight after {_REDRAWS} redraws")
+
+
+def _shares(targeted: List[int], j: int) -> bool:
+    """Whether contract j targets a node that another contract targets, of
+    the bitsets of nodes `targeted`."""
+    return any(targeted[j] & nodes for i, nodes in enumerate(targeted) if i != j)
+
+
 def _ensure_shared_nodes(rng, dims, nodes_attrs, contracts_meta, combos):
     """High contention requires every contract to share a node with another.
 
@@ -229,7 +275,7 @@ def _ensure_shared_nodes(rng, dims, nodes_attrs, contracts_meta, combos):
     index = tg.AttributeIndex(nodes_attrs)
     targeted = [index.matches(meta[1]) for meta in contracts_meta]
     for j, meta in enumerate(contracts_meta):
-        if any(targeted[j] & nodes for i, nodes in enumerate(targeted) if i != j):
+        if _shares(targeted, j):
             continue
         # Add one node satisfying this contract and some other one.
         for i, other in enumerate(contracts_meta):

@@ -23,12 +23,15 @@ distinct set is checked and keyed once.  The reader parses speculatively
 in the layout `save_impressions` writes whose attributes texts it has seen
 are cut by string partitions, checked together and take those texts' sets
 with no JSON decode, and any other line is decoded in full, with the same
-rows as a result.  Any other sequence of `ImpressionEvent`s is
-turned into a stream by one pass.  Because the stream is sorted, each cycle
-is a contiguous index range, found by bisecting the timestamps at the cycle
-bounds, and a supply node's impressions in a cycle (from which re-plans
-restate the forecast) are a count of set ids over that range, kept by the
-node's position in the index.
+rows as a result.  It gives a run of lines at a time, as columns; the ids
+of a run checked together stay one packed text (`PackedIds`), which the
+stream keeps as it is, so no `str` is made per id until one is read.  Any
+other sequence of `ImpressionEvent`s is turned into a stream by one pass.
+Because the stream is sorted, each cycle is a contiguous index range,
+found by bisecting the timestamps at the cycle bounds, and a supply node's
+impressions in a cycle (from which re-plans restate the forecast) are a
+count of set ids over that range, kept by the node's position in the
+index.
 
 A run serves through one `Server`.  It holds each impression's eligible
 contracts, the graph's edges for an attribute set that is a supply node and
@@ -80,7 +83,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from itertools import accumulate, chain, islice, repeat
-from operator import add, attrgetter, gt, mul
+from operator import add, attrgetter, eq, gt, mul
 from sys import intern
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
                     Sequence, Set, Tuple, Union)
@@ -323,19 +326,96 @@ def attrs_key(attrs: Mapping[str, str]) -> AttrsKey:
     return tuple(sorted(attrs.items()))
 
 
+class PackedIds(Sequence[str]):
+    """Impression ids held in chunks, each a list of ids or a packed text.
+
+    A packed text is `_ID_START + id` for each of its ids, joined: the
+    fronts of lines in the layout `save_impressions` writes, whose ids hold
+    no `"`, so the text cut at `_ID_START` gives them back.  It keeps an id
+    in its characters and 8 more, where a list keeps an 8-byte slot and an
+    `str` of its characters and 49 more.  A text is split when it is read,
+    and the last one split by indexing is kept.  `len`, indexing (negative and slices too),
+    iteration and `==` with a list or another `PackedIds` are a list's.
+    """
+
+    def __init__(self):
+        self._chunks: List[Union[str, List[str]]] = []
+        self._starts = [0]          # the index of each chunk's first id, then len
+        self._split: Tuple[int, List[str]] = (-1, [])   # (chunk, its ids)
+
+    @classmethod
+    def packed(cls, text: str, n: int) -> "PackedIds":
+        """The `n` ids of the packed text `text`."""
+        ids = cls()
+        ids._add(text, n)
+        return ids
+
+    def _add(self, chunk: Union[str, List[str]], n: int) -> None:
+        if n:
+            self._chunks.append(chunk)
+            self._starts.append(self._starts[-1] + n)
+
+    def add(self, ids: Sequence[str]) -> None:
+        """Add `ids` at the end: the chunks of a `PackedIds`, else `ids`
+        itself, a list that is kept, not copied."""
+        if isinstance(ids, PackedIds):
+            for chunk, a, b in zip(ids._chunks, ids._starts, islice(ids._starts, 1, None)):
+                self._add(chunk, b - a)
+        else:
+            self._add(ids, len(ids))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]         # negative and out-of-range i as a list's
+        k = bisect_right(self._starts, i) - 1
+        chunk = self._chunks[k]
+        if isinstance(chunk, str):
+            if self._split[0] != k:
+                self._split = (k, _unpack(chunk))
+            chunk = self._split[1]
+        return chunk[i - self._starts[k]]
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(
+            chunk if isinstance(chunk, list) else _unpack(chunk) for chunk in self._chunks)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, PackedIds)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"PackedIds({list(self)!r})"
+
+
+def _unpack(text: str) -> List[str]:
+    """The ids of a packed text (see `PackedIds`)."""
+    ids = text.split(_ID_START)
+    del ids[0]
+    return ids
+
+
 class ImpressionStream(Sequence[ImpressionEvent]):
     """An impression stream held as columns, with its attribute sets interned.
 
     Impression i is `ids[i]`, `ts[i]` and attribute set `set_ids[i]`; set s
-    has the attribute map `attrs[s]` and its `attrs_key`, `keys[s]`.  A set
-    is a distinct map in its own key order, so equal maps written in two
-    orders are two sets with equal keys, and every impression keeps the
-    order it was read in.  Indexing and iteration give `ImpressionEvent`s;
-    the events of one set share its map, which is not to be changed.
+    has the attribute map `attrs[s]` and its `attrs_key`, `keys[s]`.  The
+    ids are a `PackedIds`: a stream loaded from a file keeps the ids of each
+    run of lines read together as one text.  A set is a distinct map in its
+    own key order, so equal maps written in two orders are two sets with
+    equal keys, and every impression keeps the order it was read in.
+    Indexing and iteration give `ImpressionEvent`s; the events of one set
+    share its map, which is not to be changed.
     """
 
     def __init__(self):
-        self.ids: List[str] = []
+        self.ids = PackedIds()
         self.ts: List[datetime] = []
         self.set_ids: List[int] = []
         self.attrs: List[Mapping[str, str]] = []
@@ -344,14 +424,17 @@ class ImpressionStream(Sequence[ImpressionEvent]):
 
     @classmethod
     def of(cls, events: Iterable[ImpressionEvent]) -> "ImpressionStream":
-        """`events` as a stream: a stream itself, else one built in one pass."""
+        """`events` as a stream: a stream itself, else one built in one pass,
+        whose ids are one list."""
         if isinstance(events, cls):
             return events
         stream = cls()
+        ids = []
         for ev in events:
-            stream.ids.append(ev.id)
+            ids.append(ev.id)
             stream.ts.append(ev.ts)
             stream.set_ids.append(stream.set_id(ev.attributes))
+        stream.ids.add(ids)
         return stream
 
     def set_id(self, attrs: Mapping[str, str]) -> int:
@@ -713,13 +796,14 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
 # ---------------------------------------------------------------------------
 
 def load_impressions(path) -> ImpressionStream:
-    """Read impressions.jsonl (see `iter_impressions`) into a stream."""
+    """Read impressions.jsonl (see `iter_impressions`) into a stream, one
+    run at a time: the stream keeps each run's ids as they come, a packed
+    text from the fast path and a list from the full decode."""
     stream = ImpressionStream()
-    ids, ts, set_ids = stream.ids, stream.ts, stream.set_ids
-    for imp_id, t, sid in iter_impressions(path, stream):
-        ids.append(imp_id)
-        ts.append(t)
-        set_ids.append(sid)
+    for ids, ts, set_ids in iter_impressions(path, stream):
+        stream.ids.add(ids)
+        stream.ts += ts
+        stream.set_ids += set_ids
     return stream
 
 
@@ -732,37 +816,45 @@ _ID_START = '{"id": "'
 _TS_START = '", "ts": "'
 _ATTRS_START = '", "attributes": '
 
-# The characters a JSON string may not hold as themselves.  UTF-8 writes
-# each as its one byte, and every other character with none of these bytes.
-_NOT_PLAIN = b'"\\' + bytes(range(0x20))
+# The characters a JSON string may not hold as themselves, but `"`.  UTF-8
+# writes each as its one byte, and every other character with none of these
+# bytes.
+_NOT_PLAIN = b"\\" + bytes(range(0x20))
+_ID_QUOTES = _ID_START.count('"')
 
 
-def _plain_heads(heads: Sequence[str]) -> Optional[Tuple[List[str], Tuple[str, ...]]]:
-    """The id and ts texts of `heads`, if every head is `_ID_START + id +
-    _TS_START + ts` with id and ts free of `"`, `\\` and control characters
-    (so each is a JSON string's text that decodes to itself); else None."""
+def _plain_heads(heads: Sequence[str]) -> Optional[Tuple[str, Tuple[str, ...]]]:
+    """The packed ids (see `PackedIds`) and the ts texts of `heads`, if
+    every head is `_ID_START + id + _TS_START + ts` with id and ts free of
+    `"`, `\\` and control characters (so each is a JSON string's text that
+    decodes to itself); else None.  The packed ids are the fronts before
+    `_TS_START`, joined: every front starts with `_ID_START`, and the fronts
+    and timestamps hold no `"` but those of the prefixes."""
     fronts, found, tss = zip(*[head.partition(_TS_START) for head in heads])
-    skip = len(_ID_START)
-    ids = [front[skip:] for front in fronts]
-    # The joins of the fronts are equal only if every front starts with
-    # _ID_START: a shorter one makes the left join the longer.
-    if "" in found or _ID_START + _ID_START.join(ids) != "".join(fronts):
+    if "" in found or not all(map(str.startswith, fronts, repeat(_ID_START))):
         return None
-    text = ("".join(ids) + "".join(tss)).encode()
-    if len(text.translate(None, _NOT_PLAIN)) != len(text):
+    ids = "".join(fronts)
+    text = (ids + "".join(tss)).encode()
+    if (text.count(b'"') != _ID_QUOTES * len(heads)
+            or len(text.translate(None, _NOT_PLAIN)) != len(text)):
         return None
     return ids, tss
 
 
+Run = Tuple[Sequence[str], List[datetime], List[int]]
+
+
 def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: int = 1,
-                     lines: Optional[int] = None) -> Iterator[Tuple[str, datetime, int]]:
-    """Rows (id, ts, set id) of impressions.jsonl, one per non-blank line.
+                     lines: Optional[int] = None) -> Iterator[Run]:
+    """Runs (ids, timestamps, set ids) of impressions.jsonl, in order: row i
+    of a run is (`ids[i]`, `ts[i]`, `set_ids[i]`), and there is one row per
+    non-blank line.
 
     A line holds one JSON object {"id", "ts", "attributes"}, and nothing
     else, as `json.loads` requires.  The file is read by the rule of
     `model.read_records`: lines, blank lines and a bad line (one that is
     not UTF-8 included, reported as `path:line: bad impression` after the
-    rows of the lines before it) are as it reads them.  The set id indexes
+    runs of the lines before it) are as it reads them.  The set id indexes
     `sets.attrs` and `sets.keys`: a set first seen is checked by
     `model.record_attributes` and added to `sets`, and a later line with
     the same items in the same order is matched to it without a check.
@@ -781,13 +873,16 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
     the block is cut into runs at each line whose tail is not known.  For
     each run, one check covers its joined ids and timestamps
     (`_plain_heads`) and one `map(datetime.fromisoformat, ...)` parses
-    its timestamps, which must all be naive; a run that passes gives its
-    rows from those columns.  A line with an unknown tail, and each line
-    of a run that fails, is read on its own: as above if it passes the
-    same checks alone, else decoded in full (`parse_ts`,
+    its timestamps, which must all be naive; a run that passes is given
+    as those columns, its ids a `PackedIds` over the one packed text, so
+    no `str` is made per id until they are read.  A line with an unknown
+    tail, and each line of a run that fails, is read on its own: as above
+    if it passes the same checks alone, else decoded in full (`parse_ts`,
     `record_attributes`), after which a line in the layout with a new
-    attributes text teaches its tail.  On a file in that layout the JSON
-    decoder runs about once per distinct attributes text.
+    attributes text teaches its tail.  The lines read on their own come as
+    one run of lists; if one is bad, the rows before it come as a run
+    before its error.  On a file in that layout the JSON decoder runs
+    about once per distinct attributes text.
 
     This is exact.  A tail is learned only from a line that decoded in
     full and is `{"id": "<id>", "ts": "<ts>", "attributes": <text>}`,
@@ -808,9 +903,9 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
     set_of_tail: Dict[str, int] = {}
     tail_set = set_of_tail.get
 
-    def columns(heads: Sequence[str], sids: Sequence[int]):
-        """The ids, timestamps and set ids of the lines cut into `heads`
-        and tails of the sets `sids`, or None if one of them fails a check."""
+    def columns(heads: Sequence[str]) -> Optional[Tuple[str, List[datetime]]]:
+        """The packed ids and the timestamps of the lines cut into `heads`,
+        or None if one of them fails a check."""
         plain = _plain_heads(heads)
         if plain is None:
             return None
@@ -821,15 +916,15 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
             return None
         if any(map(_tzinfo, ts)):       # not every timestamp is naive
             return None
-        return ids, ts, sids
+        return ids, ts
 
     def row(line: str) -> Tuple[str, datetime, int]:
         head, _, tail = line.partition(_ATTRS_START)
         known_sid = tail_set(tail)
         if known_sid is not None:
-            cols = columns((head,), (known_sid,))
+            cols = columns((head,))
             if cols is not None:
-                return cols[0][0], cols[1][0], known_sid
+                return cols[0][len(_ID_START):], cols[1][0], known_sid
         rec, end = _decode(line)
         if end != len(line):
             raise json.JSONDecodeError("Extra data", line, end)
@@ -846,35 +941,50 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
             set_of_tail[tail] = set_of_tail[tail + "\n"] = sid
         return item
 
-    def runs() -> Iterator[Iterable[Tuple[str, datetime, int]]]:
-        """The rows of each run of lines, one iterable per run, each made
-        when the one before it has been read."""
-        for first, block in line_blocks(path, "impression", start, first_line, lines):
-            heads, _, tails = zip(*[line.partition(_ATTRS_START) for line in block])
-            sids = list(map(tail_set, tails))
-            i = 0
-            while i < len(block):
-                if sids[i] is None:
-                    # Lines with unknown tails, each read on its own; one
-                    # may teach its tail to the lines after it.
-                    k = i + 1
-                    while k < len(block) and sids[k] is None:
-                        k += 1
-                    yield parse_lines(path, "impression", row, first + i, block[i:k])
-                else:
-                    try:
-                        k = sids.index(None, i)
-                    except ValueError:
-                        k = len(block)
-                    cols = columns(heads[i:k], sids[i:k])
-                    yield (zip(*cols) if cols is not None else
-                           parse_lines(path, "impression", row, first + i, block[i:k]))
-                i = k
-            # Dropped before the next block is read, so that no two blocks'
-            # lines and cuts are held at once.
-            del block, heads, tails, sids
+    def decoded(first: int, block: Sequence[str]) -> Iterator[Run]:
+        """The run of the lines `block`, from line `first`, each read by
+        `row`; if one fails, the run of the rows before it, then its error."""
+        ids: List[str] = []
+        ts: List[datetime] = []
+        sids: List[int] = []
+        try:
+            for imp_id, t, sid in parse_lines(path, "impression", row, first, block):
+                ids.append(imp_id)
+                ts.append(t)
+                sids.append(sid)
+        except Exception:
+            if ids:
+                yield ids, ts, sids
+            raise
+        if ids:
+            yield ids, ts, sids
 
-    return chain.from_iterable(runs())
+    for first, block in line_blocks(path, "impression", start, first_line, lines):
+        heads, _, tails = zip(*[line.partition(_ATTRS_START) for line in block])
+        sids = list(map(tail_set, tails))
+        i = 0
+        while i < len(block):
+            if sids[i] is None:
+                # Lines with unknown tails, each read on its own; one may
+                # teach its tail to the lines after it.
+                k = i + 1
+                while k < len(block) and sids[k] is None:
+                    k += 1
+                yield from decoded(first + i, block[i:k])
+            else:
+                try:
+                    k = sids.index(None, i)
+                except ValueError:
+                    k = len(block)
+                cols = columns(heads[i:k])
+                if cols is None:
+                    yield from decoded(first + i, block[i:k])
+                else:
+                    yield PackedIds.packed(cols[0], k - i), cols[1], sids[i:k]
+            i = k
+        # Dropped before the next block is read, so that no two blocks'
+        # lines and cuts are held at once.
+        del block, heads, tails, sids
 
 
 class ImpressionRange(NamedTuple):

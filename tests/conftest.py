@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from datetime import datetime, timedelta
-from itertools import accumulate
+from itertools import accumulate, chain, starmap
 from types import SimpleNamespace
 
 import pytest
@@ -32,6 +32,12 @@ def decide(plan, eligible_ids, u):
     probs = plan.effective_probs(eligible_ids)
     sel = kernels.draw_index(list(accumulate(p for _, p in probs)), u)
     return probs[sel][0] if sel >= 0 else None
+
+
+def impression_rows(runs):
+    """The rows (id, ts, set id) of the runs (ids, timestamps, set ids)
+    that `simulate.iter_impressions` gives, a run read as its rows are."""
+    return chain.from_iterable(starmap(zip, runs))
 
 
 def graph_maps(graph):

@@ -9,6 +9,7 @@ import os
 import pytest
 
 from gdserve import model, simulate as sim
+from conftest import impression_rows
 import test_cli
 import test_simulator
 
@@ -199,7 +200,7 @@ class TestErrorsInsideBlocks:
         sets, rows = sim.ImpressionStream(), []
         with pytest.raises(model.GraphDataError,
                            match=f"^{path}:{number}: bad impression: "):
-            for imp_id, ts, sid in sim.iter_impressions(path, sets):
+            for imp_id, ts, sid in impression_rows(sim.iter_impressions(path, sets)):
                 rows.append(sim.ImpressionEvent(imp_id, ts, sets.attrs[sid]))
         assert rows == before
         outs = [serve(scen, path, tmp_path / f"w{n}.jsonl", n) for n in (1, 2)]

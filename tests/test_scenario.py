@@ -89,3 +89,56 @@ def test_matches_per_event_walk(monkeypatch, name):
     assert [(c.id, c.targeting, c.demand, c.start, c.end) for c in graph.contracts] == want
     if name == "day flights":
         assert any(c.end - c.start == timedelta(days=1) for c in graph.contracts)
+
+
+def eligible_in_flight(contract, stream):
+    return sum(1 for ev in stream if contract.start <= ev.ts < contract.end
+               and tg.eligible(ev.attributes, contract.targeting))
+
+
+# Specs with a contract first drawn with no eligible impression in its
+# flight: `c009` of the first books 1 impression that no visit can deliver
+# unless it is drawn again.
+REDRAWN = {
+    "low, c009": ScenarioSpec(num_contracts=20, contention="low", seed=6),
+    "low, seven redrawn": SPECS["low"],
+    "medium": ScenarioSpec(num_contracts=8, seed=6, days=3, daily_traffic=300),
+    "high": ScenarioSpec(num_contracts=4, num_attributes=2, contention="high", seed=1,
+                         days=1, daily_traffic=3),
+}
+
+
+@pytest.mark.parametrize("name", list(REDRAWN))
+def test_every_contract_has_eligible_supply(name):
+    spec = REDRAWN[name]
+    graph, stream = generate_scenario(spec)
+    for c in graph.contracts:
+        assert eligible_in_flight(c, stream) >= 1, c.id
+        assert 1 <= c.demand <= eligible_in_flight(c, stream)
+    if spec.contention == "high":
+        for c in graph.contracts:
+            assert any(tg.eligible(n.attributes, c.targeting)
+                       and tg.eligible(n.attributes, other.targeting)
+                       for n in graph.supply_nodes for other in graph.contracts
+                       if other is not c), c.id
+
+
+@pytest.mark.parametrize("name", list(REDRAWN))
+def test_specs_redraw_a_contract(monkeypatch, name):
+    redrawn = []
+    original = scenario._redraw
+    monkeypatch.setattr(scenario, "_redraw",
+                        lambda rng, spec, dims, j, *args: redrawn.append(j)
+                        or original(rng, spec, dims, j, *args))
+    generate_scenario(REDRAWN[name])
+    assert redrawn
+    if name == "low, c009":
+        assert redrawn == [9]
+
+
+def test_no_eligible_supply_after_every_redraw_raises():
+    spec = ScenarioSpec(num_contracts=4, num_attributes=2, contention="low", seed=2,
+                        days=1, daily_traffic=3)
+    with pytest.raises(ValueError, match="^contract c000 has no eligible impression in "
+                                         "its flight after 100 redraws$"):
+        generate_scenario(spec)

@@ -18,7 +18,7 @@ from gdserve.dual import DualPlan, solve_dual_offline
 from gdserve.kernels import draw_index
 from gdserve.feedback import FeedbackConfig, apply_feedback, linear_goal
 from gdserve.scenario import START, ScenarioSpec, generate_scenario
-from conftest import FLIGHT_START, graph_maps, make_contract
+from conftest import FLIGHT_START, graph_maps, impression_rows, make_contract
 from _scenarios import daily_reopt_config, sold_out_future, uniform_single_contract
 
 
@@ -588,9 +588,9 @@ class TestCallTimeLookups:
         original = sim.iter_impressions
 
         def wrapper(*args, **kw):
-            for row in original(*args, **kw):
-                rows.append(row)
-                yield row
+            for run in original(*args, **kw):
+                rows.extend(impression_rows([run]))
+                yield run
 
         monkeypatch.setattr(sim, "iter_impressions", wrapper)
         return rows
@@ -733,15 +733,55 @@ class TestImpressionReader:
         '{"id": "t5", "ts": "2026-03-02T00:00:22", "attributes": {}}',
     ]
 
-    def test_mixed_layouts_equal_per_line_reference(self, tmp_path):
+    # Ids that only the full decode reads, beside canonical lines.
+    DECODED_IDS = [
+        r'{"id": "has \"quote\"", "ts": "2026-03-02T00:01:00", "attributes": {"a": "1"}}',
+        r'{"id": "back\\slash", "ts": "2026-03-02T00:01:01", "attributes": {"a": "1"}}',
+        r'{"id": "{\"id\": \"inner", "ts": "2026-03-02T00:01:02", "attributes": {"a": "1"}}',
+        '{"ts": "2026-03-02T00:01:03", "attributes": {"a": "1"}, "id": "key order"}',
+    ]
+
+    def mixed_with_canonical(self):
+        """Each line of LINES and DECODED_IDS after four canonical lines,
+        one line in three ending in CRLF."""
+        lines = []
+        for i, line in enumerate(self.LINES + self.DECODED_IDS):
+            lines += [impression_line(4 * i + k) for k in range(4)] + [line]
+        return "".join(line + ("\r\n" if i % 3 == 0 else "\n")
+                       for i, line in enumerate(lines))
+
+    @pytest.mark.parametrize("layout, lines_hint", [
+        ("as listed", None), ("mixed with canonical lines", None),
+        ("mixed with canonical lines", 1), ("mixed with canonical lines", 300)])
+    def test_mixed_layouts_equal_per_line_reference(self, tmp_path, monkeypatch, layout,
+                                                    lines_hint):
+        if lines_hint is not None:
+            monkeypatch.setattr(model, "_LINES_HINT", lines_hint)
         path = tmp_path / "impressions.jsonl"
-        path.write_text("\n".join(self.LINES) + "\n", encoding="utf-8")
+        text = ("\n".join(self.LINES) + "\n" if layout == "as listed"
+                else self.mixed_with_canonical())
+        path.write_bytes(text.encode("utf-8"))
         ref = reference_events(path)
         stream = sim.load_impressions(path)
         assert list(stream) == ref
         # One set per distinct map in its own key order.
         orders = [tuple(ev.attributes.items()) for ev in ref]
         assert len(set(zip(orders, stream.set_ids))) == len(set(orders)) == len(stream.attrs)
+        # The packed ids read as the list of the per-line ids.
+        ids, n = [ev.id for ev in ref], len(ref)
+        assert len(stream.ids) == n
+        assert list(stream.ids) == ids and stream.ids == ids and ids == stream.ids
+        assert [stream.ids[i] for i in range(-n, n)] == ids + ids
+        for piece in (slice(3, 17), slice(None, None, -3), slice(-5, None), slice(7, 7)):
+            assert stream.ids[piece] == ids[piece]
+        with pytest.raises(IndexError):
+            stream.ids[n]
+        with pytest.raises(IndexError):
+            stream.ids[-n - 1]
+        if lines_hint is not None:
+            # Runs of the fast path as texts, decoded lines as lists.
+            assert {type(chunk) for chunk in stream.ids._chunks} == {str, list}
+            assert {'has "quote"', "back\\slash", '{"id": "inner', "key order"} <= set(ids)
 
     GOOD = '{"id": "i1", "ts": "2026-03-02T00:00:00", "attributes": {"a": "1"}}'
 
@@ -839,7 +879,8 @@ class TestSplitImpressions:
 
     def rows(self, path, *bounds):
         sets = sim.ImpressionStream()
-        return [(i, t, sets.attrs[s]) for i, t, s in sim.iter_impressions(path, sets, *bounds)]
+        return [(i, t, sets.attrs[s])
+                for i, t, s in impression_rows(sim.iter_impressions(path, sets, *bounds))]
 
     @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("name", FILES)
@@ -890,7 +931,7 @@ class TestSplitImpressions:
         with pytest.raises(model.GraphDataError,
                            match=f"{path}:1501: bad impression: 'utf-8' codec can't "
                                  "decode byte 0xff in position 23"):
-            for i, t, s in sim.iter_impressions(path, sets):
+            for i, t, s in impression_rows(sim.iter_impressions(path, sets)):
                 got.append((i, t, sets.attrs[s]))
         assert got == self.rows(tmp_path / "head.jsonl")
 
@@ -1170,8 +1211,9 @@ class TestMemory:
 
     def test_loaded_bytes_per_impression(self, week, tmp_path):
         """`load_impressions` keeps an id, a timestamp and a set id per
-        impression: under 192 retained bytes each (a parsed dict and an
-        event per line held about 620)."""
+        impression: under 96 retained bytes each.  A parsed dict and an
+        event per line held about 620, and an `str` per id about 127; the
+        ids of each run of lines packed in one text hold about 78."""
         _, events = week
         path = tmp_path / "impressions.jsonl"
         sim.save_impressions(events, path)
@@ -1183,7 +1225,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert len(stream) == len(events)
-        assert retained / len(stream) < 192
+        assert retained / len(stream) < 96
 
 
 def _splitmix64(state: int):
