@@ -335,7 +335,7 @@ def record_attributes(rec) -> AttributeMap:
     return attrs
 
 
-_LINES_HINT = 1 << 13       # about the characters of one block of `line_blocks`
+_LINES_HINT = 1 << 15       # about the characters of one block of `line_blocks`
 
 
 def line_blocks(path, what: str, start: int = 0, first_line: int = 1,
@@ -402,7 +402,8 @@ def read_records(path, what: str, parse: Callable[[str], T]) -> Iterator[T]:
     The one reading rule of every line file: lines are read by
     `line_blocks`, each is stripped of JSON whitespace, and one left empty
     is skipped.  A line that `parse` rejects (KeyError, ValueError or
-    TypeError), or that is not UTF-8, raises GraphDataError as
+    TypeError, or RecursionError, as the JSON decoder raises on a value
+    nested too deeply), or that is not UTF-8, raises GraphDataError as
     `path:line: bad <what>: <reason>`, after the items of the lines before
     it.
     """
@@ -421,7 +422,7 @@ def parse_lines(path, what: str, parse: Callable[[str], T], first: int,
             continue
         try:
             item = parse(line)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise GraphDataError(f"{path}:{lineno}: bad {what}: {exc}") from exc
         yield item
 

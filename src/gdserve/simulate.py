@@ -16,9 +16,11 @@ depends only on the current plan and the impression itself.
 
 The engine reads an `ImpressionStream`: columns of ids, timestamps and one
 attribute-set id per impression, with one attribute map and one key per
-distinct set.  `load_impressions` reads a file straight into one through
-`iter_impressions`, the line reader `gdserve serve` streams from too: each
-distinct set is checked and keyed once.  The reader parses speculatively
+distinct set.  The timestamps are a `PackedTimes`, fixed-width keys whose
+byte order is time order, one `bytes` chunk per run.  `load_impressions`
+reads a file straight into one through `iter_impressions`, the line reader
+`gdserve serve` streams from too: each distinct set is checked and keyed
+once.  The reader parses speculatively
 (as Mison does, Li et al., VLDB 2017) and a block of lines at a time: lines
 in the layout `save_impressions` writes whose attributes texts it has seen
 are cut by string partitions, checked together and take those texts' sets
@@ -28,7 +30,7 @@ of a run checked together stay one packed text (`PackedIds`), which the
 stream keeps as it is, so no `str` is made per id until one is read.  Any
 other sequence of `ImpressionEvent`s is turned into a stream by one pass.
 Because the stream is sorted, each cycle is a contiguous index range,
-found by bisecting the timestamps at the cycle bounds, and a supply node's
+found by bisecting the keys at the cycle bounds, and a supply node's
 impressions in a cycle (from which re-plans restate the forecast) are a
 count of set ids over that range, kept by the node's position in the
 index.
@@ -79,11 +81,11 @@ import os
 import re
 import sys
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from itertools import accumulate, chain, islice, repeat
-from operator import add, attrgetter, eq, gt, mul
+from operator import add, attrgetter, eq, mul
 from sys import intern
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
                     Sequence, Set, Tuple, Union)
@@ -326,21 +328,59 @@ def attrs_key(attrs: Mapping[str, str]) -> AttrsKey:
     return tuple(sorted(attrs.items()))
 
 
-class PackedIds(Sequence[str]):
+class _Chunked(Sequence):
+    """A sequence held in chunks: `_chunks`, and `_starts`, the index of each
+    chunk's first item, then the length.  A subclass gives item j of chunk
+    k (`_item`) and iteration; `len`, indexing (negative and slices too)
+    and `==` with a list or another of its class are then a list's."""
+
+    def __init__(self):
+        self._chunks: list = []
+        self._starts = [0]
+
+    def _add(self, chunk, n: int) -> None:
+        if n:
+            self._chunks.append(chunk)
+            self._starts.append(self._starts[-1] + n)
+
+    def _item(self, k: int, j: int):
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]         # negative and out-of-range i as a list's
+        k = bisect_right(self._starts, i) - 1
+        return self._item(k, i - self._starts[k])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, type(self))):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class PackedIds(_Chunked, Sequence[str]):
     """Impression ids held in chunks, each a list of ids or a packed text.
 
-    A packed text is `_ID_START + id` for each of its ids, joined: the
-    fronts of lines in the layout `save_impressions` writes, whose ids hold
-    no `"`, so the text cut at `_ID_START` gives them back.  It keeps an id
-    in its characters and 8 more, where a list keeps an 8-byte slot and an
-    `str` of its characters and 49 more.  A text is split when it is read,
-    and the last one split by indexing is kept.  `len`, indexing (negative and slices too),
-    iteration and `==` with a list or another `PackedIds` are a list's.
+    A packed text is `"` + id for each of its ids, joined: the fronts of
+    lines in the layout `save_impressions` writes, whose ids hold no `"`,
+    each with its `_ID_START` made one `"`, so the text cut at `"` gives
+    them back.  It keeps an id in its characters and 1 more, where a list
+    keeps an 8-byte slot and an `str` of its characters and 49 more.  A
+    text is split when it is read, and the last one split by indexing is
+    kept.
     """
 
     def __init__(self):
-        self._chunks: List[Union[str, List[str]]] = []
-        self._starts = [0]          # the index of each chunk's first id, then len
+        super().__init__()
         self._split: Tuple[int, List[str]] = (-1, [])   # (chunk, its ids)
 
     @classmethod
@@ -349,11 +389,6 @@ class PackedIds(Sequence[str]):
         ids = cls()
         ids._add(text, n)
         return ids
-
-    def _add(self, chunk: Union[str, List[str]], n: int) -> None:
-        if n:
-            self._chunks.append(chunk)
-            self._starts.append(self._starts[-1] + n)
 
     def add(self, ids: Sequence[str]) -> None:
         """Add `ids` at the end: the chunks of a `PackedIds`, else `ids`
@@ -364,41 +399,147 @@ class PackedIds(Sequence[str]):
         else:
             self._add(ids, len(ids))
 
-    def __len__(self) -> int:
-        return self._starts[-1]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = range(len(self))[i]         # negative and out-of-range i as a list's
-        k = bisect_right(self._starts, i) - 1
+    def _item(self, k: int, j: int) -> str:
         chunk = self._chunks[k]
         if isinstance(chunk, str):
             if self._split[0] != k:
                 self._split = (k, _unpack(chunk))
             chunk = self._split[1]
-        return chunk[i - self._starts[k]]
+        return chunk[j]
 
     def __iter__(self) -> Iterator[str]:
         return chain.from_iterable(
             chunk if isinstance(chunk, list) else _unpack(chunk) for chunk in self._chunks)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, PackedIds)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"PackedIds({list(self)!r})"
-
 
 def _unpack(text: str) -> List[str]:
     """The ids of a packed text (see `PackedIds`)."""
-    ids = text.split(_ID_START)
+    ids = text.split('"')
     del ids[0]
     return ids
+
+
+# A timestamp key: the 20 digits YYYYMMDDhhmmssffffff of a naive datetime,
+# two to a byte (see `PackedTimes`).
+KEY_BYTES = 10
+# The layout keys are read from, 'YYYY-MM-DDTHH:MM:SS.ffffff' (26
+# characters, as `isoformat(timespec="microseconds")` writes a naive
+# time), with 0 for every digit and the "\n" that ends a text in a join;
+# `_ZEROED` makes every digit 0.
+_LAYOUT = b"0000-00-00T00:00:00.000000\n"
+_ZEROED = bytes.maketrans(b"123456789", b"000000000")
+# The separators as spaces, which `bytes.fromhex` skips between digit
+# pairs, as it skips the "\n" between texts.
+_SPACED = bytes.maketrans(b"-T:.", b"    ")
+
+
+def _text_keys(joined: str, n: int) -> Optional[bytes]:
+    """The keys of the `n` timestamp texts joined by "\\n" in `joined`, if
+    all of them have the layout `_LAYOUT`, with a decimal digit at every
+    place but the separators'; else None.  Only the layout is checked, not
+    the calendar."""
+    if len(joined) + 1 != len(_LAYOUT) * n:
+        return None
+    text = joined.encode()
+    if text.translate(_ZEROED) + b"\n" != _LAYOUT * n:
+        return None
+    return bytes.fromhex(text.translate(_SPACED).decode())
+
+
+def _key_time(key: bytes) -> datetime:
+    """The datetime of the key `key`."""
+    d = key.hex()
+    return datetime(int(d[:4]), int(d[4:6]), int(d[6:8]), int(d[8:10]), int(d[10:12]),
+                    int(d[12:14]), int(d[14:]))
+
+
+class PackedTimes(_Chunked, Sequence[datetime]):
+    """Naive timestamps held as keys of `KEY_BYTES` bytes, in chunks of keys.
+
+    A key is the 20 digits YYYYMMDDhhmmssffffff of its time, two to a byte
+    (`bytes.fromhex`).  Each field is zero-padded to a fixed width and
+    written most significant first, so two times compare as their digit
+    strings do; a byte holds its two digits as 16 times the first plus the
+    second, so it orders its pairs as the digits do, and two keys compare
+    byte by byte as their times.  A key keeps a time in 10 bytes, where a
+    list keeps an 8-byte slot and a 48-byte `datetime`.
+
+    A column is made of one chunk (`of_texts`, `of`) and grows by the
+    chunks of others (`add`).  `disorder` is the index of the first time
+    before the one ahead of it, or None; a chunk's own is found from the
+    texts it is made of, which sort as their times, and `add` compares
+    each new chunk's first key with the last key so far.  Indexing and
+    iteration give datetimes, and `bisect_left` of a sorted column bisects
+    the chunks' first keys, then one chunk.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._firsts: List[bytes] = []      # each chunk's first key
+        self.disorder: Optional[int] = None
+
+    @classmethod
+    def of_texts(cls, texts: Sequence[str], joined: str) -> Optional["PackedTimes"]:
+        """The times of the texts `texts`, `joined` their join by "\\n", as
+        one chunk, if all have the layout of `_text_keys`; else
+        None.  The calendar is not checked."""
+        keys = _text_keys(joined, len(texts))
+        if keys is None:
+            return None
+        ts = cls()
+        ts._firsts.append(keys[:KEY_BYTES])
+        ts._add(keys, len(texts))
+        if sorted(texts) != list(texts):
+            ts.disorder = next(i for i in range(1, len(texts)) if texts[i] < texts[i - 1])
+        return ts
+
+    @classmethod
+    def of(cls, ts: Sequence[datetime]) -> "PackedTimes":
+        """The naive datetimes `ts` as one chunk, through their ISO texts."""
+        texts = [t.isoformat(timespec="microseconds") for t in ts]
+        packed = cls.of_texts(texts, "\n".join(texts)) if texts else cls()
+        if packed is None:
+            bad = next(text for text in texts if len(text) != 26)
+            raise SimulationError(f"impression time {bad} is not naive")
+        return packed
+
+    def add(self, other: "PackedTimes") -> None:
+        """Add the chunks of `other` at the end."""
+        if self.disorder is None and other._chunks:
+            if self._chunks and self._chunks[-1][-KEY_BYTES:] > other._firsts[0]:
+                self.disorder = len(self)
+            elif other.disorder is not None:
+                self.disorder = len(self) + other.disorder
+        self._firsts += other._firsts
+        for chunk, a, b in zip(other._chunks, other._starts, islice(other._starts, 1, None)):
+            self._add(chunk, b - a)
+
+    def _item(self, k: int, j: int) -> datetime:
+        return _key_time(self._chunks[k][j * KEY_BYTES:(j + 1) * KEY_BYTES])
+
+    def __iter__(self) -> Iterator[datetime]:
+        return (_key_time(chunk[i:i + KEY_BYTES]) for chunk in self._chunks
+                for i in range(0, len(chunk), KEY_BYTES))
+
+    def bisect_left(self, t: datetime, lo: int = 0, hi: Optional[int] = None) -> int:
+        """`bisect.bisect_left(self, t, lo, hi)`, for a sorted column."""
+        hi = len(self) if hi is None else hi
+        key = self.of((t,))._firsts[0]
+        k = bisect_left(self._firsts, key) - 1      # the last chunk starting before t
+        if k < 0:
+            return lo
+        chunk, a, b = self._chunks[k], 1, self._starts[k + 1] - self._starts[k]
+        while a < b:
+            m = (a + b) // 2
+            if chunk[m * KEY_BYTES:(m + 1) * KEY_BYTES] < key:
+                a = m + 1
+            else:
+                b = m
+        return min(max(self._starts[k] + a, lo), hi)
+
+
+# The events `ImpressionStream.of` turns into keys at once.
+_OF_CHUNK = 1 << 10
 
 
 class ImpressionStream(Sequence[ImpressionEvent]):
@@ -406,17 +547,18 @@ class ImpressionStream(Sequence[ImpressionEvent]):
 
     Impression i is `ids[i]`, `ts[i]` and attribute set `set_ids[i]`; set s
     has the attribute map `attrs[s]` and its `attrs_key`, `keys[s]`.  The
-    ids are a `PackedIds`: a stream loaded from a file keeps the ids of each
-    run of lines read together as one text.  A set is a distinct map in its
-    own key order, so equal maps written in two orders are two sets with
-    equal keys, and every impression keeps the order it was read in.
-    Indexing and iteration give `ImpressionEvent`s; the events of one set
-    share its map, which is not to be changed.
+    ids are a `PackedIds` and the timestamps a `PackedTimes`: a stream
+    loaded from a file keeps the ids of each run of lines read together as
+    one text and their timestamps as one chunk of keys.  A set is a
+    distinct map in its own key order, so equal maps written in two orders
+    are two sets with equal keys, and every impression keeps the order it
+    was read in.  Indexing and iteration give `ImpressionEvent`s; the
+    events of one set share its map, which is not to be changed.
     """
 
     def __init__(self):
         self.ids = PackedIds()
-        self.ts: List[datetime] = []
+        self.ts = PackedTimes()
         self.set_ids: List[int] = []
         self.attrs: List[Mapping[str, str]] = []
         self.keys: List[AttrsKey] = []
@@ -425,15 +567,17 @@ class ImpressionStream(Sequence[ImpressionEvent]):
     @classmethod
     def of(cls, events: Iterable[ImpressionEvent]) -> "ImpressionStream":
         """`events` as a stream: a stream itself, else one built in one pass,
-        whose ids are one list."""
+        whose ids are one list.  The timestamps are turned into keys
+        `_OF_CHUNK` events at a time, so their texts are never all held."""
         if isinstance(events, cls):
             return events
         stream = cls()
-        ids = []
-        for ev in events:
-            ids.append(ev.id)
-            stream.ts.append(ev.ts)
-            stream.set_ids.append(stream.set_id(ev.attributes))
+        ids: List[str] = []
+        events = iter(events)
+        for chunk in iter(lambda: list(islice(events, _OF_CHUNK)), []):
+            ids += [ev.id for ev in chunk]
+            stream.ts.add(PackedTimes.of([ev.ts for ev in chunk]))
+            stream.set_ids += [stream.set_id(ev.attributes) for ev in chunk]
         stream.ids.add(ids)
         return stream
 
@@ -588,12 +732,16 @@ class _BaseController:
         return HwmPlan(entries)
 
 
-def _pieces(ts: Sequence[datetime], instants: Sequence[datetime], lo: int, hi: int,
+def _pieces(ts: PackedTimes, instants: Sequence[datetime], lo: int, hi: int,
             bounds: Iterable[int] = ()) -> Iterator[Tuple[int, int]]:
     """The range [lo, hi) of the sorted timestamps `ts` cut into pieces
-    (a, b), in order: at the first index at or after each of `instants`,
-    so that every piece lies in one flight phase, and at `bounds`."""
-    cuts = sorted({bisect_left(ts, t, lo, hi) for t in instants}.union(bounds, (lo, hi)))
+    (a, b), in order: at the first index at or after each of the sorted
+    `instants`, so that every piece lies in one flight phase, and at
+    `bounds`.  An instant at or before `ts[lo]` cuts at lo, and one after
+    `ts[hi - 1]` at hi, so only those between are bisected."""
+    inner = (instants[bisect_right(instants, ts[lo]):bisect_right(instants, ts[hi - 1])]
+             if lo < hi else ())
+    cuts = sorted({ts.bisect_left(t, lo, hi) for t in inner}.union(bounds, (lo, hi)))
     return zip(cuts, islice(cuts, 1, None))
 
 
@@ -650,15 +798,15 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
     stream = ImpressionStream.of(impressions)
     ts, set_ids = stream.ts, stream.set_ids
     keys, attrs_of_set = stream.keys, stream.attrs
-    if any(map(gt, ts, islice(ts, 1, None))):
-        i = next(i for i in range(1, len(ts)) if ts[i] < ts[i - 1])
+    i = ts.disorder
+    if i is not None:
         raise SimulationError(
             f"impression {stream.ids[i]} at {ts[i].isoformat()} is out of order")
 
     # The stream is sorted, so cycle k is the index range
     # [starts[k], starts[k + 1]); counts[k][i] is supply node i's impressions
     # in it, and supply_from[k][i] those from cycle k on, as floats.
-    starts = [bisect_left(ts, b) for b in bounds]
+    starts = [ts.bisect_left(b) for b in bounds]
     served = starts[-1] - starts[0]
     skipped = len(ts) - served
     node_of_key = {attrs_key(n.attributes): i for i, n in enumerate(graph.supply_nodes)}
@@ -798,11 +946,12 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
 def load_impressions(path) -> ImpressionStream:
     """Read impressions.jsonl (see `iter_impressions`) into a stream, one
     run at a time: the stream keeps each run's ids as they come, a packed
-    text from the fast path and a list from the full decode."""
+    text from the fast path and a list from the full decode, and each
+    run's timestamps as one chunk of keys."""
     stream = ImpressionStream()
-    for ids, ts, set_ids in iter_impressions(path, stream):
+    for ids, ts, set_ids in iter_impressions(path, stream, keyed=True):
         stream.ids.add(ids)
-        stream.ts += ts
+        stream.ts.add(ts)
         stream.set_ids += set_ids
     return stream
 
@@ -816,39 +965,46 @@ _ID_START = '{"id": "'
 _TS_START = '", "ts": "'
 _ATTRS_START = '", "attributes": '
 
-# The characters a JSON string may not hold as themselves, but `"`.  UTF-8
-# writes each as its one byte, and every other character with none of these
-# bytes.
-_NOT_PLAIN = b"\\" + bytes(range(0x20))
-_ID_QUOTES = _ID_START.count('"')
+# `"` for each character a JSON string may not hold as itself, but `"`.
+# UTF-8 writes each as its one byte, and every other character with none
+# of these bytes.
+_QUOTED = bytes.maketrans(b"\\" + bytes(range(0x20)), b'"' * 33)
 
 
-def _plain_heads(heads: Sequence[str]) -> Optional[Tuple[str, Tuple[str, ...]]]:
-    """The packed ids (see `PackedIds`) and the ts texts of `heads`, if
-    every head is `_ID_START + id + _TS_START + ts` with id and ts free of
-    `"`, `\\` and control characters (so each is a JSON string's text that
-    decodes to itself); else None.  The packed ids are the fronts before
-    `_TS_START`, joined: every front starts with `_ID_START`, and the fronts
-    and timestamps hold no `"` but those of the prefixes."""
+def _plain_heads(heads: Sequence[str]) -> Optional[Tuple[str, Tuple[str, ...], str]]:
+    """The packed ids (see `PackedIds`), the ts texts and their join by
+    "\\n" of `heads`, if every head is `_ID_START + id + _TS_START + ts`
+    with id and ts free of `"`, `\\` and control characters (so each is a
+    JSON string's text that decodes to itself); else None.  The packed ids
+    are the fronts before `_TS_START`, joined, with each `_ID_START` made
+    one `"`: every front starts with one, and the ids and timestamps hold
+    no `"`.  (A `"` in an id stays, or is the `"` an `_ID_START` in it is
+    made, since no `_ID_START` can start in one front and end in the next:
+    no proper prefix of it is a suffix.)"""
     fronts, found, tss = zip(*[head.partition(_TS_START) for head in heads])
     if "" in found or not all(map(str.startswith, fronts, repeat(_ID_START))):
         return None
-    ids = "".join(fronts)
-    text = (ids + "".join(tss)).encode()
-    if (text.count(b'"') != _ID_QUOTES * len(heads)
-            or len(text.translate(None, _NOT_PLAIN)) != len(text)):
+    ids = "".join(fronts).replace(_ID_START, '"')
+    stamps = "\n".join(tss)
+    text = (ids + stamps).encode()
+    # A `"` per id and a "\n" per join, and no other `"`, `\\` or control
+    # character.
+    if text.translate(_QUOTED).count(b'"') != 2 * len(heads) - 1:
         return None
-    return ids, tss
+    return ids, tss, stamps
 
 
-Run = Tuple[Sequence[str], List[datetime], List[int]]
+# A run's timestamps: datetimes, or their keys.
+Stamps = Union[List[datetime], PackedTimes]
+Run = Tuple[Sequence[str], Stamps, List[int]]
 
 
 def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: int = 1,
-                     lines: Optional[int] = None) -> Iterator[Run]:
+                     lines: Optional[int] = None, keyed: bool = False) -> Iterator[Run]:
     """Runs (ids, timestamps, set ids) of impressions.jsonl, in order: row i
     of a run is (`ids[i]`, `ts[i]`, `set_ids[i]`), and there is one row per
-    non-blank line.
+    non-blank line.  A run's timestamps are a list of datetimes, or with
+    `keyed` a `PackedTimes` of one chunk.
 
     A line holds one JSON object {"id", "ts", "attributes"}, and nothing
     else, as `json.loads` requires.  The file is read by the rule of
@@ -875,14 +1031,19 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
     (`_plain_heads`) and one `map(datetime.fromisoformat, ...)` parses
     its timestamps, which must all be naive; a run that passes is given
     as those columns, its ids a `PackedIds` over the one packed text, so
-    no `str` is made per id until they are read.  A line with an unknown
-    tail, and each line of a run that fails, is read on its own: as above
-    if it passes the same checks alone, else decoded in full (`parse_ts`,
-    `record_attributes`), after which a line in the layout with a new
-    attributes text teaches its tail.  The lines read on their own come as
-    one run of lists; if one is bad, the rows before it come as a run
-    before its error.  On a file in that layout the JSON decoder runs
-    about once per distinct attributes text.
+    no `str` is made per id until they are read.  With `keyed`, a run
+    whose timestamps all have the layout of `_text_keys` takes
+    its keys and order from their texts (`PackedTimes.of_texts`), and its
+    datetimes are dropped as they are parsed (digits and separators at
+    their places are naive); any other run's keys are made from its
+    datetimes.  A line with an unknown tail, and each line of a run that
+    fails, is read on its own: as above if it passes the same checks
+    alone, else decoded in full (`parse_ts`, `record_attributes`), after
+    which a line in the layout with a new attributes text teaches its
+    tail.  The lines read on their own come as one run of lists; if one
+    is bad, the rows before it come as a run before its error.  On a file
+    in that layout the JSON decoder runs about once per distinct
+    attributes text.
 
     This is exact.  A tail is learned only from a line that decoded in
     full and is `{"id": "<id>", "ts": "<ts>", "attributes": <text>}`,
@@ -903,28 +1064,35 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
     set_of_tail: Dict[str, int] = {}
     tail_set = set_of_tail.get
 
-    def columns(heads: Sequence[str]) -> Optional[Tuple[str, List[datetime]]]:
-        """The packed ids and the timestamps of the lines cut into `heads`,
-        or None if one of them fails a check."""
+    def columns(heads: Sequence[str], keyed: bool) -> Optional[Tuple[str, Stamps]]:
+        """The packed ids and the timestamps (with `keyed`, as a
+        `PackedTimes`) of the lines cut into `heads`, or None if one of
+        them fails a check."""
         plain = _plain_heads(heads)
         if plain is None:
             return None
-        ids, tss = plain
+        ids, tss, stamps = plain
+        packed = PackedTimes.of_texts(tss, stamps) if keyed else None
         try:
-            ts = list(map(datetime.fromisoformat, tss))
+            ts = map(datetime.fromisoformat, tss)
+            if packed is not None:
+                # Digits and separators at their places: read as naive.
+                deque(ts, 0)
+                return ids, packed
+            ts = list(ts)
         except ValueError:
             return None
         if any(map(_tzinfo, ts)):       # not every timestamp is naive
             return None
-        return ids, ts
+        return ids, PackedTimes.of(ts) if keyed else ts
 
     def row(line: str) -> Tuple[str, datetime, int]:
         head, _, tail = line.partition(_ATTRS_START)
         known_sid = tail_set(tail)
         if known_sid is not None:
-            cols = columns((head,))
+            cols = columns((head,), False)
             if cols is not None:
-                return cols[0][len(_ID_START):], cols[1][0], known_sid
+                return cols[0][1:], cols[1][0], known_sid
         rec, end = _decode(line)
         if end != len(line):
             raise json.JSONDecodeError("Extra data", line, end)
@@ -954,10 +1122,10 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
                 sids.append(sid)
         except Exception:
             if ids:
-                yield ids, ts, sids
+                yield ids, PackedTimes.of(ts) if keyed else ts, sids
             raise
         if ids:
-            yield ids, ts, sids
+            yield ids, PackedTimes.of(ts) if keyed else ts, sids
 
     for first, block in line_blocks(path, "impression", start, first_line, lines):
         heads, _, tails = zip(*[line.partition(_ATTRS_START) for line in block])
@@ -976,7 +1144,7 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
                     k = sids.index(None, i)
                 except ValueError:
                     k = len(block)
-                cols = columns(heads[i:k])
+                cols = columns(heads[i:k], keyed)
                 if cols is None:
                     yield from decoded(first + i, block[i:k])
                 else:
@@ -1089,12 +1257,13 @@ def load_config(path) -> SimulationConfig:
     default; `sim_start` and `sim_end` absent or null are derived from the
     flights.  A bad or unknown field, at the top or inside `feedback`,
     raises SimulationError as `path: field ...`, and a file that is not
-    UTF-8 or not JSON as `path: <reason>`.
+    UTF-8 or not JSON, or that nests values too deeply for the decoder
+    (RecursionError), as `path: <reason>`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return _config_from(json.load(fh))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SimulationError(f"{path}: {exc}") from exc
 
 

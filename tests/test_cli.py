@@ -458,6 +458,23 @@ class TestBadImpressions:
         assert f"{tmp_path / 'impressions.jsonl'}:2: bad impression" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_deeply_nested_attribute_fails_with_line(self, tmp_path, capsys, workers):
+        write_demo_inputs(tmp_path)
+        run(["plan", "--supply", tmp_path / "supply.jsonl",
+             "--contracts", tmp_path / "contracts.jsonl", "--out", tmp_path / "plan.jsonl"])
+        path = tmp_path / "impressions.jsonl"
+        write_impressions(path, [{"state": "CA"}, {"state": "CA"}])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"id": "deep", "ts": "2026-03-02T00:00:00", "attributes": {"state": '
+                     + "[" * 100_000 + "]" * 100_000 + "}}\n")
+        rc = run(["serve", "--plan", tmp_path / "plan.jsonl",
+                  "--contracts", tmp_path / "contracts.jsonl", "--impressions", path,
+                  "--out", tmp_path / "decisions.jsonl", "--workers", workers])
+        assert rc == 1
+        assert f"\nerror: {path}:3: bad impression: maximum recursion depth" in \
+            capsys.readouterr().err
+
 
 class TestServeWorkers:
     """`gdserve serve --workers N` serves byte ranges of the impression file

@@ -182,6 +182,24 @@ class TestRoundTrip:
         with pytest.raises(model.GraphDataError, match=f"{path}:2: bad impression"):
             simulate.load_impressions(path)
 
+    @pytest.mark.parametrize("name, record, read", READERS)
+    def test_deep_nesting_reports_line(self, tmp_path, name, record, read):
+        # The JSON decoder raises RecursionError on a value nested this deep.
+        path = tmp_path / f"{name}.jsonl"
+        deep = "[" * 100_000 + "]" * 100_000
+        path.write_text(f'{record}\n{record[:-1]}, "deep": {deep}}}\n', encoding="utf-8")
+        with pytest.raises(model.GraphDataError, match=f"^{path}:2: bad "):
+            read(path)
+
+    def test_deeply_nested_attribute_reports_line(self, tmp_path):
+        path = tmp_path / "impressions.jsonl"
+        path.write_text('{"id": "i1", "ts": "2026-03-02T00:00:00", "attributes": {"x": "1"}}\n'
+                        '{"id": "i2", "ts": "2026-03-02T00:00:01", "attributes": {"x": '
+                        + "[" * 100_000 + "]" * 100_000 + "}}\n")
+        with pytest.raises(model.GraphDataError,
+                           match=f"^{path}:2: bad impression: maximum recursion depth"):
+            simulate.load_impressions(path)
+
     @pytest.mark.parametrize("tail", ["\u00a0", "\x0c"])
     @pytest.mark.parametrize("name, record, read", READERS)
     def test_only_json_whitespace_is_stripped(self, tmp_path, name, record,

@@ -151,6 +151,13 @@ class TestEngineInvariants:
         with pytest.raises(sim.SimulationError, match=f"^{re.escape(str(path))}: {message};"):
             sim.load_config(path)
 
+    def test_load_config_reports_deep_nesting(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"feedback": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(sim.SimulationError,
+                           match=f"^{re.escape(str(path))}: maximum recursion depth"):
+            sim.load_config(path)
+
     def test_sampled_shards_rejected(self):
         with pytest.raises(sim.SimulationError, match="single worker"):
             sim.SimulationConfig(mode="sampled", shards=2)
@@ -1209,12 +1216,9 @@ class TestMemory:
             tracemalloc.stop()
         assert (peak - before) / report.impressions_in_window < 48
 
-    def test_loaded_bytes_per_impression(self, week, tmp_path):
-        """`load_impressions` keeps an id, a timestamp and a set id per
-        impression: under 96 retained bytes each.  A parsed dict and an
-        event per line held about 620, and an `str` per id about 127; the
-        ids of each run of lines packed in one text hold about 78."""
-        _, events = week
+    @staticmethod
+    def loaded_bytes(events, tmp_path):
+        """The bytes `load_impressions` retains per impression of `events`."""
         path = tmp_path / "impressions.jsonl"
         sim.save_impressions(events, path)
         tracemalloc.start()
@@ -1225,7 +1229,21 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert len(stream) == len(events)
-        assert retained / len(stream) < 96
+        return retained / len(stream)
+
+    def test_loaded_bytes_per_impression(self, week, tmp_path):
+        """`load_impressions` keeps an id, a timestamp and a set id per
+        impression: under 96 retained bytes each.  A parsed dict and an
+        event per line held about 620, and an `str` per id about 127; the
+        ids of each run of lines packed in one text hold about 78."""
+        assert self.loaded_bytes(week[1], tmp_path) < 96
+
+    def test_loaded_times_are_keys(self, week, tmp_path):
+        """Each run's timestamps kept as one chunk of 10-byte keys, not a
+        `datetime` and a list slot each (56 bytes), and its ids packed with
+        one character between them: under 48 retained bytes an impression,
+        about 33."""
+        assert self.loaded_bytes(week[1], tmp_path) < 48
 
 
 def _splitmix64(state: int):
