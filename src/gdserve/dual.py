@@ -68,14 +68,20 @@ class DualConvergenceError(RuntimeError):
 
 def target_fractions(graph: Union[AllocationGraph, PlanningProblem]) -> Dict[str, float]:
     """theta_j = d_j / (j's eligible forecast supply) for each live contract
-    of `model.PlanningProblem.of(graph)` that has some eligible supply."""
+    of `model.PlanningProblem.of(graph)` that has some eligible supply.  A
+    quotient that underflows to 0 raises GraphDataError: the solve divides
+    by theta_j."""
     problem = PlanningProblem.of(graph)
     contracts = problem.index.contracts
     theta = {}
     for j, demand in problem.demand.items():
         total = problem.eligible_supply(j)
         if total > 0:
-            theta[contracts[j].id] = demand / total
+            t = demand / total
+            if t == 0:
+                raise GraphDataError(f"contract {contracts[j].id}: target fraction "
+                                     f"{demand!r} / {total!r} underflows to 0")
+            theta[contracts[j].id] = t
     return theta
 
 

@@ -62,6 +62,7 @@ class SupplyNode:
     forecast_supply: float
 
     def __post_init__(self):
+        check_finite(f"supply node {self.id}: supply", self.forecast_supply)
         if self.forecast_supply < 0:
             raise GraphDataError(f"supply node {self.id}: negative supply")
 
@@ -89,6 +90,9 @@ class Contract:
     def __post_init__(self):
         if self.booked_demand is None:
             object.__setattr__(self, "booked_demand", self.demand)
+        for name, value in (("demand", self.demand), ("booked", self.booked_demand),
+                            ("penalty", self.penalty)):
+            check_finite(f"contract {self.id}: {name}", value)
         if self.demand <= 0:
             raise GraphDataError(f"contract {self.id}: demand must be positive")
         if self.start >= self.end:
@@ -193,8 +197,13 @@ class PlanningProblem:
                    {j: c.demand for j, c in enumerate(graph.contracts)})
 
     def eligible_supply(self, j: int) -> float:
-        """Total forecast supply across contract j's nodes, in edge order."""
-        return sum(map(self.supply.__getitem__, self.index.nodes_of[j]))
+        """Total forecast supply across contract j's nodes, in edge order.
+        A total that is not finite, as finite supplies may sum to, raises
+        GraphDataError: every planner reads its supply through here."""
+        total = sum(map(self.supply.__getitem__, self.index.nodes_of[j]))
+        check_finite(f"contract {self.index.contracts[j].id}: eligible forecast supply",
+                     total)
+        return total
 
 
 def build_graph(supply_nodes: List[SupplyNode],
@@ -305,14 +314,21 @@ def record_number(rec, key: str, default: Optional[float] = None) -> float:
     value = rec[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
+    check_finite(key, value)
+    return value
+
+
+def check_finite(name: str, value) -> None:
+    """Raise GraphDataError as `<name> must be a finite number, got <value>`
+    unless the number `value` is finite; an int that no float can hold is
+    given by its count of digits."""
     try:
         finite = math.isfinite(value)
     except OverflowError:       # an int that no float can hold
-        raise ValueError(f"{key} must be a finite number, got an integer of "
-                         f"{len(str(abs(value)))} digits") from None
+        raise GraphDataError(f"{name} must be a finite number, got an integer of "
+                             f"{len(str(abs(value)))} digits") from None
     if not finite:
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return value
+        raise GraphDataError(f"{name} must be a finite number, got {value!r}")
 
 
 def record_attributes(rec) -> AttributeMap:

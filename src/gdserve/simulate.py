@@ -85,7 +85,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from itertools import accumulate, chain, islice, repeat
-from operator import add, attrgetter, eq, mul
+from operator import attrgetter, eq, mul, sub
 from sys import intern
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
                     Sequence, Set, Tuple, Union)
@@ -331,8 +331,8 @@ def attrs_key(attrs: Mapping[str, str]) -> AttrsKey:
 class _Chunked(Sequence):
     """A sequence held in chunks: `_chunks`, and `_starts`, the index of each
     chunk's first item, then the length.  A subclass gives item j of chunk
-    k (`_item`) and iteration; `len`, indexing (negative and slices too)
-    and `==` with a list or another of its class are then a list's."""
+    k (`_item(k, j)`) and iteration; `len`, indexing (negative and slices
+    too) and `==` with a list or another of its class are then a list's."""
 
     def __init__(self):
         self._chunks: list = []
@@ -342,9 +342,6 @@ class _Chunked(Sequence):
         if n:
             self._chunks.append(chunk)
             self._starts.append(self._starts[-1] + n)
-
-    def _item(self, k: int, j: int):
-        raise NotImplementedError
 
     def __len__(self) -> int:
         return self._starts[-1]
@@ -375,13 +372,8 @@ class PackedIds(_Chunked, Sequence[str]):
     each with its `_ID_START` made one `"`, so the text cut at `"` gives
     them back.  It keeps an id in its characters and 1 more, where a list
     keeps an 8-byte slot and an `str` of its characters and 49 more.  A
-    text is split when it is read, and the last one split by indexing is
-    kept.
+    text is split each time it is read.
     """
-
-    def __init__(self):
-        super().__init__()
-        self._split: Tuple[int, List[str]] = (-1, [])   # (chunk, its ids)
 
     @classmethod
     def packed(cls, text: str, n: int) -> "PackedIds":
@@ -401,11 +393,7 @@ class PackedIds(_Chunked, Sequence[str]):
 
     def _item(self, k: int, j: int) -> str:
         chunk = self._chunks[k]
-        if isinstance(chunk, str):
-            if self._split[0] != k:
-                self._split = (k, _unpack(chunk))
-            chunk = self._split[1]
-        return chunk[j]
+        return (chunk if isinstance(chunk, list) else _unpack(chunk))[j]
 
     def __iter__(self) -> Iterator[str]:
         return chain.from_iterable(
@@ -470,12 +458,11 @@ class PackedTimes(_Chunked, Sequence[datetime]):
     texts it is made of, which sort as their times, and `add` compares
     each new chunk's first key with the last key so far.  Indexing and
     iteration give datetimes, and `bisect_left` of a sorted column bisects
-    the chunks' first keys, then one chunk.
+    the chunks by their first keys, then the keys of one chunk.
     """
 
     def __init__(self):
         super().__init__()
-        self._firsts: List[bytes] = []      # each chunk's first key
         self.disorder: Optional[int] = None
 
     @classmethod
@@ -487,7 +474,6 @@ class PackedTimes(_Chunked, Sequence[datetime]):
         if keys is None:
             return None
         ts = cls()
-        ts._firsts.append(keys[:KEY_BYTES])
         ts._add(keys, len(texts))
         if sorted(texts) != list(texts):
             ts.disorder = next(i for i in range(1, len(texts)) if texts[i] < texts[i - 1])
@@ -506,11 +492,10 @@ class PackedTimes(_Chunked, Sequence[datetime]):
     def add(self, other: "PackedTimes") -> None:
         """Add the chunks of `other` at the end."""
         if self.disorder is None and other._chunks:
-            if self._chunks and self._chunks[-1][-KEY_BYTES:] > other._firsts[0]:
+            if self._chunks and self._chunks[-1][-KEY_BYTES:] > other._chunks[0][:KEY_BYTES]:
                 self.disorder = len(self)
             elif other.disorder is not None:
                 self.disorder = len(self) + other.disorder
-        self._firsts += other._firsts
         for chunk, a, b in zip(other._chunks, other._starts, islice(other._starts, 1, None)):
             self._add(chunk, b - a)
 
@@ -524,17 +509,14 @@ class PackedTimes(_Chunked, Sequence[datetime]):
     def bisect_left(self, t: datetime, lo: int = 0, hi: Optional[int] = None) -> int:
         """`bisect.bisect_left(self, t, lo, hi)`, for a sorted column."""
         hi = len(self) if hi is None else hi
-        key = self.of((t,))._firsts[0]
-        k = bisect_left(self._firsts, key) - 1      # the last chunk starting before t
+        key = self.of((t,))._chunks[0]
+        # The last chunk starting before t, then its keys after the first.
+        k = bisect_left(self._chunks, key, key=lambda c: c[:KEY_BYTES]) - 1
         if k < 0:
             return lo
-        chunk, a, b = self._chunks[k], 1, self._starts[k + 1] - self._starts[k]
-        while a < b:
-            m = (a + b) // 2
-            if chunk[m * KEY_BYTES:(m + 1) * KEY_BYTES] < key:
-                a = m + 1
-            else:
-                b = m
+        chunk = self._chunks[k]
+        a = bisect_left(range(len(chunk) // KEY_BYTES), key, 1,
+                        key=lambda m: chunk[m * KEY_BYTES:(m + 1) * KEY_BYTES])
         return min(max(self._starts[k] + a, lo), hi)
 
 
@@ -641,14 +623,13 @@ class Server:
     """
 
     def __init__(self, graph: AllocationGraph):
-        self._contracts = list(graph.contracts)
-        self._contract = {c.id: c for c in self._contracts}
+        self._contract = {c.id: c for c in graph.contracts}
         ids_of = {n.id: [] for n in graph.supply_nodes}
         for sid, cid in graph.edges:
             ids_of[sid].append(cid)
         self._ids: Dict[AttrsKey, List[str]] = {
             attrs_key(n.attributes): ids_of[n.id] for n in graph.supply_nodes}
-        self.instants = sorted({t for c in self._contracts for t in (c.start, c.end)})
+        self.instants = sorted({t for c in graph.contracts for t in (c.start, c.end)})
         # The eligible ids in flight per (set key, phase) visited.
         self._flying: Dict[Tuple[AttrsKey, int], List[str]] = {}
         self._plan: Optional[ServingPlan] = None
@@ -658,7 +639,7 @@ class Server:
     def replan(self, plan: ServingPlan) -> None:
         """Serve `plan` from now on, with no contract dropped."""
         self._plan = plan
-        self._served = {c.id for c in self._contracts if c.id in plan}
+        self._served = {cid for cid in self._contract if cid in plan}
         self._entries = {}
 
     def entry(self, key: AttrsKey, attrs: Mapping[str, str], ts: datetime) -> Entry:
@@ -669,7 +650,7 @@ class Server:
         if flying is None:
             ids = self._ids.get(key)
             if ids is None:
-                ids = self._ids[key] = [c.id for c in self._contracts
+                ids = self._ids[key] = [c.id for c in self._contract.values()
                                         if tg.eligible(attrs, c.targeting)]
             contract = self._contract
             flying = self._flying[slot] = [cid for cid in ids
@@ -805,7 +786,8 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
 
     # The stream is sorted, so cycle k is the index range
     # [starts[k], starts[k + 1]); counts[k][i] is supply node i's impressions
-    # in it, and supply_from[k][i] those from cycle k on, as floats.
+    # in it.  supply_left[i] is node i's impressions from the current cycle
+    # on, as a float: each cycle subtracts its counts after its re-plan.
     starts = [ts.bisect_left(b) for b in bounds]
     served = starts[-1] - starts[0]
     skipped = len(ts) - served
@@ -817,8 +799,7 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
             i = node_of_set[sid]
             if i is not None:
                 row[i] += n
-    supply_from = list(accumulate(reversed(counts), lambda acc, row: list(map(add, acc, row)),
-                                  initial=[0.0] * len(planning.node_ids)))[::-1]
+    supply_left = [float(sum(col)) for col in zip(*counts)]
     per_node = cfg.per_node_error or {}
     multipliers = [per_node.get(nid, cfg.forecast_error_multiplier)
                    for nid in planning.node_ids]
@@ -862,7 +843,7 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
         if demand:
             # Restate the remaining-flight forecast: true remaining supply
             # distorted by the configured error multiplier.
-            supply = list(map(mul, supply_from[k], multipliers))
+            supply = list(map(mul, supply_left, multipliers))
             problem = PlanningProblem(planning, supply, demand)
             if algorithm == "hwm":
                 plan = generate_hwm_plan(problem)
@@ -874,6 +855,7 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
             cycle_rates = {e.contract_id: e.alpha for e in plan.entries}
         else:
             cycle_rates = {}
+        supply_left = list(map(sub, supply_left, counts[k]))
         for c in graph.contracts:
             rates_trace[c.id].append(cycle_rates.get(c.id))
 

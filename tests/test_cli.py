@@ -10,7 +10,7 @@ import pytest
 
 from gdserve import cli, kernels, model, simulate as sim, targeting as tg
 from gdserve.scenario import demo_graph
-from conftest import FLIGHT_START
+from conftest import FLIGHT_START, make_contract
 from _scenarios import uniform_single_contract
 import test_simulator
 
@@ -65,6 +65,30 @@ class TestPlanCommand:
         for line in (tmp_path / "dual_plan.jsonl").read_text().splitlines():
             assert set(json.loads(line)) == {"contract_id", "theta", "alpha",
                                              "penalty"}
+
+    @pytest.mark.parametrize("algorithm, notes", [
+        ("hwm", ["contract nobody: no eligible supply nodes; rate set to 1 but it "
+                 "can never be served from this forecast",
+                 "contract age5: remaining eligible supply 420 is below demand 600; "
+                 "rate saturated at 1"]),
+        ("dual", ["contract nobody: no eligible forecast supply; excluded from plan"]),
+    ])
+    def test_plan_diagnostics_are_notes(self, tmp_path, capsys, algorithm, notes):
+        # The demo's age5 with more demand than its nodes hold, and one
+        # contract that no node matches.
+        g = write_demo_inputs(tmp_path)
+        contracts = g.contracts[:2] + [make_contract("age5", "age_bucket = 5", 600),
+                                       make_contract("nobody", "state = TX", 10)]
+        model.save_contracts(contracts, tmp_path / "contracts.jsonl")
+        plan = tmp_path / "plan.jsonl"
+        rc = run(["plan", "--supply", tmp_path / "supply.jsonl",
+                  "--contracts", tmp_path / "contracts.jsonl",
+                  "--algorithm", algorithm, "--out", plan])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        entries = 4 - (algorithm == "dual")
+        assert [line for line in err if not line.startswith("note: dual solve:")] == \
+            [f"note: {note}" for note in notes] + [f"wrote {entries} plan entries to {plan}"]
 
     def test_empty_contracts_file_succeeds(self, tmp_path):
         write_demo_inputs(tmp_path)
@@ -649,6 +673,13 @@ class TestPlanFileErrors:
         assert f"{tmp_path / 'plan.jsonl'}:2: bad plan record" in err
         assert "listed twice" in err
 
+    @pytest.mark.parametrize("good", [GOOD_DUAL, GOOD_HWM])
+    def test_record_not_an_object(self, tmp_path, capsys, good):
+        rc, err = self.serve(tmp_path, capsys, json.dumps(good) + "\n[1, 2]\n")
+        assert rc == 1
+        assert err == (f"error: {tmp_path / 'plan.jsonl'}:2: bad plan record: "
+                       "record is not a JSON object\n")
+
     def test_non_json_first_line(self, tmp_path, capsys):
         rc, err = self.serve(tmp_path, capsys, "not json\n")
         assert rc == 1
@@ -688,6 +719,55 @@ class TestIntegersBeyondFloatRange:
         assert rc == 1
         assert (capsys.readouterr().err
                 == f"error: {path}:2: bad {what}: {key} {self.MESSAGE}\n")
+
+
+class TestForecastBeyondFloats:
+    """A forecast whose numbers are all finite can still give a total supply
+    past the largest float or a target fraction below the least one; the
+    planners fail on it with `error: ...` and exit 1, where the dual solve
+    used to divide by a target fraction of 0."""
+
+    @pytest.fixture(scope="class")
+    def scen(self, tmp_path_factory):
+        scen = tmp_path_factory.mktemp("scen")
+        assert run(["scenario", "--out-dir", scen, "--contracts", 4, "--days", 2,
+                    "--daily-traffic", 300, "--seed", 3]) == 0
+        return scen
+
+    def test_target_fraction_underflows(self, tmp_path, capsys):
+        (tmp_path / "supply.jsonl").write_text(
+            '{"id": "n1", "attributes": {"a": "1"}, "supply": 2}\n')
+        (tmp_path / "contracts.jsonl").write_text(
+            '{"id": "c1", "targeting": "a = 1", "demand": 5e-324, '
+            '"start": "2026-03-02T00:00:00", "end": "2026-03-03T00:00:00"}\n')
+        rc = run(["plan", "--algorithm", "dual", "--supply", tmp_path / "supply.jsonl",
+                  "--contracts", tmp_path / "contracts.jsonl", "--out", tmp_path / "plan"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: contract c1: target fraction 5e-324 / 2 underflows to 0\n"
+
+    @pytest.mark.parametrize("algorithm", ["hwm", "dual"])
+    def test_total_supply_overflows(self, scen, tmp_path, capsys, algorithm):
+        # HWM used to write "eligible_supply": Infinity, which its plan
+        # loader rejects.
+        lines = (scen / "supply.jsonl").read_text().splitlines()
+        (tmp_path / "supply.jsonl").write_text(
+            "".join(json.dumps({**json.loads(line), "supply": 1e308}) + "\n" for line in lines))
+        rc = run(["plan", "--algorithm", algorithm, "--supply", tmp_path / "supply.jsonl",
+                  "--contracts", scen / "contracts.jsonl", "--out", tmp_path / "plan"])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: contract c000: eligible forecast supply "
+                                           "must be a finite number, got inf\n")
+        assert not (tmp_path / "plan").exists()
+
+    def test_restated_supply_overflows(self, scen, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"algorithm": "dual", "forecast_error_multiplier": 1e308}')
+        rc = run(["simulate", "--config", config, "--scenario", scen,
+                  "--out-dir", tmp_path / "out"])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: contract c000: eligible forecast supply "
+                                           "must be a finite number, got inf\n")
 
 
 class TestScenarioAndSimulate:

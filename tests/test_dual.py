@@ -43,6 +43,20 @@ class TestObjective:
         with pytest.raises(model.GraphDataError, match="negative"):
             dual.dual_objective(g, alloc, {"c1": -1.0})
 
+    def test_negative_edge_fraction_rejected(self):
+        g = single_edge_graph(100, 50)
+        with pytest.raises(model.GraphDataError,
+                           match=r"^edge \('a', 'c1'\): negative allocation -0.5$"):
+            dual.dual_objective(g, {("a", "c1"): -0.5}, {"c1": 100.0})
+
+    def test_contract_with_no_target_fraction_scores_its_underdelivery(self):
+        # c2 matches no node, so it has no theta and no quadratic term.
+        g = model.build_graph([model.SupplyNode("a", {"x": "1"}, 100)],
+                              [make_contract("c1", "x = 1", 50),
+                               make_contract("c2", "x = 2", 10, penalty=3.0)])
+        assert "c2" not in dual.target_fractions(g)
+        assert dual.dual_objective(g, {("a", "c1"): 0.5}, {"c2": 10.0}) == 30.0
+
 
 class TestReconstruct:
     def test_single_contract_with_dual_one(self):

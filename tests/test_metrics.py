@@ -74,6 +74,12 @@ class TestSmoothness:
         with pytest.raises(mx.MetricsError):
             mx.smoothness_quantile([], 75)
 
+    def test_no_sample_in_flight_is_an_error(self):
+        series = [(ts(0), {}), (ts(1), {})]
+        with pytest.raises(mx.MetricsError,
+                           match="^no contracts in flight at any sample time$"):
+            mx.smoothness_quantile(series, 75)
+
     def test_sigma_bounded(self):
         rows, booked = rows_for({"a": [(1, 100.0, 0.0), (2, 0.0, 100.0)]},
                                 {"a": 100.0})
@@ -107,6 +113,11 @@ class TestDeliveryImprovement:
     def test_mismatched_contract_sets_rejected(self):
         with pytest.raises(mx.MetricsError, match="different contract sets"):
             mx.delivery_improvement({"a": 1.0}, {"a": 1.0}, {"b": 1.0}, {"b": 0.5})
+
+    @pytest.mark.parametrize("booked", [{}, {"a": 0.0}])
+    def test_no_booked_demand_is_an_error(self, booked):
+        with pytest.raises(mx.MetricsError, match="^no booked demand$"):
+            mx.underdelivery_fraction(booked, {})
 
     def test_sign_flips_when_reports_swap(self):
         booked = {"a": 100.0}

@@ -345,6 +345,19 @@ class TestContractInvariants:
         # Feedback may report a demand above the booked total.
         assert make_contract("c1", "x = 1", 9, booked_demand=5).booked_demand == 5
 
+    @pytest.mark.parametrize("value, shown", [
+        (float("inf"), "inf"), (float("nan"), "nan"), (-float("inf"), "-inf"),
+        (10 ** 400, "an integer of 401 digits")], ids=["inf", "nan", "-inf", "10**400"])
+    def test_numbers_are_finite(self, value, shown):
+        # The library builds no node or contract that its loaders reject.
+        message = f"must be a finite number, got {shown}$"
+        with pytest.raises(model.GraphDataError, match=f"^supply node n: supply {message}"):
+            model.SupplyNode("n", {}, value)
+        for field, kw in [("demand", {}), ("booked", {"booked_demand": value}),
+                          ("penalty", {"penalty": value})]:
+            with pytest.raises(model.GraphDataError, match=f"^contract c1: {field} {message}"):
+                make_contract("c1", "x = 1", value if field == "demand" else 5, **kw)
+
     def test_flight_ordering(self):
         with pytest.raises(model.GraphDataError, match="start"):
             make_contract("c1", "x = 1", 10, days=-1)

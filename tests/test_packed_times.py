@@ -88,6 +88,16 @@ STAMPS = {
 }
 
 
+class TestEquality:
+    def test_only_a_list_or_the_same_class_compares(self):
+        t = datetime(2026, 3, 2)
+        times, ids = sim.PackedTimes.of([t]), sim.PackedIds.packed('"i1', 1)
+        assert times == [t] and times == column([t], []) and ids == ["i1"]
+        for other in [(t,), "i1", None, ids]:
+            assert times.__eq__(other) is NotImplemented and times != other
+        assert ids.__eq__(("i1",)) is NotImplemented and ids != ("i1",)
+
+
 class TestStreamTimes:
     """A loaded stream's timestamps are the datetimes `model.parse_ts` reads
     from each line, whichever path read the line."""

@@ -5,11 +5,13 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import json
 import re
 import shlex
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from datetime import timedelta
 from pathlib import Path
 
@@ -104,20 +106,70 @@ def test_package_imports_only_itself_and_the_standard_library():
 MISSING_PATCH_TARGETS = {("hwm", "serve_hwm"), ("simulate", "effective_probs")}
 
 
-def test_perfbench_patch_targets_exist():
-    # perfbench's traced rounds wrap each listed function in its home module
-    # and in every module listed as importing it by name; a name that has
-    # moved would leave its layer silently at zero.
+def _perfbench_spans():
     spec = importlib.util.spec_from_file_location(
         "perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_perfbench_patch_targets_exist():
+    # perfbench's traced rounds wrap each listed function in its home module
+    # and in every module listed as importing it by name; a name that has
+    # moved would leave its layer silently at zero.
+    spans = _perfbench_spans()
     missing = set()
     for home, func, importers in spans.SPANS + spans.AGGREGATES + spans.ITERATORS:
         for name in (home, *importers):
             if not hasattr(importlib.import_module(f"gdserve.{name}"), func):
                 missing.add((name, func))
     assert missing == MISSING_PATCH_TARGETS
+
+
+def test_every_perfbench_layer_records_calls(tmp_path):
+    # A layer whose function keeps its name but is no longer called through
+    # the patched module would read 0 calls: run every command the
+    # benchmark's workloads run, traced, and count each layer's calls.
+    spans = _perfbench_spans()
+    scen, plan, config = tmp_path / "scen", tmp_path / "plan", tmp_path / "config.json"
+    tracer = spans.Tracer("test")
+
+    def run(*argv):
+        assert cli.main([str(a) for a in argv]) == 0
+
+    with spans.instrument(tracer):
+        run("scenario", "--out-dir", scen, "--contracts", 5, "--days", 2,
+            "--daily-traffic", 400, "--seed", 3)
+        for algorithm in ("dual", "hwm"):
+            run("plan", "--supply", scen / "supply.jsonl", "--contracts",
+                scen / "contracts.jsonl", "--algorithm", algorithm, "--out", plan)
+        run("serve", "--plan", plan, "--contracts", scen / "contracts.jsonl",
+            "--impressions", scen / "impressions.jsonl", "--out", tmp_path / "decisions",
+            "--workers", 1)
+        for cfg in ({"algorithm": "hwm", "mode": "sampled", "reopt_period_hours": 2,
+                     "forecast_error_multiplier": 2, "feedback": {}},
+                    {"algorithm": "dual", "shards": 2}):
+            config.write_text(json.dumps(cfg))
+            run("simulate", "--config", config, "--scenario", scen,
+                "--out-dir", tmp_path / "out", *["--baseline"] * (cfg["algorithm"] == "hwm"))
+    calls = Counter()
+    for rec in tracer.records:
+        calls[rec["name"]] += rec.get("calls", 1)
+    layers = sorted(f"{home}.{func}" for home, func, _ in
+                    spans.SPANS + spans.AGGREGATES + spans.ITERATORS)
+    # `hwm.serve_hwm` does not exist (MISSING_PATCH_TARGETS).
+    assert [name for name in layers if not calls[name]] == ["hwm.serve_hwm"]
+
+
+def test_derived_tables_stay_deleted():
+    # The stream, the engine and the server keep no table that only
+    # repeats data they hold: chunks' first keys, split id texts, the
+    # contracts of the graph.
+    assert not hasattr(gdserve.simulate.PackedTimes(), "_firsts")
+    assert not hasattr(gdserve.simulate.PackedIds(), "_split")
+    assert "_item" not in vars(gdserve.simulate._Chunked)
+    assert not hasattr(gdserve.simulate.Server(demo_graph()), "_contracts")
 
 
 def test_deleted_knobs_and_wrappers_stay_deleted():

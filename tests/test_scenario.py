@@ -136,6 +136,11 @@ def test_specs_redraw_a_contract(monkeypatch, name):
         assert redrawn == [9]
 
 
+def test_unknown_contention_level_raises():
+    with pytest.raises(ValueError, match="^unknown contention level 'extreme'$"):
+        ScenarioSpec(contention="extreme")
+
+
 def test_no_eligible_supply_after_every_redraw_raises():
     spec = ScenarioSpec(num_contracts=4, num_attributes=2, contention="low", seed=2,
                         days=1, daily_traffic=3)

@@ -59,6 +59,12 @@ class TestTerminalError:
         with pytest.raises(ValueError):
             sim.terminal_delivery_error(0.5, 0)
 
+    def test_bound_domain_errors(self):
+        with pytest.raises(ValueError, match="^error rate must be below 1$"):
+            sim.terminal_delivery_error_bound(1.0, 5)
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            sim.terminal_delivery_error_bound(0.5, 0)
+
 
 class TestSingleContractReplay:
     def test_daily_rates_track_shrinking_forecast(self):
