@@ -325,8 +325,13 @@ def check_finite(name: str, value) -> None:
     try:
         finite = math.isfinite(value)
     except OverflowError:       # an int that no float can hold
+        # Its digits, counted from its bits: `str` refuses an int of more
+        # than 4,300 digits.  The estimate is off by at most one.
+        n = abs(value)
+        digits = int((n.bit_length() - 1) * math.log10(2)) + 1
+        digits += (n >= 10 ** digits) - (n < 10 ** (digits - 1))
         raise GraphDataError(f"{name} must be a finite number, got an integer of "
-                             f"{len(str(abs(value)))} digits") from None
+                             f"{digits} digits") from None
     if not finite:
         raise GraphDataError(f"{name} must be a finite number, got {value!r}")
 

@@ -14,21 +14,22 @@ supply float per node and the live contracts' demands over the run's one
 cycle.  Between boundaries serving is stateless: each impression's decision
 depends only on the current plan and the impression itself.
 
-The engine reads an `ImpressionStream`: columns of ids, timestamps and one
-attribute-set id per impression, with one attribute map and one key per
-distinct set.  The timestamps are a `PackedTimes`, fixed-width keys whose
-byte order is time order, one `bytes` chunk per run.  `load_impressions`
-reads a file straight into one through `iter_impressions`, the line reader
-`gdserve serve` streams from too: each distinct set is checked and keyed
-once.  The reader parses speculatively
-(as Mison does, Li et al., VLDB 2017) and a block of lines at a time: lines
-in the layout `save_impressions` writes whose attributes texts it has seen
-are cut by string partitions, checked together and take those texts' sets
-with no JSON decode, and any other line is decoded in full, with the same
-rows as a result.  It gives a run of lines at a time, as columns; the ids
-of a run checked together stay one packed text (`PackedIds`), which the
-stream keeps as it is, so no `str` is made per id until one is read.  Any
-other sequence of `ImpressionEvent`s is turned into a stream by one pass.
+The engine reads an `ImpressionStream`: the columns it reads and no more,
+a timestamp and a 2-byte attribute-set id per impression, with one
+attribute map and one key per distinct set.  The timestamps are a
+`PackedTimes`, fixed-width keys whose byte order is time order, one
+`bytes` chunk per run.  `load_impressions` reads a file straight into one
+through `iter_impressions`, the line reader `gdserve serve` streams from
+too: each distinct set is checked and keyed once.  The reader parses
+speculatively (as Mison does, Li et al., VLDB 2017) and a block of lines
+at a time: lines in the layout `save_impressions` writes whose attributes
+texts it has seen are cut by string partitions, checked together and take
+those texts' sets with no JSON decode, and any other line is decoded in
+full, with the same rows as a result.  It gives a run of lines at a time,
+as columns.  No id is kept: the loader checks the order as runs arrive,
+and reads a run's ids only to name the first impression out of order, by
+its file and line.  Any other sequence of `ImpressionEvent`s is turned
+into a stream by one pass, which names such an impression by its index.
 Because the stream is sorted, each cycle is a contiguous index range,
 found by bisecting the keys at the cycle bounds, and a supply node's
 impressions in a cycle (from which re-plans restate the forecast) are a
@@ -80,6 +81,7 @@ import math
 import os
 import re
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, fields
@@ -87,7 +89,7 @@ from datetime import datetime, timedelta
 from itertools import accumulate, chain, islice, repeat
 from operator import attrgetter, eq, mul, sub
 from sys import intern
-from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
                     Sequence, Set, Tuple, Union)
 
 from . import metrics as mx
@@ -96,8 +98,9 @@ from .dual import solve_dual_offline
 from .feedback import FeedbackConfig, apply_feedback, linear_goal
 from .hwm import HwmEntry, HwmPlan, generate_hwm_plan
 from .kernels import draw_index
-from .model import (AllocationGraph, PlanningIndex, PlanningProblem, ServingPlan,
-                    line_blocks, parse_lines, parse_ts, record_attributes, record_number)
+from .model import (JSON_WHITESPACE, AllocationGraph, GraphDataError, PlanningIndex,
+                    PlanningProblem, ServingPlan, check_finite, line_blocks, parse_lines,
+                    parse_ts, record_attributes, record_number)
 
 
 class SimulationError(ValueError):
@@ -138,9 +141,18 @@ class SimulationConfig:
         if not period:
             raise SimulationError(f"reopt_period_hours {self.reopt_period_hours!r} "
                                   "is under half a microsecond")
+        # NaN passes a `<= 0` test, and NaN or infinity would fail a re-plan
+        # later in the name of a contract.
+        per_node = self.per_node_error or {}
+        try:
+            check_finite("forecast_error_multiplier", self.forecast_error_multiplier)
+            for nid, m in per_node.items():
+                check_finite(f"node {nid}: per_node_error", m)
+        except GraphDataError as exc:
+            raise SimulationError(str(exc)) from None
         if self.forecast_error_multiplier <= 0:
             raise SimulationError("forecast error multiplier must be positive")
-        for nid, m in (self.per_node_error or {}).items():
+        for nid, m in per_node.items():
             if m <= 0:
                 raise SimulationError(f"node {nid}: error multiplier must be positive")
         if self.algorithm not in ("hwm", "dual"):
@@ -328,85 +340,6 @@ def attrs_key(attrs: Mapping[str, str]) -> AttrsKey:
     return tuple(sorted(attrs.items()))
 
 
-class _Chunked(Sequence):
-    """A sequence held in chunks: `_chunks`, and `_starts`, the index of each
-    chunk's first item, then the length.  A subclass gives item j of chunk
-    k (`_item(k, j)`) and iteration; `len`, indexing (negative and slices
-    too) and `==` with a list or another of its class are then a list's."""
-
-    def __init__(self):
-        self._chunks: list = []
-        self._starts = [0]
-
-    def _add(self, chunk, n: int) -> None:
-        if n:
-            self._chunks.append(chunk)
-            self._starts.append(self._starts[-1] + n)
-
-    def __len__(self) -> int:
-        return self._starts[-1]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = range(len(self))[i]         # negative and out-of-range i as a list's
-        k = bisect_right(self._starts, i) - 1
-        return self._item(k, i - self._starts[k])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, type(self))):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self)!r})"
-
-
-class PackedIds(_Chunked, Sequence[str]):
-    """Impression ids held in chunks, each a list of ids or a packed text.
-
-    A packed text is `"` + id for each of its ids, joined: the fronts of
-    lines in the layout `save_impressions` writes, whose ids hold no `"`,
-    each with its `_ID_START` made one `"`, so the text cut at `"` gives
-    them back.  It keeps an id in its characters and 1 more, where a list
-    keeps an 8-byte slot and an `str` of its characters and 49 more.  A
-    text is split each time it is read.
-    """
-
-    @classmethod
-    def packed(cls, text: str, n: int) -> "PackedIds":
-        """The `n` ids of the packed text `text`."""
-        ids = cls()
-        ids._add(text, n)
-        return ids
-
-    def add(self, ids: Sequence[str]) -> None:
-        """Add `ids` at the end: the chunks of a `PackedIds`, else `ids`
-        itself, a list that is kept, not copied."""
-        if isinstance(ids, PackedIds):
-            for chunk, a, b in zip(ids._chunks, ids._starts, islice(ids._starts, 1, None)):
-                self._add(chunk, b - a)
-        else:
-            self._add(ids, len(ids))
-
-    def _item(self, k: int, j: int) -> str:
-        chunk = self._chunks[k]
-        return (chunk if isinstance(chunk, list) else _unpack(chunk))[j]
-
-    def __iter__(self) -> Iterator[str]:
-        return chain.from_iterable(
-            chunk if isinstance(chunk, list) else _unpack(chunk) for chunk in self._chunks)
-
-
-def _unpack(text: str) -> List[str]:
-    """The ids of a packed text (see `PackedIds`)."""
-    ids = text.split('"')
-    del ids[0]
-    return ids
-
-
 # A timestamp key: the 20 digits YYYYMMDDhhmmssffffff of a naive datetime,
 # two to a byte (see `PackedTimes`).
 KEY_BYTES = 10
@@ -441,7 +374,7 @@ def _key_time(key: bytes) -> datetime:
                     int(d[12:14]), int(d[14:]))
 
 
-class PackedTimes(_Chunked, Sequence[datetime]):
+class PackedTimes(Sequence[datetime]):
     """Naive timestamps held as keys of `KEY_BYTES` bytes, in chunks of keys.
 
     A key is the 20 digits YYYYMMDDhhmmssffffff of its time, two to a byte
@@ -456,14 +389,22 @@ class PackedTimes(_Chunked, Sequence[datetime]):
     chunks of others (`add`).  `disorder` is the index of the first time
     before the one ahead of it, or None; a chunk's own is found from the
     texts it is made of, which sort as their times, and `add` compares
-    each new chunk's first key with the last key so far.  Indexing and
-    iteration give datetimes, and `bisect_left` of a sorted column bisects
-    the chunks by their first keys, then the keys of one chunk.
+    each new chunk's first key with the last key so far.  `len`, indexing
+    (negative and slices too), iteration and `==` with a list or another
+    column are a list of datetimes', and `bisect_left` of a sorted column
+    bisects the chunks by their first keys, then the keys of one chunk.
     """
 
     def __init__(self):
-        super().__init__()
+        self._chunks: List[bytes] = []
+        # The index of each chunk's first key, then the length.
+        self._starts = [0]
         self.disorder: Optional[int] = None
+
+    def _add(self, chunk: bytes) -> None:
+        if chunk:
+            self._chunks.append(chunk)
+            self._starts.append(self._starts[-1] + len(chunk) // KEY_BYTES)
 
     @classmethod
     def of_texts(cls, texts: Sequence[str], joined: str) -> Optional["PackedTimes"]:
@@ -474,7 +415,7 @@ class PackedTimes(_Chunked, Sequence[datetime]):
         if keys is None:
             return None
         ts = cls()
-        ts._add(keys, len(texts))
+        ts._add(keys)
         if sorted(texts) != list(texts):
             ts.disorder = next(i for i in range(1, len(texts)) if texts[i] < texts[i - 1])
         return ts
@@ -496,15 +437,33 @@ class PackedTimes(_Chunked, Sequence[datetime]):
                 self.disorder = len(self)
             elif other.disorder is not None:
                 self.disorder = len(self) + other.disorder
-        for chunk, a, b in zip(other._chunks, other._starts, islice(other._starts, 1, None)):
-            self._add(chunk, b - a)
+        for chunk in other._chunks:
+            self._add(chunk)
 
-    def _item(self, k: int, j: int) -> datetime:
-        return _key_time(self._chunks[k][j * KEY_BYTES:(j + 1) * KEY_BYTES])
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]         # negative and out-of-range i as a list's
+        k = bisect_right(self._starts, i) - 1
+        j = (i - self._starts[k]) * KEY_BYTES
+        return _key_time(self._chunks[k][j:j + KEY_BYTES])
 
     def __iter__(self) -> Iterator[datetime]:
         return (_key_time(chunk[i:i + KEY_BYTES]) for chunk in self._chunks
                 for i in range(0, len(chunk), KEY_BYTES))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, PackedTimes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"PackedTimes({list(self)!r})"
 
     def bisect_left(self, t: datetime, lo: int = 0, hi: Optional[int] = None) -> int:
         """`bisect.bisect_left(self, t, lo, hi)`, for a sorted column."""
@@ -524,43 +483,50 @@ class PackedTimes(_Chunked, Sequence[datetime]):
 _OF_CHUNK = 1 << 10
 
 
-class ImpressionStream(Sequence[ImpressionEvent]):
-    """An impression stream held as columns, with its attribute sets interned.
+class ImpressionStream:
+    """An impression stream held as the columns the engine reads, with its
+    attribute sets interned.
 
-    Impression i is `ids[i]`, `ts[i]` and attribute set `set_ids[i]`; set s
-    has the attribute map `attrs[s]` and its `attrs_key`, `keys[s]`.  The
-    ids are a `PackedIds` and the timestamps a `PackedTimes`: a stream
-    loaded from a file keeps the ids of each run of lines read together as
-    one text and their timestamps as one chunk of keys.  A set is a
-    distinct map in its own key order, so equal maps written in two orders
-    are two sets with equal keys, and every impression keeps the order it
-    was read in.  Indexing and iteration give `ImpressionEvent`s; the
-    events of one set share its map, which is not to be changed.
+    Impression i has the timestamp `ts[i]` and the attribute set
+    `set_ids[i]`; set s has the attribute map `attrs[s]` and its
+    `attrs_key`, `keys[s]`.  The timestamps are a `PackedTimes`: a stream
+    loaded from a file keeps those of each run of lines read together as
+    one chunk of keys.  The set ids are an `array` of 2-byte items until a
+    set id needs more, when it becomes one of 4-byte items (one copy).  A
+    set is a distinct map in its own key order, so equal maps written in
+    two orders are two sets with equal keys, and every impression keeps the
+    order it was read in; the impressions of one set share its map, which
+    is not to be changed.  No id is kept.  `of` and `load_impressions`
+    check the time order as they go, and fail at the first impression
+    before the one ahead of it, so a stream they give is sorted.
     """
 
     def __init__(self):
-        self.ids = PackedIds()
         self.ts = PackedTimes()
-        self.set_ids: List[int] = []
+        self.set_ids = array("H")
         self.attrs: List[Mapping[str, str]] = []
         self.keys: List[AttrsKey] = []
         self._set_of_items: Dict[Tuple[Tuple[str, str], ...], int] = {}
 
     @classmethod
     def of(cls, events: Iterable[ImpressionEvent]) -> "ImpressionStream":
-        """`events` as a stream: a stream itself, else one built in one pass,
-        whose ids are one list.  The timestamps are turned into keys
-        `_OF_CHUNK` events at a time, so their texts are never all held."""
+        """`events` as a stream: a stream itself, else one built in one pass.
+        The timestamps are turned into keys `_OF_CHUNK` events at a time, so
+        their texts are never all held.  An event before the one ahead of it
+        fails as `event <index>: impression <id> at <ts> is out of order`."""
         if isinstance(events, cls):
             return events
         stream = cls()
-        ids: List[str] = []
         events = iter(events)
         for chunk in iter(lambda: list(islice(events, _OF_CHUNK)), []):
-            ids += [ev.id for ev in chunk]
+            n = len(stream.ts)
             stream.ts.add(PackedTimes.of([ev.ts for ev in chunk]))
-            stream.set_ids += [stream.set_id(ev.attributes) for ev in chunk]
-        stream.ids.add(ids)
+            i = stream.ts.disorder
+            if i is not None:
+                raise _out_of_order(f"event {i}", chunk[i - n].id, chunk[i - n].ts)
+            # Made before `set_ids` is read: a new set may widen it.
+            sids = [stream.set_id(ev.attributes) for ev in chunk]
+            stream.set_ids.extend(sids)
         return stream
 
     def set_id(self, attrs: Mapping[str, str]) -> int:
@@ -571,20 +537,17 @@ class ImpressionStream(Sequence[ImpressionEvent]):
             sid = self._set_of_items[items] = len(self.attrs)
             self.attrs.append(attrs)
             self.keys.append(attrs_key(attrs))
+            if sid == 1 << 16:          # the first id that 2 bytes do not hold
+                self.set_ids = array("I", self.set_ids)
         return sid
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.set_ids)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return ImpressionEvent(self.ids[i], self.ts[i], self.attrs[self.set_ids[i]])
 
-    def __iter__(self) -> Iterator[ImpressionEvent]:
-        attrs = self.attrs
-        for imp_id, t, sid in zip(self.ids, self.ts, self.set_ids):
-            yield ImpressionEvent(imp_id, t, attrs[sid])
+def _out_of_order(where: str, imp_id: str, t: datetime) -> SimulationError:
+    return SimulationError(f"{where}: impression {imp_id} at {t.isoformat()} "
+                           "is out of order")
 
 
 Candidates = Tuple[str, ...]
@@ -731,20 +694,24 @@ def _pieces(ts: PackedTimes, instants: Sequence[datetime], lo: int, hi: int,
 # and a plan, so a tiny period over a long window would exhaust memory.
 MAX_CYCLES = 100_000
 
+# What a run serves: a stream, or events in time order, which
+# `ImpressionStream.of` turns into one.
+Impressions = Union[ImpressionStream, Iterable[ImpressionEvent]]
 
-def run_simulation(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
+
+def run_simulation(graph: AllocationGraph, impressions: Impressions,
                    cfg: SimulationConfig) -> SimulationReport:
     """Simulate serving `impressions` against `graph` under `cfg`."""
     return _run_engine(graph, impressions, cfg, cfg.algorithm)
 
 
-def baseline_pacing(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
+def baseline_pacing(graph: AllocationGraph, impressions: Impressions,
                     cfg: SimulationConfig) -> SimulationReport:
     """Simulate the reactive comparator (no forecast; pure pacing feedback)."""
     return _run_engine(graph, impressions, cfg, "base")
 
 
-def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
+def _run_engine(graph: AllocationGraph, impressions: Impressions,
                 cfg: SimulationConfig, algorithm: str) -> SimulationReport:
     """Run the cycles with planner `algorithm`: "hwm", "dual" or "base" (the
     reactive pacer).  The planners and `draw_index` are module globals read
@@ -779,10 +746,6 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
     stream = ImpressionStream.of(impressions)
     ts, set_ids = stream.ts, stream.set_ids
     keys, attrs_of_set = stream.keys, stream.attrs
-    i = ts.disorder
-    if i is not None:
-        raise SimulationError(
-            f"impression {stream.ids[i]} at {ts[i].isoformat()} is out of order")
 
     # The stream is sorted, so cycle k is the index range
     # [starts[k], starts[k + 1]); counts[k][i] is supply node i's impressions
@@ -926,15 +889,13 @@ def _run_engine(graph: AllocationGraph, impressions: Sequence[ImpressionEvent],
 # ---------------------------------------------------------------------------
 
 def load_impressions(path) -> ImpressionStream:
-    """Read impressions.jsonl (see `iter_impressions`) into a stream, one
-    run at a time: the stream keeps each run's ids as they come, a packed
-    text from the fast path and a list from the full decode, and each
-    run's timestamps as one chunk of keys."""
+    """Read impressions.jsonl (see `iter_impressions`), whose rows must be in
+    time order, into a stream, one run at a time: the stream keeps each
+    run's timestamps as one chunk of keys and its set ids, and no id."""
     stream = ImpressionStream()
-    for ids, ts, set_ids in iter_impressions(path, stream, keyed=True):
-        stream.ids.add(ids)
+    for ts, set_ids in iter_impressions(path, stream, keyed=True):
         stream.ts.add(ts)
-        stream.set_ids += set_ids
+        stream.set_ids.extend(set_ids)
     return stream
 
 
@@ -954,15 +915,16 @@ _QUOTED = bytes.maketrans(b"\\" + bytes(range(0x20)), b'"' * 33)
 
 
 def _plain_heads(heads: Sequence[str]) -> Optional[Tuple[str, Tuple[str, ...], str]]:
-    """The packed ids (see `PackedIds`), the ts texts and their join by
-    "\\n" of `heads`, if every head is `_ID_START + id + _TS_START + ts`
-    with id and ts free of `"`, `\\` and control characters (so each is a
-    JSON string's text that decodes to itself); else None.  The packed ids
-    are the fronts before `_TS_START`, joined, with each `_ID_START` made
-    one `"`: every front starts with one, and the ids and timestamps hold
-    no `"`.  (A `"` in an id stays, or is the `"` an `_ID_START` in it is
-    made, since no `_ID_START` can start in one front and end in the next:
-    no proper prefix of it is a suffix.)"""
+    """The packed ids, the ts texts and their join by "\\n" of `heads`, if
+    every head is `_ID_START + id + _TS_START + ts` with id and ts free of
+    `"`, `\\` and control characters (so each is a JSON string's text that
+    decodes to itself); else None.  The packed ids are `"` + id for each
+    id, joined, so the text cut at `"` gives them back after an empty
+    first piece: they are the fronts before `_TS_START`, joined, with each
+    `_ID_START` made one `"`, since every front starts with one, and the
+    ids and timestamps hold no `"`.  (A `"` in an id stays, or is the `"`
+    an `_ID_START` in it is made, since no `_ID_START` can start in one
+    front and end in the next: no proper prefix of it is a suffix.)"""
     fronts, found, tss = zip(*[head.partition(_TS_START) for head in heads])
     if "" in found or not all(map(str.startswith, fronts, repeat(_ID_START))):
         return None
@@ -978,15 +940,25 @@ def _plain_heads(heads: Sequence[str]) -> Optional[Tuple[str, Tuple[str, ...], s
 
 # A run's timestamps: datetimes, or their keys.
 Stamps = Union[List[datetime], PackedTimes]
-Run = Tuple[Sequence[str], Stamps, List[int]]
+# A run: ids, timestamps and set ids, or with `keyed` keys and set ids.
+Run = Tuple[List[str], List[datetime], List[int]]
+KeyedRun = Tuple[PackedTimes, List[int]]
 
 
 def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: int = 1,
-                     lines: Optional[int] = None, keyed: bool = False) -> Iterator[Run]:
+                     lines: Optional[int] = None,
+                     keyed: bool = False) -> Iterator[Union[Run, KeyedRun]]:
     """Runs (ids, timestamps, set ids) of impressions.jsonl, in order: row i
     of a run is (`ids[i]`, `ts[i]`, `set_ids[i]`), and there is one row per
-    non-blank line.  A run's timestamps are a list of datetimes, or with
-    `keyed` a `PackedTimes` of one chunk.
+    non-blank line.  A run's ids and timestamps are lists.
+
+    With `keyed`, the rows must be in time order, and a run is (timestamps,
+    set ids), its timestamps a `PackedTimes` of one chunk.  Each run is
+    checked before it is given: its first time against the last one given,
+    as `PackedTimes.add` compares them, and the others by its `disorder`.
+    Its first row before the one ahead of it fails as `path:line:
+    impression <id> at <ts> is out of order` (SimulationError), and only
+    then are the run's ids read.
 
     A line holds one JSON object {"id", "ts", "attributes"}, and nothing
     else, as `json.loads` requires.  The file is read by the rule of
@@ -1012,18 +984,18 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
     each run, one check covers its joined ids and timestamps
     (`_plain_heads`) and one `map(datetime.fromisoformat, ...)` parses
     its timestamps, which must all be naive; a run that passes is given
-    as those columns, its ids a `PackedIds` over the one packed text, so
-    no `str` is made per id until they are read.  With `keyed`, a run
-    whose timestamps all have the layout of `_text_keys` takes
-    its keys and order from their texts (`PackedTimes.of_texts`), and its
-    datetimes are dropped as they are parsed (digits and separators at
-    their places are naive); any other run's keys are made from its
-    datetimes.  A line with an unknown tail, and each line of a run that
-    fails, is read on its own: as above if it passes the same checks
-    alone, else decoded in full (`parse_ts`, `record_attributes`), after
-    which a line in the layout with a new attributes text teaches its
-    tail.  The lines read on their own come as one run of lists; if one
-    is bad, the rows before it come as a run before its error.  On a file
+    as those columns, its ids cut from the one packed text, which `keyed`
+    leaves uncut, so it makes no `str` per id.  With `keyed`, a run whose
+    timestamps all have the layout of `_text_keys` takes its keys and
+    order from their texts (`PackedTimes.of_texts`), and its datetimes are
+    dropped as they are parsed (digits and separators at their places are
+    naive); any other run's keys are made from its datetimes.  A line with
+    an unknown tail, and each line of a run that fails, is read on its
+    own: as above if it passes the same checks alone, else decoded in full
+    (`parse_ts`, `record_attributes`), after which a line in the layout
+    with a new attributes text teaches its tail.  The lines read on their
+    own come as one run; if one is bad, the rows before it come as a run
+    before its error.  On a file
     in that layout the JSON decoder runs about once per distinct
     attributes text.
 
@@ -1045,6 +1017,7 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
     # every line of a block but the last line of the file.
     set_of_tail: Dict[str, int] = {}
     tail_set = set_of_tail.get
+    last = b""          # with `keyed`, the key of the last row given
 
     def columns(heads: Sequence[str], keyed: bool) -> Optional[Tuple[str, Stamps]]:
         """The packed ids and the timestamps (with `keyed`, as a
@@ -1091,12 +1064,35 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
             set_of_tail[tail] = set_of_tail[tail + "\n"] = sid
         return item
 
-    def decoded(first: int, block: Sequence[str]) -> Iterator[Run]:
+    def in_order(ts: PackedTimes, sids: List[int],
+                 at: Callable[[int], Tuple[int, str]]) -> KeyedRun:
+        """The keyed run (`ts`, `sids`), if its times are in order and its
+        first is not before the last one given; else the error of its first
+        row out of order, whose line and id are `at(row)`."""
+        nonlocal last
+        keys = ts._chunks[0]
+        i = 0 if keys[:KEY_BYTES] < last else ts.disorder
+        if i is not None:
+            line, imp_id = at(i)
+            raise _out_of_order(f"{path}:{line}", imp_id, ts[i])
+        last = keys[-KEY_BYTES:]
+        return ts, sids
+
+    def decoded(first: int, block: Sequence[str]) -> Iterator[Union[Run, KeyedRun]]:
         """The run of the lines `block`, from line `first`, each read by
         `row`; if one fails, the run of the rows before it, then its error."""
         ids: List[str] = []
         ts: List[datetime] = []
         sids: List[int] = []
+
+        def run() -> Union[Run, KeyedRun]:
+            if not keyed:
+                return ids, ts, sids
+            # Row r is the r-th non-blank line.
+            return in_order(PackedTimes.of(ts), sids, lambda r: (
+                [n for n, line in enumerate(block, first)
+                 if line.strip(JSON_WHITESPACE)][r], ids[r]))
+
         try:
             for imp_id, t, sid in parse_lines(path, "impression", row, first, block):
                 ids.append(imp_id)
@@ -1104,10 +1100,10 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
                 sids.append(sid)
         except Exception:
             if ids:
-                yield ids, PackedTimes.of(ts) if keyed else ts, sids
+                yield run()
             raise
         if ids:
-            yield ids, PackedTimes.of(ts) if keyed else ts, sids
+            yield run()
 
     for first, block in line_blocks(path, "impression", start, first_line, lines):
         heads, _, tails = zip(*[line.partition(_ATTRS_START) for line in block])
@@ -1129,8 +1125,13 @@ def iter_impressions(path, sets: ImpressionStream, start: int = 0, first_line: i
                 cols = columns(heads[i:k], keyed)
                 if cols is None:
                     yield from decoded(first + i, block[i:k])
+                elif keyed:
+                    yield in_order(cols[1], sids[i:k], lambda r: (
+                        first + i + r, cols[0].split('"')[r + 1]))
                 else:
-                    yield PackedIds.packed(cols[0], k - i), cols[1], sids[i:k]
+                    ids = cols[0].split('"')
+                    del ids[0]
+                    yield ids, cols[1], sids[i:k]
             i = k
         # Dropped before the next block is read, so that no two blocks'
         # lines and cuts are held at once.

@@ -107,7 +107,12 @@ class TestBlockEdges:
         trap_file(scen, path)
         ref = test_simulator.reference_events(path)
         assert len(ref) == 240 + len(test_simulator.TestImpressionReader.LINES) + len(TRAPS)
-        assert list(sim.load_impressions(path)) == ref
+        assert test_simulator.reader_events(path) == ref
+        # The cases and traps are out of time order among the scenario's
+        # lines: the loader names the first line out of order.
+        with pytest.raises(sim.SimulationError,
+                           match=test_simulator.reference_disorder(path)):
+            sim.load_impressions(path)
 
     def test_one_decode_per_attributes_text(self, scen, tmp_path, monkeypatch,
                                             lines_hint):
@@ -117,7 +122,7 @@ class TestBlockEdges:
         original = sim._decode
         monkeypatch.setattr(sim, "_decode",
                             lambda line: decoded.append(line) or original(line))
-        sim.load_impressions(path)
+        test_simulator.reader_events(path)
         texts = [attributes_text(line) for line in decoded if line in canonical]
         # The canonical lines decode once per distinct attributes text, and
         # only while no line in the layout has taught it.
@@ -152,7 +157,7 @@ class TestBlockEdges:
         original = sim._plain_heads
         monkeypatch.setattr(sim, "_plain_heads",
                             lambda heads: calls.append(len(heads)) or original(heads))
-        sim.load_impressions(path)
+        test_simulator.reader_events(path)
         # One check per run of lines with known tails (a block, cut at each
         # line with a new text), and one per line with a new text.
         assert len(calls) <= len(blocks) + 2 * new

@@ -408,7 +408,7 @@ class TestServeSlots:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unsorted_rows_match_reference(self, scen, tmp_path, monkeypatch, workers):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        events = list(sim.load_impressions(scen / "impressions.jsonl"))
+        events = test_simulator.reference_events(scen / "impressions.jsonl")
         contracts = model.load_contracts(scen / "contracts.jsonl")
         instants = sorted({t for c in contracts for t in (c.start, c.end)})
         # Rows exactly at every flight start and end, before the first
@@ -789,6 +789,23 @@ class TestScenarioAndSimulate:
         report = json.loads((out / "report.json").read_text())
         assert report["algorithm"] == "hwm"
         assert (out / "delivery_timeseries.csv").exists()
+
+    def test_out_of_order_line_fails_with_path_and_line(self, tmp_path, capsys):
+        # The 12-contract seed-3 week with lines 1,001 and 1,002 swapped.
+        scen = tmp_path / "scen"
+        assert run(["scenario", "--out-dir", scen, "--contracts", 12, "--days", 7,
+                    "--seed", 3]) == 0
+        path = scen / "impressions.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1000], lines[1001] = lines[1001], lines[1000]
+        path.write_text("".join(lines), encoding="utf-8")
+        (tmp_path / "config.json").write_text("{}")
+        capsys.readouterr()
+        assert run(["simulate", "--config", tmp_path / "config.json", "--scenario", scen,
+                    "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:1002: impression imp-0001000 at 2026-03-02T05:25:46.889259 "
+            "is out of order\n")
 
     def test_expected_mode_reports_identical_bytes(self, tmp_path):
         scen = tmp_path / "scen"

@@ -347,7 +347,12 @@ class TestContractInvariants:
 
     @pytest.mark.parametrize("value, shown", [
         (float("inf"), "inf"), (float("nan"), "nan"), (-float("inf"), "-inf"),
-        (10 ** 400, "an integer of 401 digits")], ids=["inf", "nan", "-inf", "10**400"])
+        (10 ** 400, "an integer of 401 digits"),
+        # Past the 4,300 digits that `str` converts; its digits are counted
+        # from its bits.
+        (10 ** 4300 - 1, "an integer of 4300 digits"), (-10 ** 4300, "an integer of 4301 digits"),
+        (10 ** 5000, "an integer of 5001 digits"), (2 ** 20000, "an integer of 6021 digits")],
+        ids=["inf", "nan", "-inf", "10**400", "10**4300-1", "-10**4300", "10**5000", "2**20000"])
     def test_numbers_are_finite(self, value, shown):
         # The library builds no node or contract that its loaders reject.
         message = f"must be a finite number, got {shown}$"

@@ -91,11 +91,10 @@ STAMPS = {
 class TestEquality:
     def test_only_a_list_or_the_same_class_compares(self):
         t = datetime(2026, 3, 2)
-        times, ids = sim.PackedTimes.of([t]), sim.PackedIds.packed('"i1', 1)
-        assert times == [t] and times == column([t], []) and ids == ["i1"]
-        for other in [(t,), "i1", None, ids]:
+        times = sim.PackedTimes.of([t])
+        assert times == [t] and times == column([t], [])
+        for other in [(t,), "i1", None, {t}]:
             assert times.__eq__(other) is NotImplemented and times != other
-        assert ids.__eq__(("i1",)) is NotImplemented and ids != ("i1",)
 
 
 class TestStreamTimes:
@@ -108,8 +107,9 @@ class TestStreamTimes:
         if lines_hint is not None:
             monkeypatch.setattr(model, "_LINES_HINT", lines_hint)
         # Each stamp on a line whose attributes text is known and on one
-        # whose text is new, so both the fast path and the decode read it.
-        stamps = STAMPS[name] * 3
+        # whose text is new, so both the fast path and the decode read it;
+        # the lines in time order.
+        stamps = [ts for ts in STAMPS[name] for _ in range(3)]
         lines = [json.dumps({"id": f"i{i}", "ts": ts,
                              "attributes": {"a": str(i % 2 if i % 3 else i)}})
                  for i, ts in enumerate(stamps)]
@@ -152,7 +152,9 @@ class TestStreamTimes:
         events = [sim.ImpressionEvent(f"i{i}", t, {"a": str(i % 3)})
                   for i, t in enumerate(times)]
         stream = sim.ImpressionStream.of(iter(events))
-        assert stream.ts == times and list(stream) == events
+        assert stream.ts == times and len(stream) == n
+        assert [stream.attrs[sid] for sid in stream.set_ids] == \
+            [ev.attributes for ev in events]
         assert stream.ts.disorder is None
         assert len(stream.ts._chunks) == -(-n // sim._OF_CHUNK)
 
@@ -203,17 +205,18 @@ class TestDisorder:
         times[at] -= timedelta(seconds=2)       # below the one before it
         times[-1] = datetime(2026, 3, 1)        # and a later offender
         path = tmp_path / "impressions.jsonl"
-        sim.save_impressions([sim.ImpressionEvent(f"i{i}", t, {"a": "1"})
-                              for i, t in enumerate(times)], path)
-        stream = sim.load_impressions(path)
-        assert stream.ts.disorder == at
+        events = [sim.ImpressionEvent(f"i{i}", t, {"a": "1"}) for i, t in enumerate(times)]
+        sim.save_impressions(events, path)
+        # Row `at` is on line at + 1 of the file, and event `at` of the list.
+        message = f"impression i{at} at {times[at].isoformat()} is out of order$"
+        with pytest.raises(sim.SimulationError, match=f"^{path}:{at + 1}: {message}"):
+            sim.load_impressions(path)
         graph = model.build_graph(
             [model.SupplyNode("n", {"a": "1"}, 60)],
             [model.Contract("c", model.tg.parse_targeting("a = 1"), 10,
                             datetime(2026, 3, 2), datetime(2026, 3, 3))])
-        with pytest.raises(sim.SimulationError,
-                           match=f"^impression i{at} at {times[at].isoformat()} is out of order$"):
-            sim.run_simulation(graph, stream, sim.SimulationConfig())
+        with pytest.raises(sim.SimulationError, match=f"^event {at}: {message}"):
+            sim.run_simulation(graph, events, sim.SimulationConfig())
 
 
 class TestPieces:

@@ -12,7 +12,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
-from datetime import timedelta
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -162,14 +162,18 @@ def test_every_perfbench_layer_records_calls(tmp_path):
     assert [name for name in layers if not calls[name]] == ["hwm.serve_hwm"]
 
 
-def test_derived_tables_stay_deleted():
+def test_derived_tables_stay_deleted(tmp_path):
     # The stream, the engine and the server keep no table that only
-    # repeats data they hold: chunks' first keys, split id texts, the
-    # contracts of the graph.
-    assert not hasattr(gdserve.simulate.PackedTimes(), "_firsts")
-    assert not hasattr(gdserve.simulate.PackedIds(), "_split")
-    assert "_item" not in vars(gdserve.simulate._Chunked)
-    assert not hasattr(gdserve.simulate.Server(demo_graph()), "_contracts")
+    # repeats data they hold: chunks' first keys, the contracts of the
+    # graph.  The stream keeps no ids, which no engine step reads.
+    simulate = gdserve.simulate
+    assert not hasattr(simulate.PackedTimes(), "_firsts")
+    assert not hasattr(simulate.Server(demo_graph()), "_contracts")
+    for name in ("PackedIds", "_unpack", "_Chunked"):
+        assert not hasattr(simulate, name), name
+    path = tmp_path / "impressions.jsonl"
+    simulate.save_impressions([ImpressionEvent("i1", datetime(2026, 3, 2), {})], path)
+    assert not hasattr(simulate.load_impressions(path), "ids")
 
 
 def test_deleted_knobs_and_wrappers_stay_deleted():

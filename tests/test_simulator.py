@@ -1,4 +1,5 @@
 import bisect
+import gc
 import io
 import json
 import math
@@ -179,6 +180,19 @@ class TestEngineInvariants:
         # only the config is built here, never an engine.
         with pytest.raises(sim.SimulationError, match=f"reopt_period_hours .*{message}"):
             sim.SimulationConfig(reopt_period_hours=hours)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["forecast_error_multiplier", "per_node_error"])
+    def test_non_finite_multiplier_names_the_field(self, field, value):
+        # NaN and infinity passed the `<= 0` check, and a run then failed in
+        # the name of a contract's eligible forecast supply.
+        if field == "per_node_error":
+            kw, where = {field: {"n1": 2.0, "n2": value}}, "node n2: per_node_error"
+        else:
+            kw, where = {field: value}, field
+        with pytest.raises(sim.SimulationError,
+                           match=f"^{where} must be a finite number, got {value!r}$"):
+            sim.SimulationConfig(**kw)
 
     def test_period_of_one_microsecond_accepted(self):
         # 2e-10 h rounds to one microsecond, the shortest usable period.
@@ -602,7 +616,7 @@ class TestCallTimeLookups:
 
         def wrapper(*args, **kw):
             for run in original(*args, **kw):
-                rows.extend(impression_rows([run]))
+                rows.extend(zip(*run))
                 yield run
 
         monkeypatch.setattr(sim, "iter_impressions", wrapper)
@@ -614,8 +628,10 @@ class TestCallTimeLookups:
         sim.save_impressions(events, tmp_path / "impressions.jsonl")
         rows = self.counting_rows(monkeypatch)
         stream = sim.load_impressions(tmp_path / "impressions.jsonl")
+        # The rows of keyed runs are (timestamp, set id).
         assert len(rows) == len(stream) == len(events) > 0
-        assert [r[0] for r in rows] == stream.ids
+        assert [t for t, _ in rows] == [ev.ts for ev in events] == stream.ts
+        assert [sid for _, sid in rows] == list(stream.set_ids)
 
     def test_gdserve_serve_reads_rows_through_iter_impressions(
             self, monkeypatch, tmp_path):
@@ -632,21 +648,54 @@ class TestCallTimeLookups:
         assert [r[0] for r in rows] == [ev.id for ev in events[:first]]
 
 
-def reference_events(path):
-    """impressions.jsonl read one `json.loads` per non-blank line."""
-    events = []
+def reference_lines(path):
+    """impressions.jsonl read one `json.loads` per non-blank line: (line
+    number, event) per row."""
+    rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if line.strip():
                 rec = json.loads(line)
-                events.append(sim.ImpressionEvent(
-                    str(rec["id"]), model.parse_ts(rec["ts"]), rec.get("attributes", {})))
-    return events
+                rows.append((number, sim.ImpressionEvent(
+                    str(rec["id"]), model.parse_ts(rec["ts"]), rec.get("attributes", {}))))
+    return rows
+
+
+def reference_events(path):
+    """impressions.jsonl read one `json.loads` per non-blank line."""
+    return [ev for _, ev in reference_lines(path)]
+
+
+def reference_disorder(path):
+    """The `load_impressions` error of the first row of `path` before the
+    row ahead of it, read per line, as a regex; None if the rows are in
+    order."""
+    rows = reference_lines(path)
+    for (_, before), (number, ev) in zip(rows, rows[1:]):
+        if ev.ts < before.ts:
+            return (f"^{re.escape(str(path))}:{number}: impression {re.escape(ev.id)} "
+                    f"at {ev.ts.isoformat()} is out of order$")
+    return None
+
+
+def reader_events(path):
+    """The events of the rows `iter_impressions` reads from `path`."""
+    sets = sim.ImpressionStream()
+    return [sim.ImpressionEvent(imp_id, ts, sets.attrs[sid])
+            for imp_id, ts, sid in impression_rows(sim.iter_impressions(path, sets))]
+
+
+def assert_columns(stream, events):
+    """`stream` holds the timestamps and attribute maps of `events`."""
+    assert len(stream) == len(stream.ts) == len(events)
+    assert stream.ts == [ev.ts for ev in events]
+    assert [stream.attrs[sid] for sid in stream.set_ids] == [ev.attributes for ev in events]
 
 
 class TestImpressionReader:
-    """`load_impressions` gives the events a per-line `json.loads` reader
-    gives, as an `ImpressionStream` that the engine serves unchanged."""
+    """`iter_impressions` gives the rows a per-line `json.loads` reader
+    gives, and `load_impressions` their timestamps and attribute sets, as
+    an `ImpressionStream` that the engine serves unchanged."""
 
     @pytest.fixture
     def path(self, tmp_path):
@@ -664,22 +713,20 @@ class TestImpressionReader:
 
     def test_stream_equals_per_line_reference(self, path):
         ref = reference_events(path)
+        assert reader_events(path) == ref
         stream = sim.load_impressions(path)
         assert isinstance(stream, sim.ImpressionStream)
-        assert len(stream) == len(ref)
-        assert list(stream) == ref
-        for i in (0, 1, len(ref) // 2, len(ref) - 1, -1, -2, -len(ref)):
-            assert stream[i] == ref[i]
-        assert stream[3:9] == ref[3:9]
-        with pytest.raises(IndexError):
-            stream[len(ref)]
+        assert_columns(stream, ref)
         # Key order is kept per impression; equal maps share one key.
-        assert list(stream[7].attributes) == list(reversed(list(stream[5].attributes)))
+        attrs = [stream.attrs[sid] for sid in stream.set_ids]
+        assert list(attrs[7]) == list(reversed(list(attrs[5])))
         assert stream.keys[stream.set_ids[7]] == stream.keys[stream.set_ids[5]]
-        assert stream[9].attributes == {}
+        assert attrs[9] == {}
+        # Two bytes per set id, and no id.
+        assert stream.set_ids.itemsize == 2 and not hasattr(stream, "ids")
 
     def test_save_round_trips_bytes(self, path, tmp_path):
-        sim.save_impressions(sim.load_impressions(path), tmp_path / "again.jsonl")
+        sim.save_impressions(reader_events(path), tmp_path / "again.jsonl")
         assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
     def test_each_set_checked_once(self, path, monkeypatch):
@@ -699,7 +746,7 @@ class TestImpressionReader:
         for mode in ("expected", "sampled"):
             cfg = sim.SimulationConfig(reopt_period_hours=6.0, mode=mode, seed=3)
             assert sim.run_simulation(graph, stream, cfg) == \
-                sim.run_simulation(graph, list(stream), cfg)
+                sim.run_simulation(graph, reference_events(path), cfg)
 
     def test_one_decode_per_attributes_text(self, path, monkeypatch):
         decoded = []
@@ -775,26 +822,28 @@ class TestImpressionReader:
                 else self.mixed_with_canonical())
         path.write_bytes(text.encode("utf-8"))
         ref = reference_events(path)
-        stream = sim.load_impressions(path)
-        assert list(stream) == ref
+        sets = sim.ImpressionStream()
+        runs = list(sim.iter_impressions(path, sets))
+        assert [sim.ImpressionEvent(imp_id, ts, sets.attrs[sid])
+                for imp_id, ts, sid in impression_rows(runs)] == ref
         # One set per distinct map in its own key order.
         orders = [tuple(ev.attributes.items()) for ev in ref]
-        assert len(set(zip(orders, stream.set_ids))) == len(set(orders)) == len(stream.attrs)
-        # The packed ids read as the list of the per-line ids.
-        ids, n = [ev.id for ev in ref], len(ref)
-        assert len(stream.ids) == n
-        assert list(stream.ids) == ids and stream.ids == ids and ids == stream.ids
-        assert [stream.ids[i] for i in range(-n, n)] == ids + ids
-        for piece in (slice(3, 17), slice(None, None, -3), slice(-5, None), slice(7, 7)):
-            assert stream.ids[piece] == ids[piece]
-        with pytest.raises(IndexError):
-            stream.ids[n]
-        with pytest.raises(IndexError):
-            stream.ids[-n - 1]
+        set_ids = [sid for _, _, sids in runs for sid in sids]
+        assert len(set(zip(orders, set_ids))) == len(set(orders)) == len(sets.attrs)
+        # Each run's ids are a list, on the fast path and off it.
+        assert {type(ids) for ids, _, _ in runs} == {list}
         if lines_hint is not None:
-            # Runs of the fast path as texts, decoded lines as lists.
-            assert {type(chunk) for chunk in stream.ids._chunks} == {str, list}
-            assert {'has "quote"', "back\\slash", '{"id": "inner', "key order"} <= set(ids)
+            assert {'has "quote"', "back\\slash", '{"id": "inner', "key order"} <= \
+                {ev.id for ev in ref}
+        # The lines as listed are in time order, and the canonical lines
+        # between them are not.
+        disorder = reference_disorder(path)
+        assert (disorder is None) == (layout == "as listed")
+        if disorder is None:
+            assert_columns(sim.load_impressions(path), ref)
+        else:
+            with pytest.raises(sim.SimulationError, match=disorder):
+                sim.load_impressions(path)
 
     GOOD = '{"id": "i1", "ts": "2026-03-02T00:00:00", "attributes": {"a": "1"}}'
 
@@ -841,14 +890,146 @@ class TestImpressionReader:
 
     @pytest.mark.parametrize("loaded", [False, True])
     def test_out_of_order_stream_names_impression(self, tmp_path, loaded):
+        # Events are named by their index, and lines by the file and line.
         graph, events = uniform_single_contract(days=2, per_day=10, demand=5)
         events[6], events[7] = events[7], events[6]
-        if loaded:
-            sim.save_impressions(events, tmp_path / "impressions.jsonl")
-            events = sim.load_impressions(tmp_path / "impressions.jsonl")
+        path = tmp_path / "impressions.jsonl"
+        where = f"{path}:8" if loaded else "event 7"
         with pytest.raises(sim.SimulationError,
-                           match=f"impression {events[7].id} at .* is out of order"):
-            sim.run_simulation(graph, events, daily_reopt_config(1.0))
+                           match=f"^{where}: impression {events[7].id} at "
+                                 f"{events[7].ts.isoformat()} is out of order$"):
+            if loaded:
+                sim.save_impressions(events, path)
+                sim.load_impressions(path)
+            else:
+                sim.run_simulation(graph, events, daily_reopt_config(1.0))
+
+
+class TestOrderCheck:
+    """`load_impressions` checks the time order as runs arrive and fails at
+    the first row before the one ahead of it as `path:line: impression <id>
+    at <ts> is out of order`, wherever the line falls among blank lines,
+    runs and blocks; `ImpressionStream.of` names an event by its index."""
+
+    LAYOUTS = {
+        # The fast path, with keys from the texts or from datetimes, and
+        # lines that only the full decode reads.
+        "26 characters": (timedelta(microseconds=7), {}),
+        "19 characters": (timedelta(0), {}),
+        "decoded": (timedelta(0), {"separators": (",", ":")}),
+    }
+
+    @staticmethod
+    def line(i, layout="26 characters"):
+        shift, kw = TestOrderCheck.LAYOUTS[layout]
+        ts = FLIGHT_START + timedelta(seconds=i) + shift
+        return json.dumps({"id": f"i{i:03d}", "ts": ts.isoformat(),
+                           "attributes": {"a": str(i % 3)}}, **kw)
+
+    @staticmethod
+    def fails_at(path, line, i, layout="26 characters"):
+        """Loading `path` fails at `line`, the line of impression i."""
+        ts = FLIGHT_START + timedelta(seconds=i) + TestOrderCheck.LAYOUTS[layout][0]
+        message = (f"^{re.escape(str(path))}:{line}: impression i{i:03d} at "
+                   f"{ts.isoformat()} is out of order$")
+        assert reference_disorder(path) == message
+        with pytest.raises(sim.SimulationError, match=message):
+            sim.load_impressions(path)
+
+    @pytest.mark.parametrize("lines_hint", [None, 1, 200])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_blank_lines_and_crlf_before_the_swap(self, tmp_path, monkeypatch, layout,
+                                                  lines_hint):
+        if lines_hint is not None:
+            monkeypatch.setattr(model, "_LINES_HINT", lines_hint)
+        decoded = []
+        original = sim._decode
+        monkeypatch.setattr(sim, "_decode",
+                            lambda line: decoded.append(line) or original(line))
+        lines = [self.line(i, layout) for i in range(20)]
+        lines[12], lines[13] = lines[13], lines[12]
+        # Every row ends in "\r\n", and rows 2 and 7 are followed by a blank
+        # line ended by "\r\n" and a blank one ended by a lone "\r": row 13,
+        # impression 12, is line 18.
+        path = tmp_path / "impressions.jsonl"
+        path.write_bytes("".join(line + "\r\n" + ("\r\n \t\r" if r in (2, 7) else "")
+                                 for r, line in enumerate(lines)).encode())
+        self.fails_at(path, 18, 12, layout)
+        # Off the layout every row read is decoded in full, the rows of a
+        # block in one run; in it, three lines teach the texts.
+        assert (len(decoded) >= 14) == (layout == "decoded")
+
+    @pytest.mark.parametrize("edge", [0, 1, 2])
+    def test_swap_across_blocks(self, tmp_path, monkeypatch, edge):
+        # Blocks of a few lines: the last row of a block swapped with the
+        # first of the next, which starts a run of its own.
+        monkeypatch.setattr(model, "_LINES_HINT", 300)
+        lines = [self.line(i) for i in range(60)]
+        path = tmp_path / "impressions.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        firsts = [first for first, _ in model.line_blocks(path, "impression")]
+        assert len(firsts) > 4
+        k = firsts[2 + edge] - 1            # the first row of a block
+        lines[k - 1], lines[k] = lines[k], lines[k - 1]
+        path.write_text("".join(line + "\n" for line in lines))
+        assert [first for first, _ in model.line_blocks(path, "impression")] == firsts
+        self.fails_at(path, k + 1, k - 1)
+
+    def test_swap_across_runs_in_one_block(self, tmp_path):
+        # Row 30 has an attributes text not seen before, so its line is read
+        # on its own, between two runs of the fast path.
+        lines = [self.line(i) for i in range(60)]
+        lines[30] = lines[30].replace('{"a": "0"}', '{"a": "new"}')
+        lines[29], lines[30] = lines[30], lines[29]
+        path = tmp_path / "impressions.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        self.fails_at(path, 31, 29)
+        # And the new line after the run it is before.
+        lines[29], lines[30] = lines[30], lines[29]
+        lines[28], lines[29] = lines[29], lines[28]
+        path.write_text("".join(line + "\n" for line in lines))
+        self.fails_at(path, 30, 28)
+
+    @pytest.mark.parametrize("at", [1, 5, sim._OF_CHUNK, 2 * sim._OF_CHUNK + 3])
+    def test_events_named_by_index(self, at):
+        events = [sim.ImpressionEvent(f"e{i}", FLIGHT_START + timedelta(seconds=i), {})
+                  for i in range(3 * sim._OF_CHUNK)]
+        events[at - 1], events[at] = events[at], events[at - 1]
+        with pytest.raises(sim.SimulationError,
+                           match=f"^event {at}: impression e{at - 1} at "
+                                 f"{events[at].ts.isoformat()} is out of order$"):
+            sim.ImpressionStream.of(events)
+
+
+class TestWideSetIds:
+    """A stream's set ids take 2 bytes each until a set id needs more; then
+    they take 4, each as it was."""
+
+    SETS = 1 << 16
+
+    def events(self):
+        # 100 impressions of set 0 first, so the set that 2 bytes do not
+        # hold comes inside a chunk of `ImpressionStream.of`.
+        return [sim.ImpressionEvent(f"e{i}", FLIGHT_START + timedelta(milliseconds=i),
+                                    {"a": str(max(0, i - 100))})
+                for i in range(self.SETS + 101)]
+
+    def check(self, stream, events):
+        assert len(stream.attrs) == self.SETS + 1
+        assert stream.set_ids.itemsize == 4
+        assert list(stream.set_ids) == [0] * 100 + list(range(self.SETS + 1))
+        assert_columns(stream, events)
+
+    def test_of(self):
+        events = self.events()
+        stream = sim.ImpressionStream.of(events[:-1])
+        assert stream.set_ids.itemsize == 2 and len(stream.attrs) == self.SETS
+        self.check(sim.ImpressionStream.of(events), events)
+
+    def test_loaded(self, tmp_path):
+        events = self.events()
+        sim.save_impressions(events, tmp_path / "impressions.jsonl")
+        self.check(sim.load_impressions(tmp_path / "impressions.jsonl"), events)
 
 
 def impression_line(i):
@@ -1224,13 +1405,16 @@ class TestMemory:
 
     @staticmethod
     def loaded_bytes(events, tmp_path):
-        """The bytes `load_impressions` retains per impression of `events`."""
+        """The bytes `load_impressions` retains per impression of `events`,
+        counted after a collection."""
         path = tmp_path / "impressions.jsonl"
         sim.save_impressions(events, path)
+        gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             stream = sim.load_impressions(path)
+            gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -1238,18 +1422,23 @@ class TestMemory:
         return retained / len(stream)
 
     def test_loaded_bytes_per_impression(self, week, tmp_path):
-        """`load_impressions` keeps an id, a timestamp and a set id per
-        impression: under 96 retained bytes each.  A parsed dict and an
-        event per line held about 620, and an `str` per id about 127; the
-        ids of each run of lines packed in one text hold about 78."""
+        """`load_impressions` keeps a timestamp and a set id per impression:
+        under 96 retained bytes each.  A parsed dict and an event per line
+        held about 620, and an `str` per id about 127; the ids of each run
+        of lines packed in one text held about 78."""
         assert self.loaded_bytes(week[1], tmp_path) < 96
 
     def test_loaded_times_are_keys(self, week, tmp_path):
         """Each run's timestamps kept as one chunk of 10-byte keys, not a
-        `datetime` and a list slot each (56 bytes), and its ids packed with
-        one character between them: under 48 retained bytes an impression,
-        about 33."""
+        `datetime` and a list slot each (56 bytes): under 48 retained bytes
+        an impression.  With the ids packed in the stream it was about 33."""
         assert self.loaded_bytes(week[1], tmp_path) < 48
+
+    def test_loaded_stream_keeps_only_the_engine_columns(self, week, tmp_path):
+        """No id, a 10-byte key and a 2-byte set id per impression: at most
+        16 retained bytes each, about 14.  Packed ids and a list of set ids
+        kept about 33."""
+        assert self.loaded_bytes(week[1], tmp_path) <= 16
 
 
 def _splitmix64(state: int):
