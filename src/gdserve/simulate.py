@@ -526,7 +526,7 @@ class ImpressionStream:
                 raise _out_of_order(f"event {i}", chunk[i - n].id, chunk[i - n].ts)
             # Made before `set_ids` is read: a new set may widen it.
             sids = [stream.set_id(ev.attributes) for ev in chunk]
-            stream.set_ids.extend(sids)
+            stream.set_ids.fromlist(sids)
         return stream
 
     def set_id(self, attrs: Mapping[str, str]) -> int:
@@ -895,7 +895,7 @@ def load_impressions(path) -> ImpressionStream:
     stream = ImpressionStream()
     for ts, set_ids in iter_impressions(path, stream, keyed=True):
         stream.ts.add(ts)
-        stream.set_ids.extend(set_ids)
+        stream.set_ids.fromlist(set_ids)
     return stream
 
 
